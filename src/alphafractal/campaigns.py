@@ -7,6 +7,8 @@ BoundReport per checked instance.  Deterministic for a fixed seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import bounds, depend
@@ -75,11 +77,9 @@ def error_suite(template: ProblemConfig, trials: int, seed) -> list[BoundReport]
         op = _random_operator(rng, int(rng.integers(1, 4)))
         cfg = _random_system(rng, template, op)
         rep = bounds.error_bound(cfg, op)
-        out.append(BoundReport(f"error[{k}]", rep.predicted, rep.observed,
-                               rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"error[{k}]"))
         rep = bounds.corollary_bound(cfg, op, j=1)
-        out.append(BoundReport(f"corollary[{k}]", rep.predicted, rep.observed,
-                               rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"corollary[{k}]"))
     return out
 
 
@@ -135,8 +135,7 @@ def stability_suite(template: ProblemConfig, trials: int, seed) -> list[BoundRep
     for k in range(trials):
         cfgA, cfgB = _stability_pair(rng, template)
         rep = bounds.stability_bound(cfgA, cfgB)
-        out.append(BoundReport(f"stability[{k}]", rep.predicted, rep.observed,
-                               rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"stability[{k}]"))
     return out
 
 
@@ -176,8 +175,7 @@ def sensitivity_suite(template: ProblemConfig, trials: int, seed,
         cfg = template.with_germ(germ).with_levels(LevelSequence(levels))
         pert = random_perturbation(rng, cfg, t_scale=t_scale, s_scale=s_scale)
         rep = bounds.sensitivity_bound(cfg, pert)
-        out.append(BoundReport(f"sensitivity[{k}]", rep.predicted, rep.observed,
-                               rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"sensitivity[{k}]"))
     return out
 
 
@@ -216,8 +214,7 @@ def base_pair_suite(template: ProblemConfig, pairs: int, seed) -> list[BoundRepo
         bases_b = tuple(matched_base_spec(rng, template.germ, domain)
                         for _ in range(n_levels))
         rep = depend.base_dependence(template, bases_a, bases_b)
-        out.append(BoundReport(f"base-dependence[{k}]", rep.predicted, rep.observed,
-                               rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"base-dependence[{k}]"))
     return out
 
 
@@ -237,6 +234,5 @@ def scaling_pair_suite(template: ProblemConfig, pairs: int, seed,
             for _ in range(n_levels)
         )
         rep = depend.scaling_dependence(template, alphas_a, alphas_b, s_cap)
-        out.append(BoundReport(f"scaling-dependence[{k}]", rep.predicted,
-                               rep.observed, rep.tolerance, rep.inputs))
+        out.append(replace(rep, name=f"scaling-dependence[{k}]"))
     return out

@@ -4,7 +4,10 @@
                         [--mode cont|lip] [--out DIR]
     alphafractal verify --config cfg.json --suite error|stability|sensitivity|operator|all
                         [--trials T] [--seed S] [--out DIR] [overrides]
-    alphafractal sweep  --manifest manifest.json [--out DIR]
+    alphafractal sweep  --manifest manifest.json [--out DIR] [overrides]
+
+The overrides --grid, --depth/--eps and --mode replace the config's values on
+every command.
 
 Exit codes: 0 success, 1 bound violation, 2 invalid input.  Invalid input
 produces one machine-readable JSON diagnostic line on stderr.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -127,14 +131,13 @@ def _run_experiment(cfg, exp: dict, base_dir: Path) -> list[BoundReport]:
 
 def cmd_sweep(args) -> int:
     try:
-        cfg, experiments = configio.load_manifest(args.manifest)
+        cfg, experiments = configio.load_manifest(args.manifest, overrides=_overrides(args))
         cfg.validation().raise_if_failed()
         reports = []
         for k, exp in enumerate(experiments):
             try:
                 for rep in _run_experiment(cfg, exp, Path(args.manifest).parent):
-                    reports.append(BoundReport(f"{rep.name}[exp={k}]", rep.predicted,
-                                               rep.observed, rep.tolerance, rep.inputs))
+                    reports.append(replace(rep, name=f"{rep.name}[exp={k}]"))
             except KeyError as exc:
                 raise AlphaFractalError(
                     f"experiment {k} ({exp.get('kind')}) missing field {exc}"

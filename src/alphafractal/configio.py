@@ -100,19 +100,6 @@ def funcspec_from_dict(d: dict, domain, base_dir: Path | None = None) -> Functio
     raise ConfigError(f"unknown function family {fam!r}")
 
 
-def funcspec_to_dict(spec: FunctionSpec) -> dict:
-    if spec.family == "constant":
-        return {"family": "constant", "value": spec.params[0]}
-    if spec.family == "linear-endpoint":
-        return {"family": "linear-endpoint", "left": spec.params[0], "right": spec.params[1]}
-    if spec.family == "polynomial":
-        return {"family": "polynomial", "coeffs": list(spec.params)}
-    if spec.family == "sinusoid":
-        a, w, ph, off = spec.params
-        return {"family": "sinusoid", "amplitude": a, "omega": w, "phase": ph, "offset": off}
-    return {"family": "sampled", "values": list(spec.params)}
-
-
 # ---------------------------------------------------------------------------
 # Problem configuration
 # ---------------------------------------------------------------------------
@@ -208,7 +195,7 @@ def load_config(path, overrides: dict | None = None) -> ProblemConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_manifest(path) -> tuple[ProblemConfig, list[dict]]:
+def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[dict]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -220,9 +207,9 @@ def load_manifest(path) -> tuple[ProblemConfig, list[dict]]:
         ref = Path(data["config_path"])
         if not ref.is_absolute():
             ref = path.parent / ref
-        cfg = load_config(ref)
+        cfg = load_config(ref, overrides=overrides)
     elif "config" in data:
-        cfg = config_from_dict(data["config"], base_dir=path.parent)
+        cfg = config_from_dict(data["config"], base_dir=path.parent, overrides=overrides)
     else:
         raise ConfigError(f"{path}: manifest needs 'config' or 'config_path'")
     experiments = data.get("experiments", [])

@@ -82,6 +82,8 @@ class FunctionSpec:
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown function family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(np.isfinite(self.params)):
+            raise ConfigError(f"{self.family} spec parameters must be finite")
         lo, hi = (float(self.domain[0]), float(self.domain[1]))
         if not lo < hi:
             raise ConfigError("function domain must satisfy lo < hi")
@@ -99,6 +101,8 @@ class FunctionSpec:
                 raise ConfigError("sampled spec needs at least 2 sample values")
             if self.abscissas is not None:
                 xs = tuple(float(x) for x in self.abscissas)
+                if not all(np.isfinite(xs)):
+                    raise ConfigError("sampled spec abscissas must be finite")
                 if len(xs) != len(self.params):
                     raise ConfigError("sampled spec abscissas/values length mismatch")
                 if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -363,15 +367,15 @@ class LevelSequence:
         if any(len(lv.scalings) != n for lv in levels):
             raise ConfigError("all levels must carry the same number of scaling functions")
         object.__setattr__(self, "levels", levels)
-        worst = 0.0
-        for lv in levels:
-            for spec in lv.scalings:
-                if isinstance(spec, FunctionSpec):
-                    grid = np.linspace(spec.domain[0], spec.domain[1], 513)
-                    worst = max(worst, float(np.max(np.abs(evaluate(spec, grid)))))
-        if worst >= 1.0:
+        sups = [
+            np.max(np.abs(evaluate(spec, np.linspace(*spec.domain, 513))))
+            for lv in levels for spec in lv.scalings if isinstance(spec, FunctionSpec)
+        ]
+        worst = float(np.max(sups, initial=0.0))
+        if not worst < 1.0:
             raise ScalingNotContractive(
-                f"scaling sup-norm estimate {worst:.6g} >= 1; the RB operators would not contract"
+                f"scaling sup-norm estimate {worst:.6g} is not below 1; "
+                "the RB operators would not contract"
             )
 
     @property
@@ -397,12 +401,10 @@ class LevelSequence:
         return self.level(r).base
 
     def alpha_sup(self, grid: np.ndarray) -> float:
-        """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over the prefix)."""
-        worst = 0.0
-        for lv in self.levels:
-            for spec in lv.scalings:
-                worst = max(worst, float(np.max(np.abs(evaluate(spec, grid)))))
-        return worst
+        """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over the
+        prefix); NaN when any scaling value is NaN."""
+        return float(np.max([np.max(np.abs(evaluate(spec, grid)))
+                             for lv in self.levels for spec in lv.scalings]))
 
 
 # ---------------------------------------------------------------------------
@@ -682,13 +684,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.problems
 
-    @property
-    def contraction_factor(self) -> float | None:
-        """Lipschitz-mode RB contraction factor 2 * max ratio (None in continuous mode)."""
-        if self.lip_ratios is None:
-            return None
-        return 2.0 * max(self.lip_ratios)
-
     def raise_if_failed(self) -> None:
         if self.problems:
             code, message = self.problems[0]
@@ -709,7 +704,7 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     legal but degenerate (the interpolant collapses to the germ), so it is
     warned about, not rejected.
     """
-    from . import norms  # local import: norms has no runtime dependency on core
+    from . import norms  # local import: norms imports core.evaluate at module level
 
     grid = cfg.grid
     f_vals = cfg.germ_values
@@ -717,10 +712,10 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     problems: list[tuple[str, str]] = []
 
     alpha_sup = cfg.alpha_sup
-    if alpha_sup >= 1.0:
+    if not alpha_sup < 1.0:
         problems.append((
             "ScalingNotContractive",
-            f"||alpha||_inf estimate {alpha_sup:.6g} >= 1",
+            f"||alpha||_inf estimate {alpha_sup:.6g} is not below 1",
         ))
 
     residuals = []
@@ -745,19 +740,12 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
 
     lip_ratios = None
     if cfg.mode == "lipschitz":
-        a = cfg.maps.a
-        per_level = []
-        for lv in cfg.levels.levels:
-            worst = 0.0
-            for i, spec in enumerate(lv.scalings):
-                est = norms.estimate_norms(spec, cfg.d, grid)
-                worst = max(worst, est.norm_d / a[i] ** cfg.d)
-            per_level.append(worst)
-        lip_ratios = tuple(per_level)
-        if max(lip_ratios) >= 0.5:
+        lip_ratios = norms.lip_ratios(cfg)
+        worst = float(np.max(lip_ratios))
+        if not worst < 0.5:
             problems.append((
                 "LipConditionViolated",
-                f"max ||alpha_i||_d / a_i^d = {max(lip_ratios):.6g} >= 1/2",
+                f"max ||alpha_i||_d / a_i^d = {worst:.6g} is not below 1/2",
             ))
 
     return ValidationReport(

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bounds import VERIFY_TOL
 from .core import Partition, ProblemConfig, evaluate
 from .engine import backward_trajectory, resolve_depth, truncation_error
 from .errors import CapViolated, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
 from .report import BoundReport
 
-VERIFY_TOL = 1e-6
 BASE_RATIO_SLACK = 1e-4  # allowance on the base-map ratio check
 LIP_SLACK = 0.05         # conservative inflation of estimated Lipschitz constants
 
@@ -112,10 +112,6 @@ def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
 # ---------------------------------------------------------------------------
 
 
-def _lip1(fn, grid: np.ndarray) -> float:
-    return lip_seminorm(fn, 1.0, grid)
-
-
 def admissible_theta_limit(A: float, R: float, k_f: float, k_b: float,
                            k_alpha: float, alpha_sup: float,
                            base_sup: float) -> float:
@@ -127,30 +123,34 @@ def admissible_theta_limit(A: float, R: float, k_f: float, k_b: float,
 
 def theta_constants(cfg: ProblemConfig, slack: float = LIP_SLACK) -> dict:
     """Grid-estimated Lipschitz constants (inflated by ``slack``) and the
-    admissible theta limit."""
-    grid = cfg.grid
-    inflate = 1.0 + slack
-    k_f = inflate * _lip1(cfg.germ, grid)
-    k_b = inflate * max(_lip1(lv.base, grid) for lv in cfg.levels.levels)
-    k_alpha = inflate * max(
-        _lip1(spec, grid) for lv in cfg.levels.levels for spec in lv.scalings
-    )
-    A = cfg.maps.A
-    R = cfg.r_bound
-    denom = R * k_alpha + A * k_f + cfg.alpha_sup * k_b + cfg.base_sup * k_alpha
-    limit = admissible_theta_limit(A, R, k_f, k_b, k_alpha,
-                                   cfg.alpha_sup, cfg.base_sup)
-    return {"k_f": k_f, "k_b": k_b, "k_alpha": k_alpha, "A": A, "R": R,
-            "denominator": denom, "theta_limit": limit}
+    admissible theta limit, computed once per config and slack."""
+
+    def build():
+        grid = cfg.grid
+        inflate = 1.0 + slack
+        k_f = inflate * lip_seminorm(cfg.germ, 1.0, grid)
+        k_b = inflate * max(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
+        k_alpha = inflate * max(
+            lip_seminorm(spec, 1.0, grid) for lv in cfg.levels.levels for spec in lv.scalings
+        )
+        A = cfg.maps.A
+        R = cfg.r_bound
+        limit = admissible_theta_limit(A, R, k_f, k_b, k_alpha,
+                                       cfg.alpha_sup, cfg.base_sup)
+        return {"k_f": k_f, "k_b": k_b, "k_alpha": k_alpha, "A": A, "R": R,
+                "theta_limit": limit}
+
+    return dict(cfg._cached(f"_theta_constants_{slack!r}", build))
+
+
+def _theta(theta_limit: float) -> float:
+    return 0.5 * theta_limit if np.isfinite(theta_limit) else 1.0
 
 
 def compute_theta(cfg: ProblemConfig, slack: float = LIP_SLACK) -> float:
     """Half the admissible theta limit (a valid metric weight); 1.0 when every
     estimated Lipschitz constant vanishes and the limit degenerates."""
-    consts = theta_constants(cfg, slack)
-    if not np.isfinite(consts["theta_limit"]):
-        return 1.0
-    return 0.5 * consts["theta_limit"]
+    return _theta(theta_constants(cfg, slack)["theta_limit"])
 
 
 def partition_dependence(cfg: ProblemConfig, other: Partition,
@@ -173,7 +173,7 @@ def partition_dependence(cfg: ProblemConfig, other: Partition,
         raise EndpointMismatch("partitions must share the interval endpoints")
     cfgB = cfg.with_partition(other)
     consts = theta_constants(cfg, slack)
-    theta = compute_theta(cfg, slack)
+    theta = _theta(consts["theta_limit"])
     k_f = consts["k_f"]
     l2 = float(np.linalg.norm(p.array()[1:-1] - other.array()[1:-1]))
     predicted = 2.0 * (1.0 + theta * k_f) * l2

@@ -64,6 +64,16 @@ def _grid_geometry(cfg: ProblemConfig):
     return cfg._cached("_rb_geometry", build)
 
 
+def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """fns[i-1] evaluated at the points of z whose 1-based interval index is i."""
+    out = np.empty_like(z)
+    for i, fn in enumerate(fns, start=1):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = evaluate(fn, z[mask])
+    return out
+
+
 def _level_data(cfg: ProblemConfig, r: int):
     """alpha_{i,r} evaluated at the Q points and b_r on the grid (cached)."""
     r_eff = min(r, cfg.levels.prefix_len)
@@ -71,11 +81,7 @@ def _level_data(cfg: ProblemConfig, r: int):
     def build():
         idx, q = _grid_geometry(cfg)
         lv = cfg.levels.level(r_eff)
-        alpha_q = np.empty_like(q)
-        for i in range(1, cfg.n_intervals + 1):
-            mask = idx == i
-            if np.any(mask):
-                alpha_q[mask] = evaluate(lv.scalings[i - 1], q[mask])
+        alpha_q = _per_interval(lv.scalings, idx, q)
         b_vals = evaluate(lv.base, cfg.grid)
         alpha_q.setflags(write=False)
         b_vals.setflags(write=False)
@@ -93,13 +99,8 @@ def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig,
     if pert is None:
         return cfg.germ_values + alpha_q * diff_q
     lv = pert.level(r)
-    scale = alpha_q.copy()
-    bump = np.zeros_like(q)
-    for i in range(1, cfg.n_intervals + 1):
-        mask = idx == i
-        if np.any(mask):
-            scale[mask] = scale[mask] + lv.t[i - 1] * evaluate(lv.theta[i - 1], q[mask])
-            bump[mask] = lv.s[i - 1] * evaluate(lv.phi[i - 1], q[mask])
+    scale = alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q)
+    bump = np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q)
     return cfg.germ_values + scale * diff_q + bump
 
 
@@ -240,12 +241,7 @@ def _series_values(xs: np.ndarray, depth: int, cfg: ProblemConfig) -> np.ndarray
         idx = locate_many(z, cfg.partition)
         z = cfg.maps.inverse_many(idx, z)
         lv = cfg.levels.level(j)
-        alpha_j = np.empty_like(z)
-        for i in range(1, cfg.n_intervals + 1):
-            mask = idx == i
-            if np.any(mask):
-                alpha_j[mask] = evaluate(lv.scalings[i - 1], z[mask])
-        prod = prod * alpha_j
+        prod = prod * _per_interval(lv.scalings, idx, z)
         total = total + prod * (evaluate(cfg.germ, z) - evaluate(lv.base, z))
     return total
 

@@ -250,12 +250,5 @@ def apply_T(i: int, r: int, x, y, cfg: ProblemConfig, pert: PerturbationSpec):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < xl) or np.any(xa > xr):
         raise OutOfDomain(f"x outside I_{i} = [{xl}, {xr}]")
-    cache_key = "_contractive_for"
-    seen = pert.__dict__.get(cache_key)
-    if seen is None:
-        seen = set()
-        object.__setattr__(pert, cache_key, seen)
-    if id(cfg) not in seen:
-        pert.check_contractive(cfg)
-        seen.add(id(cfg))
+    pert.check_contractive(cfg)
     return rb_composed(i, r, xa, y, cfg, pert)

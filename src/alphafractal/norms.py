@@ -9,25 +9,14 @@ hypothesis checks downstream apply a documented safety slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .core import ProblemConfig, evaluate
 from .errors import BadExponent, EmptyGrid
 from .report import BoundReport
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .core import ProblemConfig
-
 LIP_PAIR_CAP = 2049  # full O(M^2) pair enumeration up to this many grid points
-
-
-def _values_on(g, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(g(grid), dtype=float)
-    if vals.shape != grid.shape:
-        vals = np.broadcast_to(vals, grid.shape).copy()
-    return vals
 
 
 def sup_norm(g, grid) -> float:
@@ -35,7 +24,7 @@ def sup_norm(g, grid) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("sup_norm needs a non-empty grid")
-    return float(np.max(np.abs(_values_on(g, grid))))
+    return float(np.max(np.abs(evaluate(g, grid))))
 
 
 def lip_seminorm(g, d: float, grid) -> float:
@@ -56,7 +45,7 @@ def lip_seminorm(g, d: float, grid) -> float:
         if sub[-1] != grid[-1]:
             sub = np.append(sub, grid[-1])
         grid = sub
-    vals = _values_on(g, grid)
+    vals = evaluate(g, grid)
     n = grid.size
     cols = np.arange(n)
     worst = 0.0
@@ -98,20 +87,27 @@ def estimate_norms(g, d: float, grid) -> NormEstimate:
     )
 
 
-def check_lip_hypothesis(cfg: "ProblemConfig") -> BoundReport:
+def lip_ratios(cfg: ProblemConfig) -> tuple[float, ...]:
+    """Per prefix level r, max_i ||alpha_{i,r}||_d / a_i^d on the config grid
+    (computed once per config)."""
+
+    def build():
+        a = cfg.maps.a
+        return tuple(
+            float(np.max([estimate_norms(spec, cfg.d, cfg.grid).norm_d / a_i ** cfg.d
+                          for spec, a_i in zip(lv.scalings, a)]))
+            for lv in cfg.levels.levels
+        )
+
+    return cfg._cached("_lip_ratios", build)
+
+
+def check_lip_hypothesis(cfg: ProblemConfig) -> BoundReport:
     """Check max over prefix levels and intervals of ||alpha_{i,r}||_d / a_i^d
     against the 1/2 threshold; the RB operator then contracts the ||.||_d norm
     with factor 2 * max(...)."""
-    grid = cfg.grid
-    a = cfg.maps.a
-    ratios = []
-    for lv in cfg.levels.levels:
-        worst = 0.0
-        for i, spec in enumerate(lv.scalings):
-            est = estimate_norms(spec, cfg.d, grid)
-            worst = max(worst, est.norm_d / a[i] ** cfg.d)
-        ratios.append(worst)
-    observed = max(ratios)
+    ratios = lip_ratios(cfg)
+    observed = float(np.max(ratios))
     return BoundReport(
         name="lip-hypothesis",
         predicted=0.5,
@@ -119,8 +115,8 @@ def check_lip_hypothesis(cfg: "ProblemConfig") -> BoundReport:
         tolerance=0.0,
         inputs={
             "d": cfg.d,
-            "per_level_ratios": tuple(ratios),
+            "per_level_ratios": ratios,
             "contraction_factor": 2.0 * observed,
-            "grid_points": int(grid.size),
+            "grid_points": int(cfg.grid.size),
         },
     )

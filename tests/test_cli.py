@@ -56,6 +56,23 @@ class TestBuild:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ScalingNotContractive"
 
+    @pytest.mark.parametrize("section, spec", [
+        ("scaling", {"family": "constant", "value": float("nan")}),
+        ("germ", {"family": "polynomial", "coeffs": [0, 1, float("inf")]}),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, section, spec):
+        data = json.loads(json.dumps(RUNNING_CONFIG))
+        if section == "germ":
+            data["germ"] = spec
+        else:
+            data["levels"][0]["scaling"] = spec
+        cfg = write_config(tmp_path, data)
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert "Traceback" not in err_lines[0]
+        assert json.loads(err_lines[0])["error"] == "ConfigError"
+
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"partition": {"knots": [0, 0.5, 1]}})
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -190,6 +207,21 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "results.csv")
         assert rows[0]["pass"] == "true"
+
+    def test_grid_override_changes_rows(self, tmp_path):
+        man = self._manifest(tmp_path, [{
+            "kind": "base",
+            "bases_a": [{"family": "polynomial", "coeffs": [0.0, 0.0, 1.0]}],
+            "bases_b": [{"family": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]}],
+        }])
+        rows = {}
+        for grid in (None, "33", "1025"):
+            out = tmp_path / f"grid-{grid}"
+            flags = [] if grid is None else ["--grid", grid]
+            assert main(["sweep", "--manifest", str(man), "--out", str(out)] + flags) == 0
+            rows[grid] = read_csv(out / "results.csv")
+        assert rows["33"][0]["observed"] != rows["1025"][0]["observed"]
+        assert rows[None] == rows["1025"]  # the config's own grid
 
     def test_bad_manifest_exits_2(self, tmp_path, capsys):
         man = self._manifest(tmp_path, [{"kind": "nonsense"}])

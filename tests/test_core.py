@@ -13,6 +13,7 @@ from alphafractal import (
 )
 from alphafractal.errors import (
     BadExponent,
+    ConfigError,
     EndpointMismatch,
     NonMonotoneKnots,
     ScalingNotContractive,
@@ -121,6 +122,17 @@ class TestFunctionSpec:
         spec = FunctionSpec.polynomial([0.0, 1.0], DOM)
         assert isinstance(spec(0.3), float)
 
+    @pytest.mark.parametrize("make", [
+        lambda: FunctionSpec.constant(float("nan"), DOM),
+        lambda: FunctionSpec.polynomial([0.0, 1.0, float("inf")], DOM),
+        lambda: FunctionSpec.sinusoid(1.0, -float("inf"), 0.0, 0.0, DOM),
+        lambda: FunctionSpec.sampled([0.0, 1.0, 0.0], DOM,
+                                     abscissas=[0.0, float("nan"), 1.0]),
+    ], ids=["nan-constant", "inf-coefficient", "inf-frequency", "nan-abscissa"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ConfigError, match="finite"):
+            make()
+
 
 def _cfg(alpha_value, base, mode="continuous", d=1.0):
     p = build_partition([0.0, 0.5, 1.0])
@@ -185,6 +197,18 @@ class TestLevelSequence:
         seq = LevelSequence((Level((a1, a1), base_x2), Level((a2, a2), base_x2)))
         grid = np.linspace(0, 1, 100)
         assert seq.alpha_sup(grid) == pytest.approx(0.45)
+
+    def test_nan_scaling_propagates_and_fails_validation(self, base_x2, germ_x):
+        a = FunctionSpec.constant(0.3, DOM)
+
+        def nan_scaling(x):
+            return np.full(np.shape(x), np.nan)
+
+        seq = LevelSequence((Level((a, nan_scaling), base_x2),))
+        assert np.isnan(seq.alpha_sup(np.linspace(0, 1, 9)))
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
+        rep = validate_level_sequence(cfg)
+        assert rep.problems[0][0] == "ScalingNotContractive"
 
 
 class TestProblemConfig:

@@ -6,6 +6,7 @@ from alphafractal import (
     base_dependence,
     build_partition,
     compute_theta,
+    depend,
     partition_continuity,
     partition_dependence,
     scaling_dependence,
@@ -100,6 +101,29 @@ class TestPartitionDependence:
         diffs = [r.inputs["interpolant_sup_diff"] for r in reports]
         assert is_strictly_decreasing(diffs)
         assert all(r.passed for r in reports)
+
+
+def test_theta_constants_computed_once(make_cfg, monkeypatch):
+    # P = 2 prefix levels, N = 3 intervals: the germ, each base and each
+    # scaling is scanned once, however many halvings reuse the constants
+    calls = []
+    lip = depend.lip_seminorm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lip(*args, **kwargs)
+
+    monkeypatch.setattr(depend, "lip_seminorm", counted)
+    germ = FunctionSpec.polynomial([0.0, 1.0], DOM)
+    bases = [FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM),
+             FunctionSpec.polynomial([0.0, 0.0, 0.0, 1.0], DOM)]
+    alphas = [[FunctionSpec.sinusoid(0.05, 2.0, 0.0, 0.2, DOM)] * 3,
+              [FunctionSpec.constant(0.3, DOM)] * 3]
+    cfg = make_cfg([0.0, 0.3, 0.6, 1.0], germ, alphas, bases)
+    reports = partition_continuity(cfg, build_partition([0.0, 0.32, 0.58, 1.0]),
+                                   halvings=4)
+    assert len(reports) == 4
+    assert len(calls) == 1 + 2 + 2 * 3
 
 
 class TestComputeTheta:

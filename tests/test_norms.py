@@ -11,6 +11,7 @@ from alphafractal import (
     check_lip_hypothesis,
     estimate_norms,
     lip_seminorm,
+    norms,
     sup_norm,
 )
 from alphafractal.core import SampledFunction, matched_endpoint_polynomial
@@ -132,6 +133,29 @@ class TestLipHypothesis:
         rep = check_lip_hypothesis(_cfg([a, a]))
         assert rep.observed == pytest.approx(0.1 * np.pi / 0.5, rel=1e-4)
         assert not rep.passed
+
+
+def test_validation_and_hypothesis_share_ratios(monkeypatch):
+    # P = 2 prefix levels, N = 3 intervals: one norm estimate per scaling
+    calls = []
+    est = norms.estimate_norms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return est(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "estimate_norms", counted)
+    b = FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM)
+    levels = (Level((FunctionSpec.constant(0.1, DOM),) * 3, b),
+              Level((FunctionSpec.constant(0.05, DOM),) * 3, b))
+    cfg = ProblemConfig(build_partition([0.0, 1 / 3, 2 / 3, 1.0]),
+                        FunctionSpec.polynomial([0.0, 1.0], DOM),
+                        LevelSequence(levels), mode="lipschitz")
+    assert cfg.validation().ok
+    rep = check_lip_hypothesis(cfg)
+    assert rep.inputs["per_level_ratios"] == cfg.validation().lip_ratios
+    assert rep.passed
+    assert len(calls) == 2 * 3
 
 
 class TestContractionCertificate:
