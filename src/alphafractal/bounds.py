@@ -293,8 +293,7 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
     germ_gap = float(np.max(np.abs(cfgA.germ_values - cfgB.germ_values)))
     depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
     base_gap = max(
-        float(np.max(np.abs(evaluate(cfgA.levels.base(r), cfgA.grid)
-                            - evaluate(cfgB.levels.base(r), cfgB.grid))))
+        float(np.max(np.abs(cfgA.base_values(r) - cfgB.base_values(r))))
         for r in range(1, depth_levels + 1)
     )
     predicted = (germ_gap + a * base_gap) / (1.0 - a)

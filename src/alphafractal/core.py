@@ -81,7 +81,11 @@ class FunctionSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown function family {self.family!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        try:
+            params = tuple(float(p) for p in self.params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.family} spec parameters must be numbers ({exc})") from None
+        object.__setattr__(self, "params", params)
         if not all(np.isfinite(self.params)):
             raise ConfigError(f"{self.family} spec parameters must be finite")
         lo, hi = (float(self.domain[0]), float(self.domain[1]))
@@ -125,7 +129,7 @@ class FunctionSpec:
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float], domain) -> "FunctionSpec":
-        return cls("polynomial", tuple(coeffs), tuple(domain))
+        return cls("polynomial", coeffs, tuple(domain))
 
     @classmethod
     def sinusoid(cls, amplitude: float, omega: float, phase: float, offset: float,
@@ -135,8 +139,7 @@ class FunctionSpec:
     @classmethod
     def sampled(cls, values: Sequence[float], domain,
                 abscissas: Sequence[float] | None = None) -> "FunctionSpec":
-        xs = None if abscissas is None else tuple(abscissas)
-        return cls("sampled", tuple(values), tuple(domain), xs)
+        return cls("sampled", values, tuple(domain), abscissas)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -593,28 +596,40 @@ class ProblemConfig:
     def germ_sup(self) -> float:
         return self._cached("_germ_sup", lambda: float(np.max(np.abs(self.germ_values))))
 
-    @property
-    def base_gap_sup(self) -> float:
-        """Grid estimate of sup_r ||f - b_r||_inf (finite max over the prefix)."""
+    def base_values(self, r: int) -> np.ndarray:
+        """b_r on the grid, evaluated once per prefix level (repeat-last
+        beyond the prefix)."""
+        r_eff = min(r, self.levels.prefix_len)
 
         def build():
-            worst = 0.0
-            for lv in self.levels.levels:
-                gap = self.germ_values - evaluate(lv.base, self.grid)
-                worst = max(worst, float(np.max(np.abs(gap))))
-            return worst
+            v = evaluate(self.levels.level(r_eff).base, self.grid)
+            v.setflags(write=False)
+            return v
+
+        return self._cached(f"_base_values_{r_eff}", build)
+
+    @property
+    def base_gap_sup(self) -> float:
+        """Grid estimate of sup_r ||f - b_r||_inf (finite max over the prefix);
+        NaN when any base value is NaN."""
+
+        def build():
+            return float(np.max([
+                np.max(np.abs(self.germ_values - self.base_values(r)))
+                for r in range(1, self.levels.prefix_len + 1)
+            ]))
 
         return self._cached("_base_gap_sup", build)
 
     @property
     def base_sup(self) -> float:
-        """Grid estimate of sup_r ||b_r||_inf."""
+        """Grid estimate of sup_r ||b_r||_inf; NaN when any base value is NaN."""
 
         def build():
-            return max(
-                float(np.max(np.abs(evaluate(lv.base, self.grid))))
-                for lv in self.levels.levels
-            )
+            return float(np.max([
+                np.max(np.abs(self.base_values(r)))
+                for r in range(1, self.levels.prefix_len + 1)
+            ]))
 
         return self._cached("_base_sup", build)
 
@@ -664,6 +679,7 @@ class ProblemConfig:
 # ---------------------------------------------------------------------------
 
 _PROBLEM_ERRORS = {
+    "ConfigError": ConfigError,
     "ScalingNotContractive": ScalingNotContractive,
     "EndpointMismatch": EndpointMismatch,
     "LipConditionViolated": LipConditionViolated,
@@ -706,10 +722,11 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     """
     from . import norms  # local import: norms imports core.evaluate at module level
 
-    grid = cfg.grid
     f_vals = cfg.germ_values
     f0, fN = float(f_vals[0]), float(f_vals[-1])
     problems: list[tuple[str, str]] = []
+    if not np.all(np.isfinite(f_vals)):
+        problems.append(("ConfigError", "germ takes non-finite values on the grid"))
 
     alpha_sup = cfg.alpha_sup
     if not alpha_sup < 1.0:
@@ -720,11 +737,13 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
 
     residuals = []
     degenerate = []
-    for r, lv in enumerate(cfg.levels.levels, start=1):
-        b_vals = evaluate(lv.base, grid)
+    for r in range(1, cfg.levels.prefix_len + 1):
+        b_vals = cfg.base_values(r)
+        if not np.all(np.isfinite(b_vals)):
+            problems.append(("ConfigError", f"base b_{r} takes non-finite values on the grid"))
         res = (abs(float(b_vals[0]) - f0), abs(float(b_vals[-1]) - fN))
         residuals.append(res)
-        if max(res) > ENDPOINT_TOL:
+        if not np.max(res) <= ENDPOINT_TOL:
             problems.append((
                 "EndpointMismatch",
                 f"base b_{r} endpoint residuals {res[0]:.3g}, {res[1]:.3g} exceed {ENDPOINT_TOL}",

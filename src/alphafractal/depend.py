@@ -49,8 +49,7 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
     predicted = a / (1.0 - a)
     depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
     denom = max(
-        float(np.max(np.abs(evaluate(cfgA.levels.base(r), cfg.grid)
-                            - evaluate(cfgB.levels.base(r), cfg.grid))))
+        float(np.max(np.abs(cfgA.base_values(r) - cfgB.base_values(r))))
         for r in range(1, depth_levels + 1)
     )
     if denom < 1e-12:

@@ -74,34 +74,36 @@ def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_data(cfg: ProblemConfig, r: int):
-    """alpha_{i,r} evaluated at the Q points and b_r on the grid (cached)."""
+def _level_alphas(cfg: ProblemConfig, r: int) -> np.ndarray:
+    """alpha_{i,r} evaluated at the Q points (cached per prefix level)."""
     r_eff = min(r, cfg.levels.prefix_len)
 
     def build():
         idx, q = _grid_geometry(cfg)
-        lv = cfg.levels.level(r_eff)
-        alpha_q = _per_interval(lv.scalings, idx, q)
-        b_vals = evaluate(lv.base, cfg.grid)
+        alpha_q = _per_interval(cfg.levels.level(r_eff).scalings, idx, q)
         alpha_q.setflags(write=False)
-        b_vals.setflags(write=False)
-        return alpha_q, b_vals
+        return alpha_q
 
-    return cfg._cached(f"_rb_level_{r_eff}", build)
+    return cfg._cached(f"_rb_alphas_{r_eff}", build)
 
 
 def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig,
              pert: PerturbationSpec | None = None) -> np.ndarray:
     """One RB application to grid samples; returns a fresh value array."""
     idx, q = _grid_geometry(cfg)
-    alpha_q, b_vals = _level_data(cfg, r)
-    diff_q = np.interp(q, cfg.grid, values - b_vals)
+    alpha_q = _level_alphas(cfg, r)
+    # np.interp returns a fresh array, so the step finishes in it.  IEEE
+    # products and sums commute, so this equals f + alpha * diff bit for bit.
+    out = np.interp(q, cfg.grid, values - cfg.base_values(r))
     if pert is None:
-        return cfg.germ_values + alpha_q * diff_q
+        out *= alpha_q
+        out += cfg.germ_values
+        return out
     lv = pert.level(r)
-    scale = alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q)
-    bump = np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q)
-    return cfg.germ_values + scale * diff_q + bump
+    out *= alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q)
+    out += cfg.germ_values
+    out += np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q)
+    return out
 
 
 def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:

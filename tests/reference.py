@@ -7,6 +7,8 @@ series is summed term by term in pure Python.
 
 from __future__ import annotations
 
+import csv
+
 
 def ref_coefficients(knots):
     """a_i, e_i straight from the closed form."""
@@ -68,3 +70,12 @@ def ref_required_depth(rate, magnitude, eps):
         if k > 10_000:
             raise RuntimeError("tail bound does not shrink")
     return k
+
+
+def ref_write_curve_csv(path, xs, f_vals, fa_vals):
+    """curve.csv one row and one value at a time through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "f", "falpha"])
+        for x, fv, av in zip(xs, f_vals, fa_vals):
+            w.writerow(["%.17g" % float(v) for v in (x, fv, av)])

@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from alphafractal import FunctionSpec
 from alphafractal.cli import main
 
 RUNNING_CONFIG = {
@@ -59,6 +61,10 @@ class TestBuild:
     @pytest.mark.parametrize("section, spec", [
         ("scaling", {"family": "constant", "value": float("nan")}),
         ("germ", {"family": "polynomial", "coeffs": [0, 1, float("inf")]}),
+        ("scaling", {"family": "constant", "value": "abc"}),
+        ("scaling", {"family": "constant", "value": None}),
+        ("germ", {"family": "polynomial", "coeffs": None}),
+        ("germ", {"family": "sampled", "values": None}),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, section, spec):
         data = json.loads(json.dumps(RUNNING_CONFIG))
@@ -72,6 +78,30 @@ class TestBuild:
         assert len(err_lines) == 1
         assert "Traceback" not in err_lines[0]
         assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+    def test_each_base_evaluated_once(self, tmp_path, monkeypatch):
+        # Validation, the base-gap estimate and the RB steps share one
+        # evaluation of each prefix level's base on the grid.
+        sizes = []
+        call = FunctionSpec.__call__
+
+        def counted(self, x):
+            if self.family == "linear-endpoint":
+                sizes.append(np.size(x))
+            return call(self, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
+        base = {"family": "linear-endpoint", "left": 0.0, "right": 1.5}
+        data = {
+            "partition": {"knots": [0.0, 0.5, 1.0]},
+            "germ": {"family": "polynomial", "coeffs": [0.0, 1.0, 0.5]},
+            "levels": [{"scaling": {"family": "constant", "value": 0.4}, "base": base},
+                       {"scaling": {"family": "constant", "value": 0.3}, "base": base}],
+            "grid": 257,
+        }
+        cfg = write_config(tmp_path, data)
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sizes == [257, 257]
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"partition": {"knots": [0, 0.5, 1]}})

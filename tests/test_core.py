@@ -9,6 +9,7 @@ from alphafractal import (
     ProblemConfig,
     build_partition,
     derive_affine_maps,
+    trajectory_interpolant,
     validate_level_sequence,
 )
 from alphafractal.errors import (
@@ -16,6 +17,7 @@ from alphafractal.errors import (
     ConfigError,
     EndpointMismatch,
     NonMonotoneKnots,
+    NotValidated,
     ScalingNotContractive,
     TooFewKnots,
 )
@@ -209,6 +211,27 @@ class TestLevelSequence:
         cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
         rep = validate_level_sequence(cfg)
         assert rep.problems[0][0] == "ScalingNotContractive"
+
+
+    @pytest.mark.parametrize("where, code", [
+        (lambda x: (x > 0.4) & (x < 0.6), "ConfigError"),
+        (lambda x: x == 1.0, "EndpointMismatch"),
+    ], ids=["interior", "right-end"])
+    def test_nan_base_fails_validation(self, germ_x, where, code):
+        # Knots 0, 1/2, 1 on a 65-point grid; b = x^2 except for NaN at `where`.
+        def nan_base(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(where(x), np.nan, x * x)
+
+        a = FunctionSpec.constant(0.4, DOM)
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x,
+                            LevelSequence((Level((a, a), nan_base),)), grid_size=65)
+        rep = validate_level_sequence(cfg)
+        assert not rep.ok
+        assert code in [c for c, _ in rep.problems]
+        assert np.isnan(cfg.base_gap_sup) and np.isnan(cfg.base_sup)
+        with pytest.raises(NotValidated):
+            trajectory_interpolant(cfg)
 
 
 class TestProblemConfig:

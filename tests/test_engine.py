@@ -18,6 +18,7 @@ from alphafractal import (
     trajectory_interpolant,
 )
 from alphafractal.core import SampledFunction
+from alphafractal import engine
 from alphafractal.engine import knot_interpolant_seed, sample_germ
 from alphafractal.errors import (
     DepthZero,
@@ -26,6 +27,7 @@ from alphafractal.errors import (
     NotValidated,
     OutOfDomain,
 )
+from alphafractal.ifs import PerturbationLevel, PerturbationSpec
 from alphafractal.norms import lip_seminorm
 
 from reference import ref_required_depth, ref_series
@@ -66,6 +68,47 @@ class TestApplyRB:
         bad = SampledFunction(running_cfg.grid, running_cfg.grid + 0.01)
         with pytest.raises(EndpointMismatch):
             apply_rb(bad, 1, running_cfg)
+
+
+class TestRBStepInPlace:
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_matches_out_of_place_expression(self, make_cfg, germ_x, base_x2, perturbed):
+        knots = [0.0, 0.25, 0.5, 1.0]
+        alphas = [[FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM),
+                   FunctionSpec.constant(-0.4, DOM),
+                   FunctionSpec.polynomial([0.2, 0.1, -0.2], DOM)],
+                  [FunctionSpec.constant(0.35, DOM)] * 3]
+        bases = [base_x2, FunctionSpec.polynomial([0.0, 0.5, 0.5], DOM)]
+        cfg = make_cfg(knots, germ_x, alphas, bases, grid_size=4097)
+        assert cfg.grid.size == 4097
+        pert = None
+        if perturbed:
+            pert = PerturbationSpec((PerturbationLevel(
+                t=(0.05, -0.1, 0.2), s=(0.3, 0.0, -0.2),
+                theta=(FunctionSpec.sinusoid(1.0, 5.0, 0.0, 0.0, DOM),) * 3,
+                phi=(FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM),) * 3),))
+        values = np.random.default_rng(5).normal(size=cfg.grid.size)
+        idx, q = engine._grid_geometry(cfg)
+        for r in (1, 2, 3):
+            alpha_q = engine._level_alphas(cfg, r)
+            cached = [idx, q, alpha_q, cfg.base_values(r), cfg.germ_values, cfg.grid]
+            before = [a.copy() for a in cached]
+            got = engine._rb_step(values, r, cfg, pert)
+            diff_q = np.interp(q, cfg.grid, values - cfg.base_values(r))
+            if pert is None:
+                want = cfg.germ_values + alpha_q * diff_q
+            else:
+                lv = pert.level(r)
+                per_interval = engine._per_interval
+                scale = alpha_q + np.asarray(lv.t)[idx - 1] * per_interval(lv.theta, idx, q)
+                bump = np.asarray(lv.s)[idx - 1] * per_interval(lv.phi, idx, q)
+                want = cfg.germ_values + scale * diff_q + bump
+            assert got.tobytes() == want.tobytes()
+            for arr, old in zip(cached, before):
+                assert not arr.flags.writeable
+                assert not np.shares_memory(got, arr)
+                assert arr.tobytes() == old.tobytes()
+            values = got
 
 
 class TestBackwardTrajectory:
