@@ -14,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEPTH_CAP,
     FunctionSpec,
     ProblemConfig,
     evaluate,
+    repeat_last,
     specs_equal,
 )
 from .engine import (
     backward_trajectory,
+    geometric_tail,
     required_depth,
     resolve_depth,
     truncation_error,
@@ -94,7 +97,7 @@ class BaseOperatorSpec:
         return len(self.kinds)
 
     def kind(self, r: int) -> str:
-        return self.kinds[min(r, len(self.kinds)) - 1]
+        return repeat_last(self.kinds, r)
 
     def apply(self, r: int, germ, partition):
         """L_r f as an evaluable function."""
@@ -109,13 +112,7 @@ class BaseOperatorSpec:
                 evaluate(germ, partition.array()), partition.domain,
                 abscissas=partition.knots,
             )
-        lam = self.lambdas[min(r, len(self.lambdas)) - 1]
-        return BlendedFunction(germ, y0, y1, lam, partition.domain)
-
-    @property
-    def analytic_norm(self) -> float:
-        """Sup-norm operator Lipschitz bound: 1 for every built-in kind."""
-        return 1.0
+        return BlendedFunction(germ, y0, y1, repeat_last(self.lambdas, r), partition.domain)
 
     def empirical_norm(self, cfg: ProblemConfig, rng, probes: int = 20) -> float:
         """Probe estimate of sup ||L_r p|| / ||p|| over random polynomials."""
@@ -141,8 +138,7 @@ def config_with_operator_bases(cfg: ProblemConfig, op: BaseOperatorSpec) -> Prob
     return cfg.with_bases(bases)
 
 
-def _trajectory_values(cfg: ProblemConfig, depth: int | None = None) -> np.ndarray:
-    depth = resolve_depth(cfg) if depth is None else depth
+def _trajectory_values(cfg: ProblemConfig, depth: int) -> np.ndarray:
     return backward_trajectory(None, depth, cfg).values.ys
 
 
@@ -176,8 +172,7 @@ def corollary_bound(cfg: ProblemConfig, op: BaseOperatorSpec, j: int = 1) -> Bou
     gap = cfg2.base_gap_sup
     predicted = gap / (1.0 - a)
     depth = resolve_depth(cfg2)
-    lj = evaluate(op.apply(j, cfg2.germ, cfg2.partition), cfg2.grid)
-    observed = float(np.max(np.abs(_trajectory_values(cfg2, depth) - lj)))
+    observed = float(np.max(np.abs(_trajectory_values(cfg2, depth) - cfg2.base_values(j))))
     return BoundReport(
         name=f"corollary[j={j}]",
         predicted=predicted,
@@ -193,7 +188,7 @@ def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
     under (1 + |L| ||alpha||) / (1 - ||alpha||)."""
     rng = rng_from(seed)
     a = cfg.alpha_sup
-    l_norm = op.analytic_norm
+    l_norm = 1.0  # sup-norm operator bound of every built-in kind
     predicted = (1.0 + l_norm * a) / (1.0 - a)
     worst = 0.0
     used = 0
@@ -242,15 +237,10 @@ def relative_bound_check(cfg: ProblemConfig, op: BaseOperatorSpec,
     worst_margin = np.inf
     worst = None
     trunc = 0.0
-    depth_levels = max(cfg.levels.prefix_len, op.prefix_len)
     for k in range(trials):
         f = random_polynomial_spec(rng, cfg.domain, POLY_DEGREE)
         cfg2 = config_with_operator_bases(cfg.with_germ(f), op)
-        lf_sup = max(
-            float(np.max(np.abs(evaluate(op.apply(r, f, cfg2.partition), cfg2.grid))))
-            for r in range(1, depth_levels + 1)
-        )
-        rhs = cfg2.germ_sup / (1.0 - a) + a / (1.0 - a) * lf_sup
+        rhs = cfg2.germ_sup / (1.0 - a) + a / (1.0 - a) * cfg2.base_sup
         depth = resolve_depth(cfg2)
         lhs = float(np.max(np.abs(_trajectory_values(cfg2, depth))))
         trunc = max(trunc, truncation_error(cfg2, depth))
@@ -291,11 +281,7 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
     _require_shared_system(cfgA, cfgB)
     a = max(cfgA.alpha_sup, cfgB.alpha_sup)
     germ_gap = float(np.max(np.abs(cfgA.germ_values - cfgB.germ_values)))
-    depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
-    base_gap = max(
-        float(np.max(np.abs(cfgA.base_values(r) - cfgB.base_values(r))))
-        for r in range(1, depth_levels + 1)
-    )
+    base_gap = cfgA.base_distance(cfgB)
     predicted = (germ_gap + a * base_gap) / (1.0 - a)
     depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
     observed = float(np.max(np.abs(_trajectory_values(cfgA, depth)
@@ -330,8 +316,8 @@ def sensitivity_predicted(alpha_sup: float, t_sup: float, s_sup: float,
 
 def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport:
     """Distance between the perturbed-map interpolant and the unperturbed one,
-    against the closed-form bound in ||s|| and ||t||."""
-    pert.check_contractive(cfg)
+    against the closed-form bound in ||s|| and ||t||.  The perturbed trajectory
+    checks ||alpha + t theta|| < 1 before the formula's own precondition."""
     grid = cfg.grid
     a = cfg.alpha_sup
     t_sup = pert.t_sup()
@@ -339,19 +325,15 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     theta_sup = pert.theta_sup(grid)
     phi_sup = pert.phi_sup(grid)
     gap = cfg.base_gap_sup
-    predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     rate = min(a + t_sup * theta_sup, 0.999999)
     depth = max(
         resolve_depth(cfg),
-        required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, cfg.depth_policy.cap),
+        required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, DEPTH_CAP),
     )
-    base_vals = _trajectory_values(cfg, depth)
     pert_vals = backward_trajectory(None, depth, cfg, pert).values.ys
-    observed = float(np.max(np.abs(pert_vals - base_vals)))
-    trunc = truncation_error(cfg, depth) + (
-        0.0 if gap + phi_sup <= 0.0
-        else rate ** (depth + 1) / (1.0 - rate) * (gap + phi_sup)
-    )
+    observed = float(np.max(np.abs(pert_vals - _trajectory_values(cfg, depth))))
+    predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
+    trunc = truncation_error(cfg, depth) + geometric_tail(rate, gap + phi_sup, depth)
     return BoundReport(
         name="sensitivity",
         predicted=predicted,

@@ -52,19 +52,16 @@ def _random_scalings(rng, template: ProblemConfig):
     return random_alpha_vector(rng, template.n_intervals, domain, ALPHA_CAP)
 
 
-def _random_system(rng, template: ProblemConfig, op: bounds.BaseOperatorSpec,
-                   germ=None) -> ProblemConfig:
+def _random_system(rng, template: ProblemConfig, op: bounds.BaseOperatorSpec) -> ProblemConfig:
     """Template partition/grid/d/mode with a fresh germ, fresh scalings, and
     bases b_r = L_r f."""
-    domain = template.domain
-    n_levels = op.prefix_len
-    germ = random_germ_spec(rng, domain) if germ is None else germ
+    germ = random_germ_spec(rng, template.domain)
     levels = tuple(
         Level(
             scalings=_random_scalings(rng, template),
             base=op.apply(r, germ, template.partition),
         )
-        for r in range(1, n_levels + 1)
+        for r in range(1, op.prefix_len + 1)
     )
     return template.with_germ(germ).with_levels(LevelSequence(levels))
 
@@ -94,7 +91,9 @@ def operator_suite(template: ProblemConfig, trials: int, seed) -> list[BoundRepo
     ]
 
 
-def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, ProblemConfig]:
+def _matched_system(rng, template: ProblemConfig) -> ProblemConfig:
+    """Template partition/grid/d/mode with a fresh germ and one to three
+    levels of fresh scalings and endpoint-matched bases."""
     domain = template.domain
     germ = random_germ_spec(rng, domain)
     levels = tuple(
@@ -104,18 +103,23 @@ def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, Proble
         )
         for _ in range(int(rng.integers(1, 4)))
     )
-    cfgA = template.with_germ(germ).with_levels(LevelSequence(levels))
+    return template.with_germ(germ).with_levels(LevelSequence(levels))
+
+
+def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, ProblemConfig]:
+    domain = template.domain
+    cfgA = _matched_system(rng, template)
     # germ shift delta, base shifts matching delta at the endpoints so the
     # perturbed bases still satisfy the base conditions for the new germ
     delta = random_polynomial_spec(rng, domain, POLY_DEGREE, scale=0.1)
     d0 = float(evaluate(delta, domain[0]))
     d1 = float(evaluate(delta, domain[1]))
 
-    def shifted_germ(x, _g=germ, _d=delta):
+    def shifted_germ(x, _g=cfgA.germ, _d=delta):
         return np.asarray(_g(x), dtype=float) + np.asarray(_d(x), dtype=float)
 
     new_bases = []
-    for lv in levels:
+    for lv in cfgA.levels.levels:
         bump = matched_endpoint_polynomial(
             rng.uniform(-0.1, 0.1, size=POLY_DEGREE + 1), domain, d0, d1
         )
@@ -146,9 +150,7 @@ def random_perturbation(rng, cfg: ProblemConfig, t_scale: float = 0.1,
     n = cfg.n_intervals
     levels = []
     for _ in range(cfg.levels.prefix_len):
-        theta = tuple(
-            random_alpha_vector(rng, 1, domain, 1.0)[0] for _ in range(n)
-        )
+        theta = random_alpha_vector(rng, n, domain, 1.0)
         phi = tuple(zero_endpoint_spec(rng, domain, scale=0.5) for _ in range(n))
         t = tuple(float(rng.uniform(-t_scale, t_scale)) for _ in range(n))
         s = tuple(float(rng.uniform(-s_scale, s_scale)) for _ in range(n))
@@ -162,17 +164,8 @@ def sensitivity_suite(template: ProblemConfig, trials: int, seed,
     when a drawn perturbation breaks 1 - ||alpha|| - ||t|| ||theta|| > 0."""
     rng = rng_from(seed)
     out = []
-    domain = template.domain
     for k in range(trials):
-        germ = random_germ_spec(rng, domain)
-        levels = tuple(
-            Level(
-                scalings=_random_scalings(rng, template),
-                base=matched_base_spec(rng, germ, domain),
-            )
-            for _ in range(int(rng.integers(1, 4)))
-        )
-        cfg = template.with_germ(germ).with_levels(LevelSequence(levels))
+        cfg = _matched_system(rng, template)
         pert = random_perturbation(rng, cfg, t_scale=t_scale, s_scale=s_scale)
         rep = bounds.sensitivity_bound(cfg, pert)
         out.append(replace(rep, name=f"sensitivity[{k}]"))

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import campaigns, configio, depend, norms
-from .core import build_partition
 from .engine import trajectory_interpolant
 from .errors import AlphaFractalError
 from .report import BoundReport
@@ -35,12 +34,7 @@ def _diagnostic(code: str, detail: str) -> None:
 
 
 def _overrides(args) -> dict:
-    return {
-        "grid": args.grid,
-        "depth": args.depth,
-        "eps": args.eps,
-        "mode": args.mode,
-    }
+    return {key: getattr(args, key) for key in ("grid", "depth", "eps", "mode")}
 
 
 def _out_dir(args) -> Path:
@@ -49,17 +43,22 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _tally(reports, passed_what: str) -> int:
+    """Print the pass count and every failing report; exit 1 if any failed."""
+    failing = [r for r in reports if not r.passed]
+    print(f"{len(reports) - len(failing)}/{len(reports)} {passed_what}")
+    for r in failing:
+        print(str(r))
+    return 1 if failing else 0
+
+
 def cmd_build(args) -> int:
-    try:
-        cfg = configio.load_config(args.config, overrides=_overrides(args))
-        report = cfg.validation()
-        if not report.ok:
-            _diagnostic(report.problems[0][0], report.summary())
-            return 2
-        interp = trajectory_interpolant(cfg)
-    except AlphaFractalError as exc:
-        _diagnostic(type(exc).__name__, str(exc))
+    cfg = configio.load_config(args.config, overrides=_overrides(args))
+    report = cfg.validation()
+    if not report.ok:
+        _diagnostic(report.problems[0][0], report.summary())
         return 2
+    interp = trajectory_interpolant(cfg)
     out = _out_dir(args)
     configio.write_curve_csv(out / "curve.csv", cfg.grid, cfg.germ_values,
                              interp.values.ys)
@@ -82,76 +81,41 @@ def cmd_build(args) -> int:
     if cfg.mode == "lipschitz":
         lip = norms.check_lip_hypothesis(cfg)
         summary["lip_hypothesis"] = lip.to_json_dict()
-    configio.write_summary_json(out / "summary.json", summary)
+    configio.write_json(out / "summary.json", summary)
     print(f"wrote {out / 'curve.csv'} and {out / 'summary.json'} "
           f"(depth {interp.depth}, grid {cfg.grid.size})")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = configio.load_config(args.config, overrides=_overrides(args))
-        cfg.validation().raise_if_failed()
-        reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed,
-                                      t_scale=args.t_scale, s_scale=args.s_scale)
-    except AlphaFractalError as exc:
-        _diagnostic(type(exc).__name__, str(exc))
-        return 2
+    cfg = configio.load_config(args.config, overrides=_overrides(args))
+    cfg.validation().raise_if_failed()
+    reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed,
+                                  t_scale=args.t_scale, s_scale=args.s_scale)
     out = _out_dir(args)
     configio.write_report_csv(out / "report.csv", reports)
     configio.write_reports_json(out / "report.json", reports)
-    failing = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failing)}/{len(reports)} bound checks passed "
-          f"(suite {args.suite}, trials {args.trials}, seed {args.seed})")
-    for r in failing:
-        print(str(r))
-    return 1 if failing else 0
+    return _tally(reports, f"bound checks passed (suite {args.suite}, "
+                           f"trials {args.trials}, seed {args.seed})")
 
 
-def _run_experiment(cfg, exp: dict, base_dir: Path) -> list[BoundReport]:
-    domain = cfg.domain
-    kind = exp["kind"]
-    if kind == "base":
-        bases_a = [configio.funcspec_from_dict(s, domain, base_dir)
-                   for s in exp["bases_a"]]
-        bases_b = [configio.funcspec_from_dict(s, domain, base_dir)
-                   for s in exp["bases_b"]]
-        return [depend.base_dependence(cfg, bases_a, bases_b)]
-    if kind == "scaling":
-        alphas_a = [[configio.funcspec_from_dict(s, domain, base_dir) for s in level]
-                    for level in exp["alphas_a"]]
-        alphas_b = [[configio.funcspec_from_dict(s, domain, base_dir) for s in level]
-                    for level in exp["alphas_b"]]
-        return [depend.scaling_dependence(cfg, alphas_a, alphas_b,
-                                          float(exp.get("s_cap", 0.99)))]
-    partition = build_partition(exp["knots"])
-    return depend.partition_continuity(cfg, partition,
-                                       halvings=int(exp.get("halvings", 3)))
+def _run_experiment(cfg, exp: configio.Experiment) -> list[BoundReport]:
+    if exp.kind == "base":
+        return [depend.base_dependence(cfg, exp.a, exp.b)]
+    if exp.kind == "scaling":
+        return [depend.scaling_dependence(cfg, exp.a, exp.b, exp.s_cap)]
+    return depend.partition_continuity(cfg, exp.partition, halvings=exp.halvings)
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg, experiments = configio.load_manifest(args.manifest, overrides=_overrides(args))
-        cfg.validation().raise_if_failed()
-        reports = []
-        for k, exp in enumerate(experiments):
-            try:
-                for rep in _run_experiment(cfg, exp, Path(args.manifest).parent):
-                    reports.append(replace(rep, name=f"{rep.name}[exp={k}]"))
-            except KeyError as exc:
-                raise AlphaFractalError(
-                    f"experiment {k} ({exp.get('kind')}) missing field {exc}"
-                ) from exc
-    except AlphaFractalError as exc:
-        _diagnostic(type(exc).__name__, str(exc))
-        return 2
+    cfg, experiments = configio.load_manifest(args.manifest, overrides=_overrides(args))
+    cfg.validation().raise_if_failed()
+    reports = [replace(rep, name=f"{rep.name}[exp={k}]")
+               for k, exp in enumerate(experiments)
+               for rep in _run_experiment(cfg, exp)]
     out = _out_dir(args)
     configio.write_report_csv(out / "results.csv", reports)
-    failing = [r for r in reports if not r.passed]
-    print(f"{len(reports) - len(failing)}/{len(reports)} sweep rows passed")
-    for r in failing:
-        print(str(r))
-    return 1 if failing else 0
+    return _tally(reports, "sweep rows passed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AlphaFractalError as exc:
+        _diagnostic(type(exc).__name__, str(exc))
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    DEFAULT_GRID_SIZE,
     DepthPolicy,
     FunctionSpec,
     Level,
     LevelSequence,
+    Partition,
     ProblemConfig,
     build_partition,
 )
@@ -31,8 +34,49 @@ CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
 CURVE_BLOCK_ROWS = 16384
 
 
-def fmt(v: float) -> str:
-    return FMT % float(v)
+# ---------------------------------------------------------------------------
+# JSON values
+# ---------------------------------------------------------------------------
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (not a boolean) as a float.  Finiteness and range are
+    checked by the type the value configures."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is out of range") from None
+
+
+def _integer(value, what: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    if not _number(value, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(value, what: str, item=_number) -> tuple:
+    """A non-empty JSON list, each entry read by ``item(entry, what)``."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return tuple(item(v, f"{what}[{k}]") for k, v in enumerate(value))
+
+
+def _resolve(ref, base_dir: Path | None) -> Path:
+    """A file reference from a config, relative to the config's directory."""
+    if not isinstance(ref, str):
+        raise ConfigError(f"file reference must be a path string, got {ref!r}")
+    path = Path(ref)
+    return path if base_dir is None or path.is_absolute() else base_dir / path
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or bad JSON
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -43,23 +87,22 @@ def fmt(v: float) -> str:
 def load_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Two-column CSV with header ``x,y``; returns (x, y) arrays."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        reader = csv.reader(path.read_text().splitlines())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 text
+        raise ConfigError(f"{path}: {exc}") from exc
+    header = next(reader, [])
+    if [h.strip().lower() for h in header[:2]] != ["x", "y"]:
+        raise ConfigError(f"{path}: expected header 'x,y', got {header!r}")
+    xs, ys = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty CSV") from None
-        if [h.strip().lower() for h in header[:2]] != ["x", "y"]:
-            raise ConfigError(f"{path}: expected header 'x,y', got {header!r}")
-        xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad row {row!r}") from exc
+            xs.append(float(row[0]))
+            ys.append(float(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad row {row!r}") from exc
     if len(xs) < 2:
         raise ConfigError(f"{path}: need at least two data rows")
     return np.asarray(xs), np.asarray(ys)
@@ -89,10 +132,7 @@ def funcspec_from_dict(d: dict, domain, base_dir: Path | None = None) -> Functio
         if fam == "sampled":
             if "csv" not in d:
                 return FunctionSpec.sampled(d["values"], domain)
-            ref = Path(d["csv"])
-            if base_dir is not None and not ref.is_absolute():
-                ref = base_dir / ref
-            xs, ys = load_xy_csv(ref)
+            xs, ys = load_xy_csv(_resolve(d["csv"], base_dir))
             steps = np.diff(xs)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
                 raise ConfigError("sampled spec at the config surface needs a uniform grid")
@@ -118,14 +158,12 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
     if not isinstance(part, dict):
         raise ConfigError("config needs a 'partition' section")
     if "csv" in part:
-        ref = Path(part["csv"])
-        if base_dir is not None and not ref.is_absolute():
-            ref = base_dir / ref
-        xs, ys = load_xy_csv(ref)
+        xs, ordinates = load_xy_csv(_resolve(part["csv"], base_dir))
         partition = build_partition(xs)
-        ordinates = list(ys)
     elif "knots" in part:
-        partition = build_partition(part["knots"])
+        partition = build_partition(_list(part["knots"], "knots"))
+        if ordinates is not None:
+            ordinates = _list(ordinates, "ordinates")
     else:
         raise ConfigError("partition section needs 'knots' or 'csv'")
     domain = partition.domain
@@ -134,38 +172,36 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
         raise ConfigError("config needs a 'germ' section")
     germ = funcspec_from_dict(d["germ"], domain, base_dir)
 
-    raw_levels = d.get("levels")
-    if not raw_levels or not isinstance(raw_levels, list):
-        raise ConfigError("config needs a non-empty 'levels' list")
-    levels = []
-    for k, entry in enumerate(raw_levels, start=1):
+    def level(entry, what) -> Level:
         if not isinstance(entry, dict) or "scaling" not in entry or "base" not in entry:
-            raise ConfigError(f"level {k} needs 'scaling' and 'base'")
+            raise ConfigError(f"{what} needs 'scaling' and 'base'")
         raw_scaling = entry["scaling"]
         if isinstance(raw_scaling, dict):
             raw_scaling = [raw_scaling] * partition.n_intervals
-        if len(raw_scaling) != partition.n_intervals:
+        if not isinstance(raw_scaling, list) or len(raw_scaling) != partition.n_intervals:
             raise ConfigError(
-                f"level {k}: expected {partition.n_intervals} scaling specs, "
-                f"got {len(raw_scaling)}"
+                f"{what}: expected one scaling spec or a list of "
+                f"{partition.n_intervals}, got {raw_scaling!r}"
             )
         scalings = tuple(funcspec_from_dict(s, domain, base_dir) for s in raw_scaling)
-        base = funcspec_from_dict(entry["base"], domain, base_dir)
-        levels.append(Level(scalings=scalings, base=base))
+        return Level(scalings=scalings, base=funcspec_from_dict(entry["base"], domain, base_dir))
 
-    grid_size = int(overrides.get("grid") or d.get("grid", 1025))
+    levels = _list(d.get("levels"), "levels", level)
+
+    grid = overrides.get("grid")
+    grid_size = _integer(d.get("grid", DEFAULT_GRID_SIZE) if grid is None else grid, "grid")
     mode = overrides.get("mode") or d.get("mode", "continuous")
     dep = d.get("depth")
     policy = DepthPolicy()
     if isinstance(dep, dict):
         if "k" in dep:
-            policy = DepthPolicy(depth=int(dep["k"]))
+            policy = DepthPolicy(depth=_integer(dep["k"], "depth k"))
         elif "eps" in dep:
-            policy = DepthPolicy(eps=float(dep["eps"]))
+            policy = DepthPolicy(eps=_number(dep["eps"], "depth eps"))
         else:
             raise ConfigError("depth section needs 'k' or 'eps'")
-    elif isinstance(dep, (int, float)) and dep is not None:
-        policy = DepthPolicy(depth=int(dep))
+    elif dep is not None:
+        policy = DepthPolicy(depth=_integer(dep, "depth"))
     if overrides.get("depth") is not None:
         policy = DepthPolicy(depth=int(overrides["depth"]))
     elif overrides.get("eps") is not None:
@@ -174,9 +210,9 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
     return ProblemConfig(
         partition=partition,
         germ=germ,
-        levels=LevelSequence(tuple(levels)),
+        levels=LevelSequence(levels),
         ordinates=tuple(ordinates) if ordinates is not None else None,
-        d=float(d.get("d", 1.0)),
+        d=_number(d.get("d", 1.0), "d"),
         grid_size=grid_size,
         depth_policy=policy,
         mode=mode,
@@ -185,11 +221,7 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
 
 def load_config(path, overrides: dict | None = None) -> ProblemConfig:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return config_from_dict(data, base_dir=path.parent, overrides=overrides)
+    return config_from_dict(_read_json(path), base_dir=path.parent, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +229,61 @@ def load_config(path, overrides: dict | None = None) -> ProblemConfig:
 # ---------------------------------------------------------------------------
 
 
-def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[dict]]:
-    path = Path(path)
+@dataclass(frozen=True)
+class Experiment:
+    """One parsed sweep experiment; ``a`` and ``b`` are two base sequences
+    (kind base) or two scaling sequences of per-level spec tuples."""
+
+    kind: str
+    a: tuple = ()
+    b: tuple = ()
+    s_cap: float | None = None
+    partition: Partition | None = None
+    halvings: int | None = None
+
+
+def experiment_from_dict(d: dict, domain, base_dir: Path | None = None) -> Experiment:
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if kind not in ("base", "scaling", "partition"):
+        raise ConfigError("needs kind base | scaling | partition")
+
+    def specs(raw, what):
+        return _list(raw, what, lambda s, _: funcspec_from_dict(s, domain, base_dir))
+
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        if kind == "base":
+            return Experiment(kind, specs(d["bases_a"], "bases_a"), specs(d["bases_b"], "bases_b"))
+        if kind == "scaling":
+            a, b = (_list(d[name], name, specs) for name in ("alphas_a", "alphas_b"))
+            return Experiment(kind, a, b, s_cap=_number(d.get("s_cap", 0.99), "s_cap"))
+        return Experiment(kind, partition=build_partition(_list(d["knots"], "knots")),
+                          halvings=_integer(d.get("halvings", 3), "halvings"))
+    except KeyError as exc:
+        raise ConfigError(f"{kind} experiment missing field {exc}") from None
+
+
+def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[Experiment]]:
+    """The manifest's config and its experiments, every experiment parsed
+    before any of them runs."""
+    path = Path(path)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: manifest root must be an object")
     if "config_path" in data:
-        ref = Path(data["config_path"])
-        if not ref.is_absolute():
-            ref = path.parent / ref
-        cfg = load_config(ref, overrides=overrides)
+        cfg = load_config(_resolve(data["config_path"], path.parent), overrides=overrides)
     elif "config" in data:
         cfg = config_from_dict(data["config"], base_dir=path.parent, overrides=overrides)
     else:
         raise ConfigError(f"{path}: manifest needs 'config' or 'config_path'")
-    experiments = data.get("experiments", [])
-    if not isinstance(experiments, list):
+    raw = data.get("experiments", [])
+    if not isinstance(raw, list):
         raise ConfigError(f"{path}: 'experiments' must be a list")
-    for k, exp in enumerate(experiments):
-        if not isinstance(exp, dict) or exp.get("kind") not in ("base", "scaling", "partition"):
-            raise ConfigError(
-                f"{path}: experiment {k} needs kind base | scaling | partition"
-            )
+    experiments = []
+    for k, exp in enumerate(raw):
+        try:
+            experiments.append(experiment_from_dict(exp, cfg.domain, path.parent))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: experiment {k}: {exc}") from None
     return cfg, experiments
 
 
@@ -250,19 +312,16 @@ def write_report_csv(path, reports) -> None:
         w.writerow(["bound", "predicted", "observed", "margin", "pass"])
         for r in reports:
             name, pred, obs, margin, ok = r.to_row()
-            w.writerow([name, fmt(pred), fmt(obs), fmt(margin),
+            w.writerow([name, FMT % pred, FMT % obs, FMT % margin,
                         "true" if ok else "false"])
 
 
 def write_reports_json(path, reports) -> None:
-    Path(path).write_text(
-        json.dumps([r.to_json_dict() for r in reports], indent=2, default=_json_default)
-        + "\n"
-    )
+    write_json(path, [r.to_json_dict() for r in reports])
 
 
-def write_summary_json(path, summary: dict) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2, default=_json_default) + "\n")
+def write_json(path, data) -> None:
+    Path(path).write_text(json.dumps(data, indent=2, default=_json_default) + "\n")
 
 
 def _json_default(obj):

@@ -38,6 +38,13 @@ DEPTH_CAP = 64            # hard cap guarding pathological near-1 scaling norms
 FunctionLike = Callable[[np.ndarray], np.ndarray]
 
 
+def repeat_last(seq: Sequence, r: int):
+    """Entry r >= 1 of a finite prefix whose tail repeats its last entry."""
+    if r < 1:
+        raise ConfigError("levels are indexed from 1")
+    return seq[min(r, len(seq)) - 1]
+
+
 def evaluate(fn: FunctionLike, x) -> np.ndarray:
     """Evaluate ``fn`` at ``x`` (scalar or array), broadcasting scalar results."""
     x = np.asarray(x, dtype=float)
@@ -391,9 +398,7 @@ class LevelSequence:
 
     def level(self, r: int) -> Level:
         """Level r >= 1 with the repeat-last tail rule."""
-        if r < 1:
-            raise ConfigError("levels are indexed from 1")
-        return self.levels[min(r, len(self.levels)) - 1]
+        return repeat_last(self.levels, r)
 
     def scaling(self, i: int, r: int):
         """alpha_{i,r} for interval i in 1..N."""
@@ -448,9 +453,6 @@ class SampledFunction:
     def with_values(self, ys: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.xs, ys)
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.ys)))
-
     def sup_diff(self, other: "SampledFunction") -> float:
         if not np.array_equal(self.xs, other.xs):
             raise ValueError("sup_diff requires a shared grid")
@@ -465,19 +467,17 @@ class SampledFunction:
 @dataclass(frozen=True)
 class DepthPolicy:
     """Truncation policy: fixed depth, or smallest depth whose geometric tail
-    bound ||alpha||^{k+1}/(1-||alpha||) * sup_r||f - b_r|| drops below eps."""
+    bound ||alpha||^{k+1}/(1-||alpha||) * sup_r||f - b_r|| drops below eps
+    (at most DEPTH_CAP)."""
 
     depth: int | None = None
     eps: float = DEFAULT_EPS
-    cap: int = DEPTH_CAP
 
     def __post_init__(self):
         if self.depth is not None and self.depth < 1:
             raise DepthZero("fixed depth must be >= 1")
-        if self.eps <= 0:
-            raise ConfigError("tail tolerance eps must be > 0")
-        if self.cap < 1:
-            raise ConfigError("depth cap must be >= 1")
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"tail tolerance eps must be finite and > 0, got {self.eps}")
 
 
 _MODES = {"continuous": "continuous", "cont": "continuous",
@@ -502,7 +502,7 @@ class ProblemConfig:
     mode: str = "continuous"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if not isinstance(self.mode, str) or self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {sorted(set(_MODES))}, got {self.mode!r}")
         object.__setattr__(self, "mode", _MODES[self.mode])
         if not 0.0 < self.d <= 1.0:
@@ -519,6 +519,8 @@ class ProblemConfig:
             ords = tuple(float(y) for y in self.ordinates)
             if len(ords) != n + 1:
                 raise ConfigError("ordinates must supply one value per knot")
+            if not all(np.isfinite(ords)):
+                raise ConfigError("ordinates must be finite")
             f0, fN = (float(evaluate(self.germ, self.partition.lo)),
                       float(evaluate(self.germ, self.partition.hi)))
             if abs(ords[0] - f0) > ENDPOINT_TOL or abs(ords[-1] - fN) > ENDPOINT_TOL:
@@ -633,6 +635,14 @@ class ProblemConfig:
 
         return self._cached("_base_sup", build)
 
+    def base_distance(self, other: "ProblemConfig") -> float:
+        """sup_r ||b_r - bhat_r||_inf on a shared grid, over the longer prefix."""
+        n = max(self.levels.prefix_len, other.levels.prefix_len)
+        return max(
+            float(np.max(np.abs(self.base_values(r) - other.base_values(r))))
+            for r in range(1, n + 1)
+        )
+
     @property
     def r_bound(self) -> float:
         """Uniform bound R = ||f|| + ||alpha||/(1-||alpha||) sup_r||f-b_r|| on the interpolant."""
@@ -652,7 +662,7 @@ class ProblemConfig:
         (repeat-last applies beyond its end)."""
         n = max(self.levels.prefix_len, len(bases))
         new = tuple(
-            Level(self.levels.level(r).scalings, bases[min(r, len(bases)) - 1])
+            Level(self.levels.level(r).scalings, repeat_last(bases, r))
             for r in range(1, n + 1)
         )
         return replace(self, levels=LevelSequence(new))
@@ -661,8 +671,7 @@ class ProblemConfig:
         """Same bases, new scaling vectors per level."""
         n = max(self.levels.prefix_len, len(scalings_per_level))
         new = tuple(
-            Level(tuple(scalings_per_level[min(r, len(scalings_per_level)) - 1]),
-                  self.levels.level(r).base)
+            Level(tuple(repeat_last(scalings_per_level, r)), self.levels.level(r).base)
             for r in range(1, n + 1)
         )
         return replace(self, levels=LevelSequence(new))

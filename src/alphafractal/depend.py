@@ -47,11 +47,7 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
     cfgB = cfg.with_bases(tuple(bases_b))
     a = cfg.alpha_sup
     predicted = a / (1.0 - a)
-    depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
-    denom = max(
-        float(np.max(np.abs(cfgA.base_values(r) - cfgB.base_values(r))))
-        for r in range(1, depth_levels + 1)
-    )
+    denom = cfgA.base_distance(cfgB)
     if denom < 1e-12:
         observed, depth = 0.0, 0
         trunc = 0.0
@@ -152,8 +148,14 @@ def compute_theta(cfg: ProblemConfig, slack: float = LIP_SLACK) -> float:
     return _theta(theta_constants(cfg, slack)["theta_limit"])
 
 
-def partition_dependence(cfg: ProblemConfig, other: Partition,
-                         slack: float = LIP_SLACK) -> BoundReport:
+def _require_same_interval(p: Partition, other: Partition) -> None:
+    if len(other.knots) != len(p.knots):
+        raise KnotCountMismatch(f"partitions carry {len(p.knots)} vs {len(other.knots)} knots")
+    if other.lo != p.lo or other.hi != p.hi:
+        raise EndpointMismatch("partitions must share the interval endpoints")
+
+
+def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     """Compare the IFS maps of two equal-count partitions of one interval.
 
     predicted/observed is the per-map displacement inequality
@@ -164,14 +166,9 @@ def partition_dependence(cfg: ProblemConfig, other: Partition,
     witness.
     """
     p = cfg.partition
-    if len(other.knots) != len(p.knots):
-        raise KnotCountMismatch(
-            f"partitions carry {len(p.knots)} vs {len(other.knots)} knots"
-        )
-    if other.lo != p.lo or other.hi != p.hi:
-        raise EndpointMismatch("partitions must share the interval endpoints")
+    _require_same_interval(p, other)
     cfgB = cfg.with_partition(other)
-    consts = theta_constants(cfg, slack)
+    consts = theta_constants(cfg)
     theta = _theta(consts["theta_limit"])
     k_f = consts["k_f"]
     l2 = float(np.linalg.norm(p.array()[1:-1] - other.array()[1:-1]))
@@ -209,6 +206,7 @@ def partition_continuity(cfg: ProblemConfig, other: Partition,
     requires the interpolant sup-differences to decrease strictly."""
     if halvings < 1:
         raise KnotCountMismatch("need at least one magnitude")
+    _require_same_interval(cfg.partition, other)
     base = cfg.partition.array()
     target = other.array()
     out = []

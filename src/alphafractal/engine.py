@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEPTH_CAP,
     ENDPOINT_TOL,
     ProblemConfig,
     SampledFunction,
@@ -147,15 +148,12 @@ def required_depth(rate: float, magnitude: float, eps: float, cap: int) -> int:
     return k
 
 
-def resolve_depth(cfg: ProblemConfig, rate: float | None = None,
-                  magnitude: float | None = None) -> int:
+def resolve_depth(cfg: ProblemConfig) -> int:
     """Depth dictated by the configured policy (fixed, or tail tolerance)."""
     pol = cfg.depth_policy
     if pol.depth is not None:
         return pol.depth
-    rate = cfg.alpha_sup if rate is None else rate
-    magnitude = cfg.base_gap_sup if magnitude is None else magnitude
-    return required_depth(rate, magnitude, pol.eps, pol.cap)
+    return required_depth(cfg.alpha_sup, cfg.base_gap_sup, pol.eps, DEPTH_CAP)
 
 
 def truncation_error(cfg: ProblemConfig, depth: int) -> float:
@@ -169,21 +167,15 @@ def truncation_error(cfg: ProblemConfig, depth: int) -> float:
 
 @dataclass(frozen=True)
 class Interpolant:
-    """An evaluable approximation of the non-stationary interpolant.
-
-    Trajectory strategy carries the final sampled function and interpolates
-    it linearly; series strategy recomputes the truncated series per point.
-    """
+    """A backward trajectory's final sampled function, evaluated by linear
+    interpolation between grid points."""
 
     cfg: ProblemConfig
-    strategy: str
     depth: int
-    values: SampledFunction | None = None
+    values: SampledFunction
 
     def __call__(self, x):
-        if self.strategy == "trajectory":
-            return self.values(x)
-        return series_eval(x, self.depth, self.cfg)
+        return self.values(x)
 
     @property
     def r_bound(self) -> float:
@@ -217,8 +209,7 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
     vals = g.ys
     for r in range(depth, 0, -1):
         vals = _rb_step(vals, r, cfg, pert)
-    return Interpolant(cfg=cfg, strategy="trajectory", depth=depth,
-                       values=g.with_values(vals))
+    return Interpolant(cfg=cfg, depth=depth, values=g.with_values(vals))
 
 
 def trajectory_interpolant(cfg: ProblemConfig) -> Interpolant:
@@ -297,8 +288,7 @@ def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
         delta = float(np.max(np.abs(new - vals)))
         vals = new
         if delta <= tol:
-            return Interpolant(cfg=cfg, strategy="trajectory", depth=it,
-                               values=SampledFunction(cfg.grid, vals))
+            return Interpolant(cfg=cfg, depth=it, values=SampledFunction(cfg.grid, vals))
     raise RuntimeError(
         f"fixed-point iteration did not reach {tol} within {max_iter} steps"
     )

@@ -19,6 +19,7 @@ from .core import (
     Partition,
     ProblemConfig,
     evaluate,
+    repeat_last,
 )
 from .errors import ConfigError, EndpointMismatch, OutOfDomain, PerturbationTooLarge
 
@@ -159,9 +160,7 @@ class PerturbationSpec:
         return len(self.levels[0].t)
 
     def level(self, r: int) -> PerturbationLevel:
-        if r < 1:
-            raise ConfigError("levels are indexed from 1")
-        return self.levels[min(r, len(self.levels)) - 1]
+        return repeat_last(self.levels, r)
 
     def t_sup(self) -> float:
         return max(max(abs(v) for v in lv.t) for lv in self.levels)

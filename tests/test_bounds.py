@@ -19,6 +19,7 @@ from alphafractal import (
 )
 from alphafractal.bounds import config_with_operator_bases, sensitivity_predicted
 from alphafractal.errors import (
+    ConfigError,
     PartitionMismatch,
     PerturbationTooLarge,
     ScalingMismatch,
@@ -136,6 +137,14 @@ class TestOperatorChecks:
             vals = backward_trajectory(None, 5, cfg).values.ys
         assert np.array_equal(vals, np.zeros_like(vals))
 
+    def test_operator_levels_indexed_from_one(self, running_cfg):
+        op = BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5))
+        assert op.kind(5) == "blend"
+        with pytest.raises(ConfigError):
+            op.kind(0)
+        with pytest.raises(ConfigError):
+            op.apply(0, running_cfg.germ, running_cfg.partition)
+
 
 class TestStability:
     def test_identical_configs(self, running_cfg):
@@ -235,3 +244,38 @@ class TestSensitivity:
 
         reports = sensitivity_suite(running_cfg, trials=10, seed=77)
         assert all(r.passed for r in reports)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestComputedOnce:
+    """The verifiers read L_r f from the derived config, and the sensitivity
+    bound leaves the contractivity check to the perturbed trajectory."""
+
+    TWO_LEVELS = BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5))
+
+    def test_sensitivity_checks_contractivity_once(self, running_cfg, monkeypatch):
+        calls = _count_calls(monkeypatch, PerturbationSpec, "check_contractive")
+        assert sensitivity_bound(running_cfg, _make_pert(2, t=0.05)).passed
+        assert len(calls) == 1
+
+    def test_relative_bound_applies_each_level_once_per_trial(self, running_cfg, monkeypatch):
+        calls = _count_calls(monkeypatch, BaseOperatorSpec, "apply")
+        assert relative_bound_check(running_cfg, self.TWO_LEVELS, trials=5, seed=7).passed
+        assert len(calls) == 10
+
+    def test_corollary_applies_each_level_once(self, running_cfg, monkeypatch):
+        cfg = running_cfg.with_germ(FunctionSpec.polynomial([0.0, 0.5, 0.5], DOM))
+        calls = _count_calls(monkeypatch, BaseOperatorSpec, "apply")
+        assert corollary_bound(cfg, self.TWO_LEVELS, j=1).passed
+        assert len(calls) == 2

@@ -1,10 +1,18 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from alphafractal import FunctionSpec
+from alphafractal import FunctionSpec, depend
 from alphafractal.cli import main
 
 RUNNING_CONFIG = {
@@ -16,6 +24,12 @@ RUNNING_CONFIG = {
     }],
     "grid": 1025,
 }
+
+
+CONST_04 = {"family": "constant", "value": 0.4}
+CONST_035 = {"family": "constant", "value": 0.35}
+SQUARE = {"family": "polynomial", "coeffs": [0.0, 0.0, 1.0]}
+CUBE = {"family": "polynomial", "coeffs": [0.0, 0.0, 0.0, 1.0]}
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -65,15 +79,38 @@ class TestBuild:
         ("scaling", {"family": "constant", "value": None}),
         ("germ", {"family": "polynomial", "coeffs": None}),
         ("germ", {"family": "sampled", "values": None}),
+        ("germ", {"family": "sampled", "csv": "missing.csv"}),
+        ("config", {"grid": "abc"}),
+        ("config", {"grid": [1]}),
+        ("config", {"grid": 1025.5}),
+        ("config", {"d": "x"}),
+        ("config", {"depth": {"k": "x"}}),
+        ("config", {"depth": {"eps": "x"}}),
+        ("config", {"depth": {"eps": float("nan")}}),
+        ("config", {"depth": True}),
+        ("config", {"ordinates": ["a", 0.5, 1]}),
+        ("config", {"ordinates": 5}),
+        ("partition", {"knots": [0, "a", 1]}),
+        ("partition", {"knots": 5}),
+        ("level", {"scaling": 5}),
+        ("flags", ["--eps", "nan"]),
+        ("flags", ["--eps", "inf"]),
+        ("flags", ["--grid", "0"]),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, section, spec):
         data = json.loads(json.dumps(RUNNING_CONFIG))
+        flags = []
         if section == "germ":
             data["germ"] = spec
-        else:
+        elif section == "scaling":
             data["levels"][0]["scaling"] = spec
+        elif section == "flags":
+            flags = spec
+        else:
+            {"config": data, "partition": data["partition"],
+             "level": data["levels"][0]}[section].update(spec)
         cfg = write_config(tmp_path, data)
-        assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path)] + flags) == 2
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert "Traceback" not in err_lines[0]
@@ -262,3 +299,102 @@ class TestSweep:
     def test_missing_field_exits_2(self, tmp_path, capsys):
         man = self._manifest(tmp_path, [{"kind": "base", "bases_a": []}])
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("experiment", [
+        {"kind": "partition", "knots": [0, "a", 1]},
+        {"kind": "partition", "knots": [0.0, 0.48, 1.0], "halvings": "x"},
+        {"kind": "scaling", "alphas_a": [[CONST_04, CONST_04]],
+         "alphas_b": [[CONST_04, CONST_04]], "s_cap": "x"},
+        {"kind": "base", "bases_a": 5, "bases_b": [SQUARE]},
+        {"kind": "base", "bases_a": [], "bases_b": [SQUARE]},
+        {"kind": "scaling", "alphas_a": [], "alphas_b": [[CONST_04, CONST_04]]},
+    ])
+    def test_malformed_experiment_exits_2(self, tmp_path, capsys, experiment):
+        man = self._manifest(tmp_path, [experiment])
+        assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+    def test_experiments_checked_before_any_runs(self, tmp_path, capsys, monkeypatch):
+        trajectories = []
+        run = depend.backward_trajectory
+
+        def counted(*args, **kwargs):
+            trajectories.append(args[1])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(depend, "backward_trajectory", counted)
+        man = self._manifest(tmp_path, [
+            {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]},
+            {"kind": "partition"},
+        ])
+        assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
+        assert "experiment 1" in json.loads(capsys.readouterr().err)["detail"]
+        assert trajectories == []
+
+
+# The README running example and a manifest with one experiment of each kind.
+README_CONFIG = {**RUNNING_CONFIG, "d": 1.0, "depth": {"eps": 1e-8}, "mode": "cont"}
+README_MANIFEST = {"config": README_CONFIG, "experiments": [
+    {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]},
+    {"kind": "scaling", "alphas_a": [[CONST_04, CONST_04]],
+     "alphas_b": [[CONST_035, CONST_035]], "s_cap": 0.4},
+    {"kind": "partition", "knots": [0.0, 0.48, 1.0], "halvings": 3},
+]}
+
+# Small magnitudes keep every drawn grid, depth and halving count cheap.
+SCALARS = st.one_of(
+    st.text(max_size=4), st.none(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(-3, 64), st.floats(-10, 10),
+)
+JSON_VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=4),
+    st.dictionaries(st.text(max_size=8), SCALARS, max_size=3),
+)
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaves(child, path + (key,))]
+
+
+def _replaced(doc, draw):
+    doc = copy.deepcopy(doc)
+    paths = draw(st.lists(st.sampled_from(_leaves(doc)), min_size=1, max_size=3, unique=True))
+    for path in paths:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_contract_holds_for_any_leaf_values(data):
+    """Exit 0, 1 or 2 and no escaping exception, whatever values replace up
+    to three leaves of a valid config or manifest; exit 2 writes exactly
+    one JSON line to stderr."""
+    for command, flag, doc in (("build", "--config", README_CONFIG),
+                               ("sweep", "--manifest", README_MANIFEST)):
+        doc = _replaced(doc, data.draw)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main([command, flag, str(path), "--out", tmp])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "detail"}

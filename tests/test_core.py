@@ -258,9 +258,22 @@ class TestProblemConfig:
         # interior mismatch only warns
         with pytest.warns(UserWarning, match="interior"):
             ProblemConfig(p, germ_x, levels, ordinates=(0.0, 0.7, 1.0))
+        with pytest.raises(ConfigError):
+            ProblemConfig(p, germ_x, levels, ordinates=(0.0, float("nan"), 1.0))
+
+    def test_mode_must_be_a_known_name(self, germ_x, base_x2):
+        p = build_partition([0.0, 0.5, 1.0])
+        a = FunctionSpec.constant(0.4, DOM)
+        levels = LevelSequence((Level((a, a), base_x2),))
+        for mode in ("nope", ["lip"], None):
+            with pytest.raises(ConfigError):
+                ProblemConfig(p, germ_x, levels, mode=mode)
 
     def test_depth_policy_validation(self):
         with pytest.raises(Exception):
             DepthPolicy(depth=0)
         with pytest.raises(Exception):
             DepthPolicy(eps=-1.0)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                DepthPolicy(eps=eps)

@@ -89,6 +89,10 @@ class TestPartitionDependence:
         with pytest.raises(KnotCountMismatch):
             partition_dependence(running_cfg, build_partition([0.0, 0.3, 0.6, 1.0]))
 
+    def test_continuity_knot_count_mismatch(self, running_cfg):
+        with pytest.raises(KnotCountMismatch):
+            partition_continuity(running_cfg, build_partition([0.0, 0.3, 0.6, 1.0]))
+
     def test_endpoints_must_match(self, running_cfg):
         with pytest.raises(EndpointMismatch):
             partition_dependence(running_cfg, build_partition([0.0, 0.5, 1.1]))
