@@ -13,6 +13,7 @@ import numpy as np
 
 from . import bounds, depend
 from .core import Level, LevelSequence, ProblemConfig, evaluate, matched_endpoint_polynomial
+from .errors import ConfigError
 from .ifs import PerturbationLevel, PerturbationSpec
 from .report import BoundReport
 from .sampling import (
@@ -176,6 +177,11 @@ def run_suite(name: str, template: ProblemConfig, trials: int, seed,
               t_scale: float = 0.1, s_scale: float = 0.1) -> list[BoundReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    for what, scale in (("t_scale", t_scale), ("s_scale", s_scale)):
+        if not 0.0 <= scale < np.inf:
+            raise ConfigError(f"{what} must be finite and >= 0, got {scale}")
     rng = rng_from(seed)
     if name == "error":
         return error_suite(template, trials, rng)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import campaigns, configio, depend, norms
 from .engine import trajectory_interpolant
-from .errors import AlphaFractalError
+from .errors import AlphaFractalError, ConfigError
 from .report import BoundReport
 
 
@@ -39,7 +39,10 @@ def _overrides(args) -> dict:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise ConfigError(f"--out {out}: {exc}") from None
     return out
 
 
@@ -118,8 +121,15 @@ def cmd_sweep(args) -> int:
     return _tally(reports, "sweep rows passed")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ConfigError, for main's one exit-2 boundary."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alphafractal",
         description="Non-stationary fractal interpolation: build curves, "
                     "verify closed-form bounds, run dependence sweeps.",
@@ -160,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except AlphaFractalError as exc:
         _diagnostic(type(exc).__name__, str(exc))

@@ -194,6 +194,8 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
     dep = d.get("depth")
     policy = DepthPolicy()
     if isinstance(dep, dict):
+        if "k" in dep and "eps" in dep:
+            raise ConfigError("depth section takes 'k' or 'eps', not both")
         if "k" in dep:
             policy = DepthPolicy(depth=_integer(dep["k"], "depth k"))
         elif "eps" in dep:
@@ -202,6 +204,8 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
             raise ConfigError("depth section needs 'k' or 'eps'")
     elif dep is not None:
         policy = DepthPolicy(depth=_integer(dep, "depth"))
+    if overrides.get("depth") is not None and overrides.get("eps") is not None:
+        raise ConfigError("give a depth or an eps, not both")
     if overrides.get("depth") is not None:
         policy = DepthPolicy(depth=int(overrides["depth"]))
     elif overrides.get("eps") is not None:

@@ -34,6 +34,7 @@ DEGENERATE_TOL = 1e-12    # "function is identically zero on the grid" threshold
 DEFAULT_GRID_SIZE = 1025  # power of two plus one: nests under midpoint refinement
 DEFAULT_EPS = 1e-8        # default tail tolerance for the truncation depth
 DEPTH_CAP = 64            # hard cap guarding pathological near-1 scaling norms
+GRID_LIMIT = 2 ** 24 + 1  # largest grid_size: 16x the 1,048,577 points of a 1M build
 
 FunctionLike = Callable[[np.ndarray], np.ndarray]
 
@@ -515,6 +516,8 @@ class ProblemConfig:
             )
         if self.grid_size < n + 1:
             raise ConfigError("grid_size must be at least the knot count")
+        if self.grid_size > GRID_LIMIT:
+            raise ConfigError(f"grid_size must be at most {GRID_LIMIT}, got {self.grid_size}")
         if self.ordinates is not None:
             ords = tuple(float(y) for y in self.ordinates)
             if len(ords) != n + 1:

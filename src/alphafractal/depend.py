@@ -116,13 +116,13 @@ def admissible_theta_limit(A: float, R: float, k_f: float, k_b: float,
     return np.inf if denom <= 0.0 else (1.0 - A) / denom
 
 
-def theta_constants(cfg: ProblemConfig, slack: float = LIP_SLACK) -> dict:
-    """Grid-estimated Lipschitz constants (inflated by ``slack``) and the
-    admissible theta limit, computed once per config and slack."""
+def theta_constants(cfg: ProblemConfig) -> dict:
+    """Grid-estimated Lipschitz constants (inflated by LIP_SLACK) and the
+    admissible theta limit, computed once per config."""
 
     def build():
         grid = cfg.grid
-        inflate = 1.0 + slack
+        inflate = 1.0 + LIP_SLACK
         k_f = inflate * lip_seminorm(cfg.germ, 1.0, grid)
         k_b = inflate * max(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
         k_alpha = inflate * max(
@@ -135,17 +135,17 @@ def theta_constants(cfg: ProblemConfig, slack: float = LIP_SLACK) -> dict:
         return {"k_f": k_f, "k_b": k_b, "k_alpha": k_alpha, "A": A, "R": R,
                 "theta_limit": limit}
 
-    return dict(cfg._cached(f"_theta_constants_{slack!r}", build))
+    return dict(cfg._cached("_theta_constants", build))
 
 
 def _theta(theta_limit: float) -> float:
     return 0.5 * theta_limit if np.isfinite(theta_limit) else 1.0
 
 
-def compute_theta(cfg: ProblemConfig, slack: float = LIP_SLACK) -> float:
+def compute_theta(cfg: ProblemConfig) -> float:
     """Half the admissible theta limit (a valid metric weight); 1.0 when every
     estimated Lipschitz constant vanishes and the limit degenerates."""
-    return _theta(theta_constants(cfg, slack)["theta_limit"])
+    return _theta(theta_constants(cfg)["theta_limit"])
 
 
 def _require_same_interval(p: Partition, other: Partition) -> None:

@@ -18,6 +18,7 @@ from .core import (
     evaluate,
     matched_endpoint_polynomial,
 )
+from .errors import ConfigError
 
 POLY_DEGREE = 5
 
@@ -25,7 +26,10 @@ POLY_DEGREE = 5
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:  # a negative seed
+        raise ConfigError(f"seed {seed!r}: {exc}") from None
 
 
 def random_polynomial_spec(rng, domain, degree: int = POLY_DEGREE,

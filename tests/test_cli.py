@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import alphafractal
 from alphafractal import FunctionSpec, depend
 from alphafractal.cli import main
 
@@ -96,6 +100,11 @@ class TestBuild:
         ("flags", ["--eps", "nan"]),
         ("flags", ["--eps", "inf"]),
         ("flags", ["--grid", "0"]),
+        ("config", {"grid": 10 ** 12}),
+        ("flags", ["--grid", str(10 ** 12)]),
+        ("config", {"depth": {"k": 3, "eps": 1e-3}}),
+        ("flags", ["--depth", "3", "--eps", "1e-3"]),
+        ("flags", ["--grid", "abc"]),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, section, spec):
         data = json.loads(json.dumps(RUNNING_CONFIG))
@@ -332,6 +341,57 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
         assert "experiment 1" in json.loads(capsys.readouterr().err)["detail"]
         assert trajectories == []
+
+
+# {cfg} is the running example's config file, {file} an existing plain file.
+BAD_ARGUMENTS = [
+    ["build"],
+    ["build", "--config", "{cfg}", "--out", "{file}"],
+    ["verify", "--config", "{cfg}", "--suite", "bogus"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--seed", "-1"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--t-scale", "nan"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--t-scale", "inf"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--t-scale", "-0.5"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--s-scale", "nan"],
+    ["verify", "--config", "{cfg}", "--suite", "error", "--trials", "0"],
+    ["verify", "--config", "{cfg}", "--suite", "stability", "--trials", "-3"],
+]
+
+
+def _bad_argv(tmp_path, argv):
+    cfg = write_config(tmp_path, RUNNING_CONFIG)
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    argv = [a.format(cfg=cfg, file=plain) for a in argv]
+    return argv if "--out" in argv else argv + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS)
+def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+    """Every flag is honoured or rejected: a rejected one exits 2 with one
+    JSON line on stderr, argparse's usage text included."""
+    assert main(_bad_argv(tmp_path, argv)) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [BAD_ARGUMENTS[0], BAD_ARGUMENTS[3]])
+def test_bad_arguments_exit_2_as_a_process(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli"] + _bad_argv(tmp_path, argv),
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 # The README running example and a manifest with one experiment of each kind.

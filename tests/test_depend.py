@@ -12,11 +12,13 @@ from alphafractal import (
     scaling_dependence,
 )
 from alphafractal.depend import (
+    LIP_SLACK,
     admissible_theta_limit,
     is_strictly_decreasing,
     theta_constants,
 )
 from alphafractal.errors import CapViolated, EndpointMismatch, KnotCountMismatch
+from alphafractal.norms import lip_seminorm
 
 DOM = (0.0, 1.0)
 
@@ -130,19 +132,34 @@ def test_theta_constants_computed_once(make_cfg, monkeypatch):
     assert len(calls) == 1 + 2 + 2 * 3
 
 
+def _raw_theta(cfg):
+    """Half the admissible theta limit from uninflated grid constants."""
+    grid = cfg.grid
+    k_f = lip_seminorm(cfg.germ, 1.0, grid)
+    k_b = max(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
+    k_alpha = max(lip_seminorm(spec, 1.0, grid)
+                  for lv in cfg.levels.levels for spec in lv.scalings)
+    return 0.5 * admissible_theta_limit(cfg.maps.A, cfg.r_bound, k_f, k_b, k_alpha,
+                                        cfg.alpha_sup, cfg.base_sup)
+
+
 class TestComputeTheta:
     def test_worked_example_raw(self, running_cfg):
         # (1 - A) / (A k_f + ||alpha|| k_b) with k_f = 1, k_b ~ 2, A = 0.5
-        theta = compute_theta(running_cfg, slack=0.0)
-        assert theta == pytest.approx(0.5 / 1.3 / 2.0, abs=2e-3)
-        consts = theta_constants(running_cfg, slack=0.0)
-        assert consts["k_f"] == pytest.approx(1.0)
-        assert consts["k_b"] == pytest.approx(2.0, abs=2e-3)
+        grid = running_cfg.grid
+        k_f = lip_seminorm(running_cfg.germ, 1.0, grid)
+        k_b = lip_seminorm(running_cfg.levels.levels[0].base, 1.0, grid)
+        assert k_f == pytest.approx(1.0)
+        assert k_b == pytest.approx(2.0, abs=2e-3)
+        assert _raw_theta(running_cfg) == pytest.approx(0.5 / 1.3 / 2.0, abs=2e-3)
+        consts = theta_constants(running_cfg)
+        assert consts["k_f"] == (1.0 + LIP_SLACK) * k_f
+        assert consts["k_b"] == (1.0 + LIP_SLACK) * k_b
         assert consts["k_alpha"] == 0.0
         assert consts["R"] == pytest.approx(7.0 / 6.0, rel=1e-12)
 
     def test_default_slack_is_conservative(self, running_cfg):
-        assert compute_theta(running_cfg) < compute_theta(running_cfg, slack=0.0)
+        assert compute_theta(running_cfg) < _raw_theta(running_cfg)
 
     def test_inside_admissible_interval(self, running_cfg):
         consts = theta_constants(running_cfg)

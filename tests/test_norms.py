@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphafractal import (
     FunctionSpec,
@@ -17,7 +20,7 @@ from alphafractal import (
 from alphafractal.core import SampledFunction, matched_endpoint_polynomial
 from alphafractal.errors import BadExponent, EmptyGrid
 
-from reference import ref_lip
+from reference import ref_lip, ref_lip_pairs
 
 DOM = (0.0, 1.0)
 
@@ -86,6 +89,32 @@ class TestLipSeminorm:
         fine = lip_seminorm(g, 1.0, np.linspace(0, 1, 129))
         assert fine >= coarse
 
+    def test_nan_reaches_the_estimate(self):
+        # a NaN quotient must not hide the finite slope 1 left of x = 0.5
+        g = lambda x: np.where(x > 0.5, np.nan, x)  # noqa: E731
+        grid = np.linspace(0, 1, 11)
+        assert np.isnan(lip_seminorm(g, 1.0, grid))
+        assert np.isnan(estimate_norms(g, 1.0, grid).lip_d)
+
+    def test_strided_grid_matches_pair_oracle(self):
+        # 3000 points stride by 2 down to 1500, plus the last point
+        xs = np.linspace(0, 1, 3000)
+        g = FunctionSpec.sinusoid(1.0, 9.0, 0.4, 0.0, DOM)
+        sub = np.append(xs[::2], xs[-1])
+        for d in (1.0, 0.5):
+            assert lip_seminorm(g, d, xs) == ref_lip_pairs(sub, g(sub), d)
+
+    def test_peak_memory_stays_linear(self):
+        g = FunctionSpec.sinusoid(1.0, 5.0, 0.1, 0.0, DOM)
+        grid = np.linspace(0, 1, 2049)
+        tracemalloc.start()
+        try:
+            lip_seminorm(g, 0.5, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_triangle_inequality_on_shared_grid(self):
         rng = np.random.default_rng(9)
         grid = np.linspace(0, 1, 80)
@@ -94,6 +123,21 @@ class TestLipSeminorm:
         gh = SampledFunction(grid, g.ys + h.ys)
         assert lip_seminorm(gh, 0.6, grid) <= (
             lip_seminorm(g, 0.6, grid) + lip_seminorm(h, 0.6, grid) + 1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    xs=st.lists(st.floats(-100, 100), min_size=2, max_size=300, unique=True).map(sorted),
+    d=st.floats(0.0, 1.0, exclude_min=True),
+    knots=st.lists(st.tuples(st.floats(-100, 100), st.floats(-1e3, 1e3)),
+                   min_size=1, max_size=8).map(sorted),
+)
+def test_lip_seminorm_equals_pair_oracle(xs, d, knots):
+    """Bit for bit against the all-pairs oracle, on piecewise-linear g."""
+    kx, ky = np.array(knots).T
+    g = lambda x: np.interp(x, kx, ky)  # noqa: E731
+    xs = np.array(xs)
+    assert lip_seminorm(g, d, xs) == ref_lip_pairs(xs, g(xs), d)
 
 
 class TestNormEstimate:
