@@ -18,7 +18,6 @@ from .core import (
     SampledFunction,
     ValidationReport,
     build_partition,
-    derive_affine_maps,
     matched_endpoint_polynomial,
     validate_level_sequence,
 )
@@ -33,15 +32,7 @@ from .engine import (
     stationary_fixed_point,
     trajectory_interpolant,
 )
-from .ifs import (
-    AddressChain,
-    PerturbationLevel,
-    PerturbationSpec,
-    apply_F,
-    apply_T,
-    decompose_address,
-    locate_interval,
-)
+from .ifs import PerturbationLevel, PerturbationSpec, apply_F
 from .norms import NormEstimate, check_lip_hypothesis, estimate_norms, lip_seminorm, sup_norm
 from .bounds import (
     BaseOperatorSpec,
@@ -65,15 +56,14 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressChain", "AffineMapSet", "BaseOperatorSpec", "BoundReport",
+    "AffineMapSet", "BaseOperatorSpec", "BoundReport",
     "DepthPolicy", "FunctionSpec", "Interpolant", "Level", "LevelSequence",
     "NormEstimate", "Partition", "PerturbationLevel", "PerturbationSpec",
     "ProblemConfig", "SampledFunction", "ValidationReport",
-    "apply_F", "apply_T", "apply_rb", "backward_trajectory", "base_dependence",
+    "apply_F", "apply_rb", "backward_trajectory", "base_dependence",
     "build_partition", "check_lip_hypothesis", "compute_theta",
-    "corollary_bound", "decompose_address", "derive_affine_maps",
-    "error_bound", "errors", "estimate_norms", "eval_interpolant",
-    "lip_seminorm", "locate_interval", "matched_endpoint_polynomial",
+    "corollary_bound", "error_bound", "errors", "estimate_norms",
+    "eval_interpolant", "lip_seminorm", "matched_endpoint_polynomial",
     "operator_lipschitz_check", "partition_continuity", "partition_dependence",
     "relative_bound_check", "required_depth", "resolve_depth",
     "scaling_dependence", "sensitivity_bound", "series_eval",

@@ -37,8 +37,8 @@ def _overrides(args) -> dict:
     return {key: getattr(args, key) for key in ("grid", "depth", "eps", "mode")}
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path: str) -> Path:
+    out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. --out names an existing file
@@ -62,8 +62,7 @@ def cmd_build(args) -> int:
         _diagnostic(report.problems[0][0], report.summary())
         return 2
     interp = trajectory_interpolant(cfg)
-    out = _out_dir(args)
-    configio.write_curve_csv(out / "curve.csv", cfg.grid, cfg.germ_values,
+    configio.write_curve_csv(args.out / "curve.csv", cfg.grid, cfg.germ_values,
                              interp.values.ys)
     summary = {
         "grid_points": int(cfg.grid.size),
@@ -84,8 +83,8 @@ def cmd_build(args) -> int:
     if cfg.mode == "lipschitz":
         lip = norms.check_lip_hypothesis(cfg)
         summary["lip_hypothesis"] = lip.to_json_dict()
-    configio.write_json(out / "summary.json", summary)
-    print(f"wrote {out / 'curve.csv'} and {out / 'summary.json'} "
+    configio.write_json(args.out / "summary.json", summary)
+    print(f"wrote {args.out / 'curve.csv'} and {args.out / 'summary.json'} "
           f"(depth {interp.depth}, grid {cfg.grid.size})")
     return 0
 
@@ -95,9 +94,8 @@ def cmd_verify(args) -> int:
     cfg.validation().raise_if_failed()
     reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed,
                                   t_scale=args.t_scale, s_scale=args.s_scale)
-    out = _out_dir(args)
-    configio.write_report_csv(out / "report.csv", reports)
-    configio.write_reports_json(out / "report.json", reports)
+    configio.write_report_csv(args.out / "report.csv", reports)
+    configio.write_reports_json(args.out / "report.json", reports)
     return _tally(reports, f"bound checks passed (suite {args.suite}, "
                            f"trials {args.trials}, seed {args.seed})")
 
@@ -116,8 +114,7 @@ def cmd_sweep(args) -> int:
     reports = [replace(rep, name=f"{rep.name}[exp={k}]")
                for k, exp in enumerate(experiments)
                for rep in _run_experiment(cfg, exp)]
-    out = _out_dir(args)
-    configio.write_report_csv(out / "results.csv", reports)
+    configio.write_report_csv(args.out / "results.csv", reports)
     return _tally(reports, "sweep rows passed")
 
 
@@ -172,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.out = _out_dir(args.out)  # before any work, for every command
         return args.fn(args)
     except AlphaFractalError as exc:
         _diagnostic(type(exc).__name__, str(exc))

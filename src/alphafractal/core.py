@@ -281,25 +281,22 @@ def build_partition(knots: Sequence[float]) -> Partition:
 class AffineMapSet:
     """The contractive maps l_i : I -> I_i and their inverses Q_i = l_i^{-1}.
 
-    Coefficients come from the closed form
+    l_i(x) = a_i x + e_i with the closed-form coefficients
         a_i = (x_i - x_{i-1}) / (x_N - x_0)
         e_i = (x_N x_{i-1} - x_0 x_i) / (x_N - x_0)
     so l_i(x_0) = x_{i-1} and l_i(x_N) = x_i.  Evaluation uses the equivalent
     two-point form, which maps the interval endpoints onto the knots exactly
-    in floating point (no residual at the joins).
+    in floating point (no residual at the joins); only the ratios a_i are
+    stored.
     """
 
     partition: Partition
     a: tuple[float, ...]
-    e: tuple[float, ...]
 
     @classmethod
     def from_partition(cls, p: Partition) -> "AffineMapSet":
         k = p.array()
-        span = p.span
-        a = tuple(float(v) for v in (k[1:] - k[:-1]) / span)
-        e = tuple(float(v) for v in (k[-1] * k[:-1] - k[0] * k[1:]) / span)
-        return cls(p, a, e)
+        return cls(p, tuple(float(v) for v in (k[1:] - k[:-1]) / p.span))
 
     @property
     def A(self) -> float:
@@ -315,17 +312,10 @@ class AffineMapSet:
         out = (xl * (hi - x) + xr * (x - lo)) / (hi - lo)
         return np.where(x == lo, xl, np.where(x == hi, xr, out))
 
-    def inverse(self, i: int, z):
-        """Q_i(z) = l_i^{-1}(z) for z in I_i (knots land on the interval
-        endpoints bit-exactly)."""
-        lo, hi = self.partition.domain
-        xl, xr = self.partition.interval(i)
-        z = np.asarray(z, dtype=float)
-        out = (lo * (xr - z) + hi * (z - xl)) / (xr - xl)
-        return np.where(z == xl, lo, np.where(z == xr, hi, out))
-
     def inverse_many(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Vectorized Q applied per point: idx holds 1-based interval indices."""
+        """Q_i(z) = l_i^{-1}(z) per point, i taken from the 1-based indices idx;
+        the knots land on the domain ends bit-exactly, and the result is
+        clipped into the domain."""
         k = self.partition.array()
         lo, hi = self.partition.domain
         xl = k[idx - 1]
@@ -333,11 +323,6 @@ class AffineMapSet:
         out = (lo * (xr - z) + hi * (z - xl)) / (xr - xl)
         out = np.where(z == xl, lo, np.where(z == xr, hi, out))
         return np.clip(out, lo, hi)
-
-
-def derive_affine_maps(p: Partition) -> AffineMapSet:
-    """Affine coefficients and maps for a partition."""
-    return AffineMapSet.from_partition(p)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +557,7 @@ class ProblemConfig:
 
     @property
     def maps(self) -> AffineMapSet:
-        return self._cached("_maps", lambda: derive_affine_maps(self.partition))
+        return self._cached("_maps", lambda: AffineMapSet.from_partition(self.partition))
 
     @property
     def germ_values(self) -> np.ndarray:

@@ -45,13 +45,6 @@ def sample_germ(cfg: ProblemConfig) -> SampledFunction:
     return SampledFunction(cfg.grid, cfg.germ_values)
 
 
-def knot_interpolant_seed(cfg: ProblemConfig) -> SampledFunction:
-    """Piecewise-linear interpolant of the knot data, an alternative seed."""
-    knots = cfg.partition.array()
-    ys = np.asarray(cfg.knot_ordinates, dtype=float)
-    return SampledFunction(cfg.grid, np.interp(cfg.grid, knots, ys))
-
-
 def _grid_geometry(cfg: ProblemConfig):
     """Interval index and Q_i(x) for every grid point (cached per config)."""
 

@@ -1,10 +1,11 @@
-"""IFS map algebra: interval location, inverse-map address chains, the
-per-interval maps F_{i,r}(x, y) = alpha_{i,r}(x) y + f(l_i(x)) - alpha_{i,r}(x) b_r(x),
-and their perturbed variants T_{i,r}.
+"""IFS map data: interval location, the per-interval maps
+F_{i,r}(x, y) = alpha_{i,r}(x) y + f(l_i(x)) - alpha_{i,r}(x) b_r(x),
+and the perturbation data t, s, theta, phi of the perturbed maps T_{i,r},
+which ``engine`` applies on the grid.
 
 Interior knots belong to the right interval.  The join conditions make both
-conventions agree on interpolant values at knots; fixing one keeps address
-chains deterministic.
+conventions agree on interpolant values at knots; fixing one keeps the
+address chains of the series evaluator deterministic.
 """
 
 from __future__ import annotations
@@ -24,64 +25,11 @@ from .core import (
 from .errors import ConfigError, EndpointMismatch, OutOfDomain, PerturbationTooLarge
 
 
-def locate_interval(x: float, p: Partition) -> int:
-    """1-based index i with x in [x_{i-1}, x_i); x_N belongs to interval N."""
-    if not p.lo <= x <= p.hi:
-        raise OutOfDomain(f"{x} outside [{p.lo}, {p.hi}]")
-    idx = int(np.searchsorted(p.array(), x, side="right"))
-    return min(idx, p.n_intervals)
-
-
 def locate_many(x: np.ndarray, p: Partition) -> np.ndarray:
-    """Vectorized locate_interval (inputs assumed inside the domain)."""
+    """1-based index i with x in [x_{i-1}, x_i) for each point; x_N belongs to
+    interval N (inputs assumed inside the domain)."""
     idx = np.searchsorted(p.array(), np.asarray(x, dtype=float), side="right")
     return np.minimum(idx, p.n_intervals)
-
-
-@dataclass(frozen=True)
-class AddressChain:
-    """Backward address of a point: z_0 = x, i_j = interval of z_{j-1},
-    z_j = Q_{i_j}(z_{j-1}).  Recomposing the forward maps along the chain
-    returns to x up to accumulated round-off."""
-
-    x: float
-    indices: tuple[int, ...]
-    points: tuple[float, ...]  # z_0 .. z_k
-
-    @property
-    def depth(self) -> int:
-        return len(self.indices)
-
-    @property
-    def terminal(self) -> float:
-        return self.points[-1]
-
-    def recompose(self, maps) -> float:
-        """l_{i_1}(l_{i_2}(... l_{i_k}(z_k))) for the round-trip check."""
-        z = self.points[-1]
-        for i in reversed(self.indices):
-            z = float(maps.forward(i, z))
-        return z
-
-
-def decompose_address(x: float, p: Partition, depth: int) -> AddressChain:
-    """Chain of depth applications of locate-then-invert starting at x."""
-    if depth < 0:
-        raise ConfigError("address depth must be >= 0")
-    if not p.lo <= x <= p.hi:
-        raise OutOfDomain(f"{x} outside [{p.lo}, {p.hi}]")
-    from .core import derive_affine_maps
-
-    maps = derive_affine_maps(p)
-    z = float(x)
-    indices = []
-    points = [z]
-    for _ in range(depth):
-        i = locate_interval(z, p)
-        z = float(np.clip(maps.inverse(i, z), p.lo, p.hi))
-        indices.append(i)
-        points.append(z)
-    return AddressChain(x=float(x), indices=tuple(indices), points=tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -216,38 +164,3 @@ def apply_F(i: int, r: int, x, y, cfg: ProblemConfig):
     out = alpha * np.asarray(y, dtype=float) + f_at - alpha * b_at
     return out if out.shape else float(out)
 
-
-def rb_composed(i: int, r: int, x, y, cfg: ProblemConfig,
-                pert: PerturbationSpec | None = None):
-    """The RB integrand on the image interval:
-        f(x) + [alpha_{i,r} + t_{i,r} theta_{i,r}](Q_i(x)) * (y - b_r(Q_i(x)))
-             + s_{i,r} phi_{i,r}(Q_i(x))
-    with y standing for g(Q_i(x)).  With pert None (or all zeros) this is the
-    unperturbed composed form F_{i,r}(Q_i(x), y)."""
-    xa = np.asarray(x, dtype=float)
-    q = np.clip(cfg.maps.inverse(i, xa), cfg.domain[0], cfg.domain[1])
-    alpha = evaluate(cfg.levels.scaling(i, r), q)
-    b_at = evaluate(cfg.levels.base(r), q)
-    f_at = evaluate(cfg.germ, xa)
-    if pert is None:
-        out = f_at + alpha * (np.asarray(y, dtype=float) - b_at)
-    else:
-        lv = pert.level(r)
-        scale = alpha + lv.t[i - 1] * evaluate(lv.theta[i - 1], q)
-        out = (f_at + scale * (np.asarray(y, dtype=float) - b_at)
-               + lv.s[i - 1] * evaluate(lv.phi[i - 1], q))
-    return out if out.shape else float(out)
-
-
-def apply_T(i: int, r: int, x, y, cfg: ProblemConfig, pert: PerturbationSpec):
-    """Perturbed map T_{i,r} evaluated on the image interval I_i.
-
-    With t = s = 0 this reduces bit-for-bit to the unperturbed composed form.
-    Raises PerturbationTooLarge when the perturbed scaling loses contractivity.
-    """
-    xl, xr = cfg.partition.interval(i)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < xl) or np.any(xa > xr):
-        raise OutOfDomain(f"x outside I_{i} = [{xl}, {xr}]")
-    pert.check_contractive(cfg)
-    return rb_composed(i, r, xa, y, cfg, pert)

@@ -65,7 +65,7 @@ class NormEstimate:
 
     @property
     def norm_d(self) -> float:
-        return max(self.sup_norm, self.lip_d)
+        return float(np.max([self.sup_norm, self.lip_d]))  # NaN propagates
 
 
 def estimate_norms(g, d: float, grid) -> NormEstimate:

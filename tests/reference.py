@@ -1,12 +1,14 @@
 """Slow, loop-based reference implementations used as independent oracles.
 
 Nothing here shares code with the package: interval location is a linear
-scan, the inverse maps use the raw coefficient form (z - e_i) / a_i, and the
-series is summed term by term in pure Python.
+scan, the inverse maps use the raw coefficient form (z - e_i) / a_i, the
+series is summed term by term in pure Python, and grid reads bisect for their
+cell and interpolate by hand.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 
 import numpy as np
@@ -49,6 +51,29 @@ def ref_series(x, depth, knots, scaling_fns, base_fns, germ):
         prod *= float(scaling_fns[r][i - 1](z))
         total += prod * (float(germ(z)) - float(base_fns[r](z)))
     return total
+
+
+def ref_rb_point(x, knots, grid, g_vals, germ, scalings, base, pert=None):
+    """One RB step at x from g known only at the grid nodes:
+        f(x) + [alpha_i + t_i theta_i](q) (g - b)(q) + s_i phi_i(q)
+    with i the interval of x and q = (x - e_i) / a_i clamped to the domain.
+    g - b is read at q by linear interpolation between the two grid nodes
+    around it.  pert is None (t = s = 0) or per-interval (t, s, theta, phi).
+    """
+    a, e = ref_coefficients(knots)
+    i = ref_locate(x, knots)
+    q = min(max((x - e[i - 1]) / a[i - 1], knots[0]), knots[-1])
+    k = min(max(bisect.bisect_right(grid, q) - 1, 0), len(grid) - 2)
+    w = (q - grid[k]) / (grid[k + 1] - grid[k])
+    d0 = g_vals[k] - float(base(grid[k]))
+    d1 = g_vals[k + 1] - float(base(grid[k + 1]))
+    scale = float(scalings[i - 1](q))
+    bump = 0.0
+    if pert is not None:
+        t, s, theta, phi = pert
+        scale += t[i - 1] * float(theta[i - 1](q))
+        bump = s[i - 1] * float(phi[i - 1](q))
+    return float(germ(x)) + scale * ((1.0 - w) * d0 + w * d1) + bump
 
 
 def ref_lip(xs, ys, d):

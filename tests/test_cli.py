@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alphafractal
-from alphafractal import FunctionSpec, depend
+from alphafractal import FunctionSpec, bounds, depend, engine
 from alphafractal.cli import main
 
 RUNNING_CONFIG = {
@@ -40,6 +40,22 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+@pytest.fixture
+def trajectories(monkeypatch):
+    """Depths of every backward trajectory run, through each module that
+    looks the function up."""
+    depths = []
+    run = engine.backward_trajectory
+
+    def counted(*args, **kwargs):
+        depths.append(args[1])
+        return run(*args, **kwargs)
+
+    for module in (engine, bounds, depend):
+        monkeypatch.setattr(module, "backward_trajectory", counted)
+    return depths
 
 
 def read_csv(path):
@@ -325,15 +341,7 @@ class TestSweep:
         assert len(err_lines) == 1
         assert json.loads(err_lines[0])["error"] == "ConfigError"
 
-    def test_experiments_checked_before_any_runs(self, tmp_path, capsys, monkeypatch):
-        trajectories = []
-        run = depend.backward_trajectory
-
-        def counted(*args, **kwargs):
-            trajectories.append(args[1])
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(depend, "backward_trajectory", counted)
+    def test_experiments_checked_before_any_runs(self, tmp_path, capsys, trajectories):
         man = self._manifest(tmp_path, [
             {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]},
             {"kind": "partition"},
@@ -343,7 +351,8 @@ class TestSweep:
         assert trajectories == []
 
 
-# {cfg} is the running example's config file, {file} an existing plain file.
+# {cfg} is the running example's config file, {manifest} a valid manifest on
+# it, {file} an existing plain file.
 BAD_ARGUMENTS = [
     ["build"],
     ["build", "--config", "{cfg}", "--out", "{file}"],
@@ -355,25 +364,31 @@ BAD_ARGUMENTS = [
     ["verify", "--config", "{cfg}", "--trials", "2", "--s-scale", "nan"],
     ["verify", "--config", "{cfg}", "--suite", "error", "--trials", "0"],
     ["verify", "--config", "{cfg}", "--suite", "stability", "--trials", "-3"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--out", "{file}"],
+    ["sweep", "--manifest", "{manifest}", "--out", "{file}"],
 ]
 
 
 def _bad_argv(tmp_path, argv):
     cfg = write_config(tmp_path, RUNNING_CONFIG)
+    manifest = write_config(tmp_path, {"config": RUNNING_CONFIG, "experiments": [
+        {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]}]}, "manifest.json")
     plain = tmp_path / "plain.txt"
     plain.write_text("")
-    argv = [a.format(cfg=cfg, file=plain) for a in argv]
+    argv = [a.format(cfg=cfg, manifest=manifest, file=plain) for a in argv]
     return argv if "--out" in argv else argv + ["--out", str(tmp_path / "out")]
 
 
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS)
-def test_bad_arguments_exit_2(tmp_path, capsys, argv):
+def test_bad_arguments_exit_2(tmp_path, capsys, trajectories, argv):
     """Every flag is honoured or rejected: a rejected one exits 2 with one
-    JSON line on stderr, argparse's usage text included."""
+    JSON line on stderr, argparse's usage text included, before any
+    trajectory runs."""
     assert main(_bad_argv(tmp_path, argv)) == 2
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "ConfigError"
+    assert trajectories == []
 
 
 @pytest.mark.parametrize("argv", [BAD_ARGUMENTS[0], BAD_ARGUMENTS[3]])

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from alphafractal import (
+    AffineMapSet,
     DepthPolicy,
     FunctionSpec,
     Level,
     LevelSequence,
     ProblemConfig,
     build_partition,
-    derive_affine_maps,
     trajectory_interpolant,
     validate_level_sequence,
 )
@@ -48,21 +48,26 @@ class TestPartition:
             build_partition([0.0, 0.6, 0.5])
 
 
+def _offsets(m):
+    """e_i = l_i(0), the offset of l_i(x) = a_i x + e_i."""
+    return tuple(float(m.forward(i, 0.0)) for i in range(1, len(m.a) + 1))
+
+
 class TestAffineMaps:
     def test_uniform(self):
-        m = derive_affine_maps(build_partition([0.0, 0.5, 1.0]))
+        m = AffineMapSet.from_partition(build_partition([0.0, 0.5, 1.0]))
         assert m.a == (0.5, 0.5)
-        assert m.e == (0.0, 0.5)
+        assert _offsets(m) == (0.0, 0.5)
 
     def test_nonuniform(self):
-        m = derive_affine_maps(build_partition([0.0, 0.25, 1.0]))
+        m = AffineMapSet.from_partition(build_partition([0.0, 0.25, 1.0]))
         assert m.a == (0.25, 0.75)
-        assert m.e == (0.0, 0.25)
+        assert _offsets(m) == (0.0, 0.25)
 
     def test_shifted(self):
-        m = derive_affine_maps(build_partition([-1.0, 0.0, 1.0]))
+        m = AffineMapSet.from_partition(build_partition([-1.0, 0.0, 1.0]))
         assert m.a == (0.5, 0.5)
-        assert m.e == (-0.5, 0.5)
+        assert _offsets(m) == (-0.5, 0.5)
 
     def test_endpoints_map_to_knots_exactly(self):
         rng = np.random.default_rng(3)
@@ -70,33 +75,33 @@ class TestAffineMaps:
             knots = np.sort(rng.uniform(-2.0, 3.0, size=5))
             knots += np.arange(5) * 1e-3  # enforce strict increase
             p = build_partition(knots)
-            m = derive_affine_maps(p)
+            m = AffineMapSet.from_partition(p)
             for i in range(1, p.n_intervals + 1):
                 assert float(m.forward(i, p.lo)) == p.knots[i - 1]
                 assert float(m.forward(i, p.hi)) == p.knots[i]
-                assert float(m.inverse(i, p.knots[i - 1])) == p.lo
-                assert float(m.inverse(i, p.knots[i])) == p.hi
+                ends = m.inverse_many(np.array([i, i]), np.array(p.interval(i)))
+                assert ends.tolist() == [p.lo, p.hi]
 
     def test_coefficient_sum_and_range(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             knots = np.cumsum(rng.uniform(0.1, 1.0, size=6))
             p = build_partition(knots)
-            m = derive_affine_maps(p)
+            m = AffineMapSet.from_partition(p)
             assert all(0.0 < a < 1.0 for a in m.a)
             assert sum(m.a) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         p = build_partition([0.0, 0.3, 0.45, 0.9, 1.0])
-        m = derive_affine_maps(p)
+        m = AffineMapSet.from_partition(p)
         xs = rng.uniform(0.0, 1.0, size=200)
         for i in range(1, p.n_intervals + 1):
-            back = m.inverse(i, m.forward(i, xs))
+            back = m.inverse_many(np.full(xs.size, i), m.forward(i, xs))
             assert np.max(np.abs(back - xs)) < 1e-12
         # forward o inverse on points of I_i
         zs = rng.uniform(0.3, 0.45, size=100)
-        fwd = m.forward(2, m.inverse(2, zs))
+        fwd = m.forward(2, m.inverse_many(np.full(zs.size, 2), zs))
         assert np.max(np.abs(fwd - zs)) < 1e-12
 
 

@@ -19,7 +19,7 @@ from alphafractal import (
 )
 from alphafractal.core import SampledFunction
 from alphafractal import engine
-from alphafractal.engine import knot_interpolant_seed, sample_germ
+from alphafractal.engine import sample_germ
 from alphafractal.errors import (
     DepthZero,
     EndpointMismatch,
@@ -27,10 +27,10 @@ from alphafractal.errors import (
     NotValidated,
     OutOfDomain,
 )
-from alphafractal.ifs import PerturbationLevel, PerturbationSpec
+from alphafractal.ifs import PerturbationLevel, PerturbationSpec, locate_many
 from alphafractal.norms import lip_seminorm
 
-from reference import ref_required_depth, ref_series
+from reference import ref_coefficients, ref_rb_point, ref_required_depth, ref_series
 
 DOM = (0.0, 1.0)
 
@@ -111,13 +111,82 @@ class TestRBStepInPlace:
             values = got
 
 
+def _grid_slope(vals, grid):
+    """Largest |difference quotient| between neighbouring grid nodes."""
+    return float(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
+
+
+class TestRBStepOracle:
+    KNOTS = [0.0, 0.13, 0.3, 0.52, 0.6, 0.81, 1.0]
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_matches_reference(self, make_cfg, perturbed):
+        germ = FunctionSpec.sinusoid(0.8, 5.0, 0.4, 0.1, DOM)
+        alphas = [[FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM),
+                   FunctionSpec.constant(-0.4, DOM),
+                   FunctionSpec.polynomial([0.2, 0.1, -0.2], DOM),
+                   FunctionSpec.constant(0.45, DOM),
+                   FunctionSpec.sinusoid(0.2, 2.0, 1.0, -0.1, DOM),
+                   FunctionSpec.polynomial([-0.3, 0.4], DOM)],
+                  [FunctionSpec.constant(0.35, DOM)] * 6]
+        f0, f1 = germ.endpoint_values()
+        bases = [FunctionSpec.linear_endpoint(f0, f1, DOM),
+                 FunctionSpec.polynomial([f0, 0.5, f1 - f0 - 0.5], DOM)]
+        cfg = make_cfg(self.KNOTS, germ, alphas, bases, grid_size=1025)
+        pert = None
+        if perturbed:
+            pert = PerturbationSpec((PerturbationLevel(
+                t=(0.05, -0.1, 0.2, -0.3, 0.1, 0.25),
+                s=(0.3, 0.0, -0.2, 0.1, -0.4, 0.2),
+                theta=(FunctionSpec.sinusoid(1.0, 5.0, 0.0, 0.0, DOM),
+                       FunctionSpec.constant(0.5, DOM)) * 3,
+                phi=(FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM),
+                     FunctionSpec.polynomial([0.0, 0.5, 0.0, -0.5], DOM)) * 3),))
+            pert.check_contractive(cfg)
+        grid, knots = cfg.grid, self.KNOTS
+        # Unit round-off and the first-order error of each form of Q_i (every
+        # point has magnitude <= X): the two-point form in the engine is off by
+        # <= 5uX; the raw (z - e_i) / a_i by <= 4uX + err(e_i) / a_i, with
+        # err(e_i) <= 6uX^2 / span from the closed form of e_i.
+        u = np.finfo(float).eps / 2
+        X = max(abs(knots[0]), abs(knots[-1]))
+        a_min = min(ref_coefficients(knots)[0])
+        dq = u * (9 * X + 6 * X * X / ((knots[-1] - knots[0]) * a_min))
+        values = cfg.germ_values
+        for r in (1, 2, 3):  # level 3 repeats level 2
+            lv = cfg.levels.level(r)
+            got = engine._rb_step(values, r, cfg, pert)
+            diff = values - cfg.base_values(r)
+            scales = [np.asarray(a(grid)) for a in lv.scalings]
+            bumps = [np.zeros_like(grid)] * 6
+            ref_pert = None
+            if pert is not None:
+                plv = pert.level(r)
+                scales = [sc + t * th(grid) for sc, t, th in zip(scales, plv.t, plv.theta)]
+                bumps = [s * ph(grid) for s, ph in zip(plv.s, plv.phi)]
+                ref_pert = (plv.t, plv.s, plv.theta, plv.phi)
+            # dq moves the read of g - b_r (grid slope), the scale and the
+            # bump; each evaluation then rounds a few times per term, |scale| < 1
+            tol = (dq * (_grid_slope(diff, grid)
+                         + max(_grid_slope(sc, grid) for sc in scales) * np.max(np.abs(diff))
+                         + max(_grid_slope(b, grid) for b in bumps))
+                   + 16 * u * (np.max(np.abs(cfg.germ_values)) + np.max(np.abs(diff))
+                               + max(np.max(np.abs(b)) for b in bumps)))
+            grid_list, vals_list = grid.tolist(), values.tolist()
+            want = np.array([ref_rb_point(x, knots, grid_list, vals_list, germ,
+                                          lv.scalings, lv.base, ref_pert)
+                             for x in grid_list])
+            assert np.max(np.abs(got - want)) <= tol
+            values = got
+
+
 class TestBackwardTrajectory:
     def test_depth_one_zero_scaling_any_seed(self, make_cfg, germ_x, base_x2):
         zero = FunctionSpec.constant(0.0, DOM)
         cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[zero, zero]], [base_x2])
         out = backward_trajectory(None, 1, cfg)
         assert np.array_equal(out.values.ys, cfg.germ_values)
-        other = knot_interpolant_seed(cfg)
+        other = SampledFunction(cfg.grid, cfg.grid ** 2)  # matches f at both ends
         out2 = backward_trajectory(other, 1, cfg)
         assert np.array_equal(out2.values.ys, cfg.germ_values)
 
@@ -146,7 +215,8 @@ class TestBackwardTrajectory:
 
     def test_seed_independence(self, running_cfg):
         a = backward_trajectory(sample_germ(running_cfg), 30, running_cfg)
-        b = backward_trajectory(knot_interpolant_seed(running_cfg), 30, running_cfg)
+        other = SampledFunction(running_cfg.grid, running_cfg.grid ** 2)
+        b = backward_trajectory(other, 30, running_cfg)
         # limit is seed-independent; depth-30 residual is ~alpha^30 * seed gap
         assert a.values.sup_diff(b.values) < 1e-9
 
@@ -215,11 +285,9 @@ class TestSeries:
         eps = running_cfg.depth_policy.eps
         depth = resolve_depth(running_cfg)
         rng = np.random.default_rng(13)
-        from alphafractal import locate_interval
-
-        for x in rng.uniform(0, 1, size=40):
-            i = locate_interval(float(x), running_cfg.partition)
-            q = float(running_cfg.maps.inverse(i, x))
+        xs = rng.uniform(0, 1, size=40)
+        idx = locate_many(xs, running_cfg.partition)
+        for x, i, q in zip(xs, idx, running_cfg.maps.inverse_many(idx, xs)):
             lhs = series_eval(float(x), depth, running_cfg)
             rhs = (float(running_cfg.germ(x))
                    + float(running_cfg.levels.scaling(i, 1)(q))

@@ -2,82 +2,107 @@ import numpy as np
 import pytest
 
 from alphafractal import (
+    AffineMapSet,
     FunctionSpec,
-    Level,
-    LevelSequence,
     PerturbationLevel,
     PerturbationSpec,
-    ProblemConfig,
     apply_F,
-    apply_T,
+    backward_trajectory,
     build_partition,
-    decompose_address,
-    derive_affine_maps,
-    locate_interval,
+    series_eval,
 )
+from alphafractal.engine import _rb_step
 from alphafractal.errors import EndpointMismatch, OutOfDomain, PerturbationTooLarge
-from alphafractal.ifs import rb_composed
+from alphafractal.ifs import locate_many
+
+from reference import ref_coefficients, ref_locate
 
 DOM = (0.0, 1.0)
+
+
+def _address(xs, p, depth):
+    """Backward address of each point through locate_many and inverse_many:
+    z_0 = x, i_j = interval of z_{j-1}, z_j = Q_{i_j}(z_{j-1}).  Returns the
+    indices, shape (depth, n), and the points z_0 .. z_depth, (depth + 1, n)."""
+    maps = AffineMapSet.from_partition(p)
+    z = np.atleast_1d(np.asarray(xs, dtype=float))
+    indices, points = [], [z]
+    for _ in range(depth):
+        idx = locate_many(z, p)
+        z = maps.inverse_many(idx, z)
+        indices.append(idx)
+        points.append(z)
+    return np.array(indices), np.array(points)
 
 
 class TestLocate:
     def test_interior_knot_goes_right(self):
         p = build_partition([0.0, 0.5, 1.0])
-        assert locate_interval(0.5, p) == 2
+        assert locate_many(np.array([0.5]), p).tolist() == [2]
 
     def test_right_endpoint_closed(self):
         p = build_partition([0.0, 0.5, 1.0])
-        assert locate_interval(1.0, p) == 2
+        assert locate_many(np.array([1.0]), p).tolist() == [2]
 
     def test_containment(self):
         p = build_partition([0.0, 0.25, 1.0])
-        assert locate_interval(0.1, p) == 1
+        assert locate_many(np.array([0.1]), p).tolist() == [1]
+        knots = [0.0, 0.13, 0.3, 0.52, 0.6, 0.81, 1.0]
+        xs = np.concatenate([knots, np.random.default_rng(2).uniform(0, 1, 500)])
+        got = locate_many(xs, build_partition(knots))
+        assert got.tolist() == [ref_locate(float(x), knots) for x in xs]
 
-    def test_out_of_domain(self):
-        p = build_partition([0.0, 0.5, 1.0])
-        with pytest.raises(OutOfDomain):
-            locate_interval(-0.1, p)
-        with pytest.raises(OutOfDomain):
-            locate_interval(1.1, p)
+    def test_out_of_domain(self, running_cfg):
+        # locate_many trusts its input; the public evaluator checks the domain
+        for x in (-0.1, 1.1):
+            with pytest.raises(OutOfDomain):
+                series_eval(x, 3, running_cfg)
 
 
 class TestAddress:
     def test_hand_traced_quarter(self):
         p = build_partition([0.0, 0.5, 1.0])
-        chain = decompose_address(0.25, p, 2)
-        assert chain.indices == (1, 2)
-        assert chain.points == (0.25, 0.5, 0.0)
+        idx, z = _address(0.25, p, 2)
+        assert idx[:, 0].tolist() == [1, 2]
+        assert z[:, 0].tolist() == [0.25, 0.5, 0.0]
 
     def test_left_endpoint_fixed(self):
         p = build_partition([0.0, 0.3, 0.7, 1.0])
-        chain = decompose_address(0.0, p, 4)
-        assert chain.indices == (1, 1, 1, 1)
-        assert chain.points == (0.0,) * 5
+        idx, z = _address(0.0, p, 4)
+        assert idx[:, 0].tolist() == [1, 1, 1, 1]
+        assert z[:, 0].tolist() == [0.0] * 5
 
     def test_hand_traced_three_quarters(self):
         p = build_partition([0.0, 0.5, 1.0])
-        chain = decompose_address(0.75, p, 3)
-        assert chain.indices == (2, 2, 1)
-        assert chain.points == (0.75, 0.5, 0.0, 0.0)
+        idx, z = _address(0.75, p, 3)
+        assert idx[:, 0].tolist() == [2, 2, 1]
+        assert z[:, 0].tolist() == [0.75, 0.5, 0.0, 0.0]
 
     def test_round_trip_recompose(self):
         rng = np.random.default_rng(11)
-        p = build_partition([0.0, 0.2, 0.55, 0.8, 1.0])
-        maps = derive_affine_maps(p)
-        for x in rng.uniform(0.0, 1.0, size=50):
-            chain = decompose_address(float(x), p, 6)
-            assert abs(chain.recompose(maps) - x) < 1e-12
+        knots = [0.0, 0.2, 0.55, 0.8, 1.0]
+        p = build_partition(knots)
+        maps = AffineMapSet.from_partition(p)
+        xs = rng.uniform(0.0, 1.0, size=50)
+        idx, z = _address(xs, p, 6)
+        # the raw inverse (z - e_i) / a_i of the closed-form coefficients
+        a, e = ref_coefficients(knots)
+        for j in range(6):
+            raw = [(zz - e[i - 1]) / a[i - 1] for i, zz in zip(idx[j], z[j])]
+            assert np.max(np.abs(z[j + 1] - raw)) < 1e-12
+        # l_{i_1}(l_{i_2}(... l_{i_6}(z_6))) returns to x
+        back = z[-1]
+        for j in reversed(range(6)):
+            back = np.array([maps.forward(int(i), zz) for i, zz in zip(idx[j], back)])
+        assert np.max(np.abs(back - xs)) < 1e-12
 
     def test_knots_reach_the_ends_within_n_steps(self):
         p = build_partition([0.0, 0.2, 0.55, 0.8, 1.0])
-        ends = {p.lo, p.hi}
-        for k in p.knots:
-            chain = decompose_address(k, p, p.n_intervals)
-            assert chain.terminal in ends
-            # and the ends are fixed from there on
-            longer = decompose_address(k, p, p.n_intervals + 3)
-            assert longer.points[p.n_intervals:] == (chain.terminal,) * 4
+        n = p.n_intervals
+        _, z = _address(p.knots, p, n + 3)
+        assert set(z[n].tolist()) <= {p.lo, p.hi}
+        # and the ends are fixed from there on
+        assert np.array_equal(z[n:], np.broadcast_to(z[n], z[n:].shape))
 
 
 @pytest.fixture
@@ -124,53 +149,49 @@ def _pert(t, s, theta_val=1.0, n=2, phi_spec=None):
 
 
 class TestApplyT:
+    """The perturbed maps T_{i,r}, applied on the whole grid by the RB step."""
+
+    def _values(self, cfg):
+        return cfg.germ_values + 0.1 * np.random.default_rng(17).normal(size=cfg.grid.size)
+
     def test_zero_perturbation_matches_integrand(self, cfg):
         pert = PerturbationSpec.zeros(2, DOM)
-        for i, x in [(1, 0.2), (2, 0.6), (2, 1.0)]:
-            y = 0.37
-            assert apply_T(i, 1, x, y, cfg, pert) == rb_composed(i, 1, x, y, cfg)
+        values = self._values(cfg)
+        for r in (1, 2):
+            assert np.array_equal(_rb_step(values, r, cfg, pert), _rb_step(values, r, cfg))
 
     def test_zero_perturbation_exact_on_full_grid(self, cfg):
         pert = PerturbationSpec.zeros(2, DOM)
-        rng = np.random.default_rng(17)
-        ys = rng.normal(size=cfg.grid.size)
-        for i in range(1, cfg.n_intervals + 1):
-            xl, xr = cfg.partition.interval(i)
-            mask = (cfg.grid >= xl) & (cfg.grid <= xr)
-            xs = cfg.grid[mask]
-            got = apply_T(i, 1, xs, ys[mask], cfg, pert)
-            want = rb_composed(i, 1, xs, ys[mask], cfg)
-            assert np.array_equal(got, want)
+        got = backward_trajectory(None, 12, cfg, pert).values.ys
+        want = backward_trajectory(None, 12, cfg).values.ys
+        assert np.array_equal(got, want)
 
     def test_additive_phi_term(self, cfg):
         phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)  # x(1-x)
         pert = _pert(0.0, 0.5, phi_spec=phi)
-        x, y = 0.25, 0.1
-        base = rb_composed(1, 1, x, y, cfg)
-        q = float(cfg.maps.inverse(1, x))
-        assert apply_T(1, 1, x, y, cfg, pert) == pytest.approx(
-            base + 0.5 * q * (1 - q), abs=1e-15)
+        values = cfg.germ_values
+        added = _rb_step(values, 1, cfg, pert) - _rb_step(values, 1, cfg)
+        a, e = ref_coefficients(list(cfg.partition.knots))
+        for k in range(0, cfg.grid.size, 37):
+            x = float(cfg.grid[k])
+            i = ref_locate(x, cfg.partition.knots)
+            q = (x - e[i - 1]) / a[i - 1]
+            assert added[k] == pytest.approx(0.5 * q * (1 - q), abs=1e-15)
 
     def test_scaling_shift_equivalence(self, cfg, make_cfg, germ_x, base_x2):
         # alpha=0.4 with t=0.1, theta=1 is the same map as alpha=0.5 unperturbed
         shifted = make_cfg([0.0, 0.5, 1.0], germ_x,
                            [[FunctionSpec.constant(0.5, DOM)] * 2], [base_x2])
         pert = _pert(0.1, 0.0)
-        for i, x in [(1, 0.1), (1, 0.45), (2, 0.8)]:
-            y = 0.3
-            got = apply_T(i, 1, x, y, cfg, pert)
-            want = rb_composed(i, 1, x, y, shifted)
-            assert got == pytest.approx(want, abs=1e-15)
-
-    def test_out_of_interval(self, cfg):
-        pert = PerturbationSpec.zeros(2, DOM)
-        with pytest.raises(OutOfDomain):
-            apply_T(1, 1, 0.75, 0.0, cfg, pert)  # 0.75 not in I_1
+        values = self._values(cfg)
+        got = _rb_step(values, 1, cfg, pert)
+        want = _rb_step(values, 1, shifted)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_too_large_perturbation(self, cfg):
         pert = _pert(0.7, 0.0)  # alpha + t*theta = 1.1
         with pytest.raises(PerturbationTooLarge):
-            apply_T(1, 1, 0.2, 0.0, cfg, pert)
+            backward_trajectory(None, 1, cfg, pert)
 
 
 class TestPerturbationSpec:

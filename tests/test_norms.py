@@ -95,6 +95,9 @@ class TestLipSeminorm:
         grid = np.linspace(0, 1, 11)
         assert np.isnan(lip_seminorm(g, 1.0, grid))
         assert np.isnan(estimate_norms(g, 1.0, grid).lip_d)
+        # a repeated grid point gives a 0/0 quotient; norm_d must not drop it
+        est = estimate_norms(lambda x: x, 1.0, np.array([0, 0.5, 0.5, 1]))
+        assert np.isnan(est.lip_d) and np.isnan(est.norm_d)
 
     def test_strided_grid_matches_pair_oracle(self):
         # 3000 points stride by 2 down to 1500, plus the last point
