@@ -20,6 +20,7 @@ from .core import (
     evaluate,
     repeat_last,
     specs_equal,
+    sup_abs,
 )
 from .engine import (
     backward_trajectory,
@@ -118,17 +119,17 @@ class BaseOperatorSpec:
         """Probe estimate of sup ||L_r p|| / ||p|| over random polynomials."""
         rng = rng_from(rng)
         grid = cfg.grid
-        worst = 0.0
         depth = max(self.prefix_len, 1)
-        for _ in range(probes):
-            p = random_polynomial_spec(rng, cfg.domain, POLY_DEGREE)
-            p_sup = float(np.max(np.abs(evaluate(p, grid))))
+
+        def ratio(p):
+            p_sup = sup_abs([evaluate(p, grid)])
             if p_sup < 1e-12:
-                continue
-            for r in range(1, depth + 1):
-                lp = evaluate(self.apply(r, p, cfg.partition), grid)
-                worst = max(worst, float(np.max(np.abs(lp))) / p_sup)
-        return worst
+                return 0.0
+            return sup_abs(evaluate(self.apply(r, p, cfg.partition), grid)
+                           for r in range(1, depth + 1)) / p_sup
+
+        return sup_abs([ratio(random_polynomial_spec(rng, cfg.domain, POLY_DEGREE))
+                        for _ in range(probes)])
 
 
 def config_with_operator_bases(cfg: ProblemConfig, op: BaseOperatorSpec) -> ProblemConfig:
@@ -155,7 +156,7 @@ def error_bound(cfg: ProblemConfig, op: BaseOperatorSpec) -> BoundReport:
     gap = cfg2.base_gap_sup
     predicted = a / (1.0 - a) * gap
     depth = resolve_depth(cfg2)
-    observed = float(np.max(np.abs(_trajectory_values(cfg2, depth) - cfg2.germ_values)))
+    observed = sup_abs([_trajectory_values(cfg2, depth) - cfg2.germ_values])
     return BoundReport(
         name="error",
         predicted=predicted,
@@ -172,7 +173,7 @@ def corollary_bound(cfg: ProblemConfig, op: BaseOperatorSpec, j: int = 1) -> Bou
     gap = cfg2.base_gap_sup
     predicted = gap / (1.0 - a)
     depth = resolve_depth(cfg2)
-    observed = float(np.max(np.abs(_trajectory_values(cfg2, depth) - cfg2.base_values(j))))
+    observed = sup_abs([_trajectory_values(cfg2, depth) - cfg2.base_values(j)])
     return BoundReport(
         name=f"corollary[j={j}]",
         predicted=predicted,
@@ -199,13 +200,12 @@ def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
         f2 = random_polynomial_spec(rng, cfg.domain, POLY_DEGREE)
         cfg1 = config_with_operator_bases(cfg.with_germ(f1), op)
         cfg2 = config_with_operator_bases(cfg.with_germ(f2), op)
-        denom = float(np.max(np.abs(cfg1.germ_values - cfg2.germ_values)))
+        denom = sup_abs([cfg1.germ_values - cfg2.germ_values])
         if denom < 1e-12:
             skipped += 1
             continue
         depth = max(resolve_depth(cfg1), resolve_depth(cfg2))
-        diff = float(np.max(np.abs(_trajectory_values(cfg1, depth)
-                                   - _trajectory_values(cfg2, depth))))
+        diff = sup_abs([_trajectory_values(cfg1, depth) - _trajectory_values(cfg2, depth)])
         trunc = max(trunc, (truncation_error(cfg1, depth)
                             + truncation_error(cfg2, depth)) / denom)
         worst = max(worst, diff / denom)
@@ -242,7 +242,7 @@ def relative_bound_check(cfg: ProblemConfig, op: BaseOperatorSpec,
         cfg2 = config_with_operator_bases(cfg.with_germ(f), op)
         rhs = cfg2.germ_sup / (1.0 - a) + a / (1.0 - a) * cfg2.base_sup
         depth = resolve_depth(cfg2)
-        lhs = float(np.max(np.abs(_trajectory_values(cfg2, depth))))
+        lhs = sup_abs([_trajectory_values(cfg2, depth)])
         trunc = max(trunc, truncation_error(cfg2, depth))
         if rhs - lhs < worst_margin:
             worst_margin = rhs - lhs
@@ -280,12 +280,11 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
     / (1 - ||alpha||) for configurations sharing partition and scalings."""
     _require_shared_system(cfgA, cfgB)
     a = max(cfgA.alpha_sup, cfgB.alpha_sup)
-    germ_gap = float(np.max(np.abs(cfgA.germ_values - cfgB.germ_values)))
+    germ_gap = sup_abs([cfgA.germ_values - cfgB.germ_values])
     base_gap = cfgA.base_distance(cfgB)
     predicted = (germ_gap + a * base_gap) / (1.0 - a)
     depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
-    observed = float(np.max(np.abs(_trajectory_values(cfgA, depth)
-                                   - _trajectory_values(cfgB, depth))))
+    observed = sup_abs([_trajectory_values(cfgA, depth) - _trajectory_values(cfgB, depth)])
     return BoundReport(
         name="stability",
         predicted=predicted,
@@ -331,7 +330,7 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
         required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, DEPTH_CAP),
     )
     pert_vals = backward_trajectory(None, depth, cfg, pert).values.ys
-    observed = float(np.max(np.abs(pert_vals - _trajectory_values(cfg, depth))))
+    observed = sup_abs([pert_vals - _trajectory_values(cfg, depth)])
     predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     trunc = truncation_error(cfg, depth) + geometric_tail(rate, gap + phi_sup, depth)
     return BoundReport(

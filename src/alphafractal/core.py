@@ -25,6 +25,7 @@ from .errors import (
     EndpointMismatch,
     LipConditionViolated,
     NonMonotoneKnots,
+    OutOfDomain,
     ScalingNotContractive,
     TooFewKnots,
 )
@@ -53,6 +54,20 @@ def evaluate(fn: FunctionLike, x) -> np.ndarray:
     if out.shape != x.shape:
         out = np.broadcast_to(out, x.shape).copy()
     return out
+
+
+def sup_abs(arrays) -> float:
+    """Largest |value| over a family of arrays: NaN when any value is NaN,
+    0.0 for an empty family."""
+    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
+
+
+def in_domain(x, domain) -> np.ndarray:
+    """``x`` as a float array; OutOfDomain unless every point (never NaN) lies in it."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all((xa >= domain[0]) & (xa <= domain[1])):
+        raise OutOfDomain(f"x outside [{domain[0]}, {domain[1]}]")
+    return xa
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +378,8 @@ class LevelSequence:
         if any(len(lv.scalings) != n for lv in levels):
             raise ConfigError("all levels must carry the same number of scaling functions")
         object.__setattr__(self, "levels", levels)
-        sups = [
-            np.max(np.abs(evaluate(spec, np.linspace(*spec.domain, 513))))
-            for lv in levels for spec in lv.scalings if isinstance(spec, FunctionSpec)
-        ]
-        worst = float(np.max(sups, initial=0.0))
+        worst = sup_abs(evaluate(spec, np.linspace(*spec.domain, 513)) for lv in levels
+                        for spec in lv.scalings if isinstance(spec, FunctionSpec))
         if not worst < 1.0:
             raise ScalingNotContractive(
                 f"scaling sup-norm estimate {worst:.6g} is not below 1; "
@@ -397,8 +409,7 @@ class LevelSequence:
     def alpha_sup(self, grid: np.ndarray) -> float:
         """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over the
         prefix); NaN when any scaling value is NaN."""
-        return float(np.max([np.max(np.abs(evaluate(spec, grid)))
-                             for lv in self.levels for spec in lv.scalings]))
+        return sup_abs(evaluate(spec, grid) for lv in self.levels for spec in lv.scalings)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +453,7 @@ class SampledFunction:
     def sup_diff(self, other: "SampledFunction") -> float:
         if not np.array_equal(self.xs, other.xs):
             raise ValueError("sup_diff requires a shared grid")
-        return float(np.max(np.abs(self.ys - other.ys)))
+        return sup_abs([self.ys - other.ys])
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +527,8 @@ class ProblemConfig:
                     "ordinates must match the germ at both endpoints "
                     f"(residuals {abs(ords[0] - f0):.3g}, {abs(ords[-1] - fN):.3g})"
                 )
-            interior = np.abs(np.asarray(ords[1:-1])
-                              - evaluate(self.germ, self.partition.array()[1:-1]))
-            if interior.size and float(np.max(interior)) > ENDPOINT_TOL:
+            interior = [np.asarray(ords[1:-1]) - evaluate(self.germ, self.partition.array()[1:-1])]
+            if sup_abs(interior) > ENDPOINT_TOL:
                 warnings.warn(
                     "interior ordinates differ from the germ values; the construction "
                     "interpolates (x_i, f(x_i)), so these ordinates will not be hit",
@@ -584,7 +594,7 @@ class ProblemConfig:
 
     @property
     def germ_sup(self) -> float:
-        return self._cached("_germ_sup", lambda: float(np.max(np.abs(self.germ_values))))
+        return self._cached("_germ_sup", lambda: sup_abs([self.germ_values]))
 
     def base_values(self, r: int) -> np.ndarray:
         """b_r on the grid, evaluated once per prefix level (repeat-last
@@ -602,34 +612,21 @@ class ProblemConfig:
     def base_gap_sup(self) -> float:
         """Grid estimate of sup_r ||f - b_r||_inf (finite max over the prefix);
         NaN when any base value is NaN."""
-
-        def build():
-            return float(np.max([
-                np.max(np.abs(self.germ_values - self.base_values(r)))
-                for r in range(1, self.levels.prefix_len + 1)
-            ]))
-
-        return self._cached("_base_gap_sup", build)
+        return self._cached("_base_gap_sup", lambda: sup_abs(
+            self.germ_values - self.base_values(r)
+            for r in range(1, self.levels.prefix_len + 1)))
 
     @property
     def base_sup(self) -> float:
         """Grid estimate of sup_r ||b_r||_inf; NaN when any base value is NaN."""
-
-        def build():
-            return float(np.max([
-                np.max(np.abs(self.base_values(r)))
-                for r in range(1, self.levels.prefix_len + 1)
-            ]))
-
-        return self._cached("_base_sup", build)
+        return self._cached("_base_sup", lambda: sup_abs(
+            self.base_values(r) for r in range(1, self.levels.prefix_len + 1)))
 
     def base_distance(self, other: "ProblemConfig") -> float:
-        """sup_r ||b_r - bhat_r||_inf on a shared grid, over the longer prefix."""
+        """sup_r ||b_r - bhat_r||_inf on a shared grid, over the longer prefix;
+        NaN when any base value is NaN."""
         n = max(self.levels.prefix_len, other.levels.prefix_len)
-        return max(
-            float(np.max(np.abs(self.base_values(r) - other.base_values(r))))
-            for r in range(1, n + 1)
-        )
+        return sup_abs(self.base_values(r) - other.base_values(r) for r in range(1, n + 1))
 
     @property
     def r_bound(self) -> float:
@@ -745,7 +742,7 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
                 "EndpointMismatch",
                 f"base b_{r} endpoint residuals {res[0]:.3g}, {res[1]:.3g} exceed {ENDPOINT_TOL}",
             ))
-        if float(np.max(np.abs(b_vals - f_vals))) < DEGENERATE_TOL:
+        if sup_abs([b_vals - f_vals]) < DEGENERATE_TOL:
             degenerate.append(r)
     if degenerate:
         warnings.warn(

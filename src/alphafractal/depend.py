@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import VERIFY_TOL
-from .core import Partition, ProblemConfig, evaluate
+from .core import Partition, ProblemConfig, evaluate, sup_abs
 from .engine import backward_trajectory, resolve_depth, truncation_error
 from .errors import CapViolated, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
@@ -29,10 +29,8 @@ def _interpolant_sup_diff(cfgA: ProblemConfig, cfgB: ProblemConfig) -> tuple[flo
     depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
     fa = backward_trajectory(None, depth, cfgA).values
     fb = backward_trajectory(None, depth, cfgB).values
-    if np.array_equal(fa.xs, fb.xs):
-        return float(np.max(np.abs(fa.ys - fb.ys))), depth
     common = np.union1d(fa.xs, fb.xs)
-    return float(np.max(np.abs(fa(common) - fb(common)))), depth
+    return sup_abs([fa(common) - fb(common)]), depth
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +81,9 @@ def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
                 f"{label} scaling sequence sup estimate {c.alpha_sup:.6g} exceeds cap {s_cap}"
             )
     depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
-    dist = 0.0
-    for r in range(1, depth_levels + 1):
-        for i in range(1, cfg.n_intervals + 1):
-            gap = np.abs(evaluate(cfgA.levels.scaling(i, r), cfg.grid)
-                         - evaluate(cfgB.levels.scaling(i, r), cfg.grid))
-            dist = max(dist, float(np.max(gap)))
+    dist = sup_abs(evaluate(cfgA.levels.scaling(i, r), cfg.grid)
+                   - evaluate(cfgB.levels.scaling(i, r), cfg.grid)
+                   for r in range(1, depth_levels + 1) for i in range(1, cfg.n_intervals + 1))
     predicted = dist * cfg.base_gap_sup / (1.0 - s_cap) ** 2
     observed, depth = _interpolant_sup_diff(cfgA, cfgB)
     trunc = truncation_error(cfgA, depth) + truncation_error(cfgB, depth)
@@ -124,8 +119,8 @@ def theta_constants(cfg: ProblemConfig) -> dict:
         grid = cfg.grid
         inflate = 1.0 + LIP_SLACK
         k_f = inflate * lip_seminorm(cfg.germ, 1.0, grid)
-        k_b = inflate * max(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
-        k_alpha = inflate * max(
+        k_b = inflate * sup_abs(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
+        k_alpha = inflate * sup_abs(
             lip_seminorm(spec, 1.0, grid) for lv in cfg.levels.levels for spec in lv.scalings
         )
         A = cfg.maps.A
@@ -174,14 +169,12 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     l2 = float(np.linalg.norm(p.array()[1:-1] - other.array()[1:-1]))
     predicted = 2.0 * (1.0 + theta * k_f) * l2
 
-    grid = cfg.grid
-    observed = 0.0
-    for i in range(1, p.n_intervals + 1):
-        la = np.asarray(cfg.maps.forward(i, grid), dtype=float)
-        lb = np.asarray(cfgB.maps.forward(i, grid), dtype=float)
-        shift = np.abs(la - lb) + theta * np.abs(evaluate(cfg.germ, la)
-                                                 - evaluate(cfg.germ, lb))
-        observed = max(observed, float(np.max(shift)))
+    def shift(i):
+        la = cfg.maps.forward(i, cfg.grid)
+        lb = cfgB.maps.forward(i, cfg.grid)
+        return np.abs(la - lb) + theta * np.abs(evaluate(cfg.germ, la) - evaluate(cfg.germ, lb))
+
+    observed = sup_abs(shift(i) for i in range(1, p.n_intervals + 1))
 
     sup_diff, depth = _interpolant_sup_diff(cfg, cfgB)
     return BoundReport(

@@ -26,9 +26,11 @@ from .core import (
     ProblemConfig,
     SampledFunction,
     evaluate,
+    in_domain,
     specs_equal,
+    sup_abs,
 )
-from .errors import DepthZero, GridMismatch, EndpointMismatch, NotValidated, OutOfDomain
+from .errors import DepthZero, GridMismatch, EndpointMismatch, NotValidated
 from .ifs import PerturbationSpec, locate_many
 
 INTERPOLATION_TOL = 1e-8  # default |f^alpha(x_i) - y_i| tolerance at knots
@@ -109,7 +111,7 @@ def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:
     if not np.array_equal(g.xs, cfg.grid):
         raise GridMismatch("input is not sampled on the configured grid")
     f_vals = cfg.germ_values
-    res = max(abs(float(g.ys[0] - f_vals[0])), abs(float(g.ys[-1] - f_vals[-1])))
+    res = sup_abs([g.ys[[0, -1]] - f_vals[[0, -1]]])
     if res > ENDPOINT_TOL:
         raise EndpointMismatch(
             f"input endpoint residual {res:.3g} exceeds {ENDPOINT_TOL}"
@@ -236,10 +238,7 @@ def series_eval(x, depth: int, cfg: ProblemConfig):
     """Truncated self-referential series at x; truncation error is bounded by
     the geometric tail ||alpha||^{depth+1}/(1-||alpha||) sup_r||f - b_r||."""
     require_valid(cfg)
-    xa = np.asarray(x, dtype=float)
-    lo, hi = cfg.domain
-    if np.any(xa < lo) or np.any(xa > hi):
-        raise OutOfDomain(f"evaluation point outside [{lo}, {hi}]")
+    xa = in_domain(x, cfg.domain)
     out = _series_values(np.atleast_1d(xa), depth, cfg)
     return float(out[0]) if xa.shape == () else out
 
@@ -278,7 +277,7 @@ def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
     vals = cfg.germ_values.copy()
     for it in range(1, max_iter + 1):
         new = _rb_step(vals, 1, cfg)
-        delta = float(np.max(np.abs(new - vals)))
+        delta = sup_abs([new - vals])
         vals = new
         if delta <= tol:
             return Interpolant(cfg=cfg, depth=it, values=SampledFunction(cfg.grid, vals))

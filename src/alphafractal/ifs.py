@@ -20,9 +20,11 @@ from .core import (
     Partition,
     ProblemConfig,
     evaluate,
+    in_domain,
     repeat_last,
+    sup_abs,
 )
-from .errors import ConfigError, EndpointMismatch, OutOfDomain, PerturbationTooLarge
+from .errors import ConfigError, EndpointMismatch, PerturbationTooLarge
 
 
 def locate_many(x: np.ndarray, p: Partition) -> np.ndarray:
@@ -55,7 +57,7 @@ class PerturbationLevel:
         n = len(self.t)
         if not (len(self.s) == len(self.theta) == len(self.phi) == n):
             raise ConfigError("perturbation level needs t, s, theta, phi per interval")
-        if any(abs(v) >= 1.0 for v in self.t) or any(abs(v) >= 1.0 for v in self.s):
+        if not all(abs(v) < 1.0 for v in self.t + self.s):
             raise PerturbationTooLarge("perturbation parameters must satisfy |t|, |s| < 1")
 
 
@@ -111,22 +113,16 @@ class PerturbationSpec:
         return repeat_last(self.levels, r)
 
     def t_sup(self) -> float:
-        return max(max(abs(v) for v in lv.t) for lv in self.levels)
+        return sup_abs(lv.t for lv in self.levels)
 
     def s_sup(self) -> float:
-        return max(max(abs(v) for v in lv.s) for lv in self.levels)
+        return sup_abs(lv.s for lv in self.levels)
 
     def theta_sup(self, grid: np.ndarray) -> float:
-        return max(
-            float(np.max(np.abs(evaluate(th, grid))))
-            for lv in self.levels for th in lv.theta
-        )
+        return sup_abs(evaluate(th, grid) for lv in self.levels for th in lv.theta)
 
     def phi_sup(self, grid: np.ndarray) -> float:
-        return max(
-            float(np.max(np.abs(evaluate(ph, grid))))
-            for lv in self.levels for ph in lv.phi
-        )
+        return sup_abs(evaluate(ph, grid) for lv in self.levels for ph in lv.phi)
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
         """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 per level."""
@@ -134,14 +130,12 @@ class PerturbationSpec:
         depth = max(self.prefix_len, cfg.levels.prefix_len)
         for r in range(1, depth + 1):
             lv = self.level(r)
-            worst = 0.0
-            for i in range(1, cfg.n_intervals + 1):
-                av = evaluate(cfg.levels.scaling(i, r), grid)
-                tv = lv.t[i - 1] * evaluate(lv.theta[i - 1], grid)
-                worst = max(worst, float(np.max(np.abs(av + tv))))
-            if worst >= 1.0:
+            worst = sup_abs(evaluate(cfg.levels.scaling(i, r), grid)
+                            + lv.t[i - 1] * evaluate(lv.theta[i - 1], grid)
+                            for i in range(1, cfg.n_intervals + 1))
+            if not worst < 1.0:
                 raise PerturbationTooLarge(
-                    f"level {r}: ||alpha + t*theta||_inf estimate {worst:.6g} >= 1"
+                    f"level {r}: ||alpha + t*theta||_inf estimate {worst:.6g} is not below 1"
                 )
 
 
@@ -152,10 +146,7 @@ class PerturbationSpec:
 
 def apply_F(i: int, r: int, x, y, cfg: ProblemConfig):
     """F_{i,r}(x, y) = alpha_{i,r}(x) y + f(l_i(x)) - alpha_{i,r}(x) b_r(x) for x in I."""
-    xa = np.asarray(x, dtype=float)
-    lo, hi = cfg.domain
-    if np.any(xa < lo) or np.any(xa > hi):
-        raise OutOfDomain(f"x outside [{lo}, {hi}]")
+    xa = in_domain(x, cfg.domain)
     if not 1 <= i <= cfg.n_intervals:
         raise ConfigError(f"interval index {i} outside 1..{cfg.n_intervals}")
     alpha = evaluate(cfg.levels.scaling(i, r), xa)

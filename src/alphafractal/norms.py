@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConfig, evaluate
+from .core import ProblemConfig, evaluate, sup_abs
 from .errors import BadExponent, EmptyGrid
 from .report import BoundReport
 
@@ -24,7 +24,7 @@ def sup_norm(g, grid) -> float:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("sup_norm needs a non-empty grid")
-    return float(np.max(np.abs(evaluate(g, grid))))
+    return sup_abs([evaluate(g, grid)])
 
 
 def lip_seminorm(g, d: float, grid) -> float:

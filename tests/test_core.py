@@ -12,6 +12,7 @@ from alphafractal import (
     trajectory_interpolant,
     validate_level_sequence,
 )
+from alphafractal.core import sup_abs
 from alphafractal.errors import (
     BadExponent,
     ConfigError,
@@ -282,3 +283,40 @@ class TestProblemConfig:
         for eps in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 DepthPolicy(eps=eps)
+
+    def test_base_distance_propagates_nan(self, germ_x, base_x2):
+        # the second of two levels has a base that is NaN right of 0.5
+        def nan_base(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.5, np.nan, x * x)
+
+        a = FunctionSpec.constant(0.4, DOM)
+        p = build_partition([0.0, 0.5, 1.0])
+        clean = ProblemConfig(p, germ_x, LevelSequence((Level((a, a), base_x2),)), grid_size=65)
+        dirty = clean.with_bases((base_x2, nan_base))
+        assert clean.base_distance(clean.with_bases((base_x2, germ_x))) > 0.0
+        assert np.isnan(clean.base_distance(dirty))
+        assert np.isnan(dirty.base_distance(clean))
+
+
+class TestSupAbs:
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_nan_anywhere_gives_nan(self, where):
+        family = [np.array([0.5, -2.0]), np.array([3.0]), np.array([-1.0, 0.25])]
+        family[where] = np.append(family[where], np.nan)
+        assert np.isnan(sup_abs(family))
+        assert np.isnan(sup_abs(iter(family)))
+
+    def test_empty_family_gives_zero(self):
+        assert sup_abs([]) == 0.0
+        assert sup_abs(iter(())) == 0.0
+
+    def test_matches_python_max(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            family = [rng.normal(scale=10.0, size=rng.integers(1, 40))
+                      for _ in range(rng.integers(1, 6))]
+            want = max(abs(float(v)) for a in family for v in a)
+            got = sup_abs(family)
+            assert type(got) is float
+            assert got == want

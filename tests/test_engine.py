@@ -277,8 +277,11 @@ class TestSeries:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_out_of_domain(self, running_cfg):
-        with pytest.raises(OutOfDomain):
-            series_eval(1.5, 3, running_cfg)
+        for x in (1.5, float("nan"), np.array([0.25, np.nan])):
+            with pytest.raises(OutOfDomain):
+                series_eval(x, 3, running_cfg)
+            with pytest.raises(OutOfDomain):
+                eval_interpolant(x, running_cfg)
 
     def test_self_referential_residual(self, running_cfg):
         # f^alpha(x) = f(x) + alpha_{i,1}(Q_i x)(f^alpha - b_1)(Q_i x) within 2 eps

@@ -54,7 +54,7 @@ class TestLocate:
 
     def test_out_of_domain(self, running_cfg):
         # locate_many trusts its input; the public evaluator checks the domain
-        for x in (-0.1, 1.1):
+        for x in (-0.1, 1.1, float("nan")):
             with pytest.raises(OutOfDomain):
                 series_eval(x, 3, running_cfg)
 
@@ -137,8 +137,9 @@ class TestApplyF:
             assert right == pytest.approx(float(f(cfg.partition.knots[i])), abs=1e-9)
 
     def test_out_of_domain(self, cfg):
-        with pytest.raises(OutOfDomain):
-            apply_F(1, 1, 1.5, 0.0, cfg)
+        for x in (1.5, float("nan"), [0.5, float("nan")]):
+            with pytest.raises(OutOfDomain):
+                apply_F(1, 1, x, 0.0, cfg)
 
 
 def _pert(t, s, theta_val=1.0, n=2, phi_spec=None):
@@ -205,6 +206,10 @@ class TestPerturbationSpec:
             _pert(1.0, 0.0)
         with pytest.raises(PerturbationTooLarge):
             _pert(0.0, -1.2)
+        with pytest.raises(PerturbationTooLarge):
+            _pert(float("nan"), 0.0)
+        with pytest.raises(PerturbationTooLarge):
+            _pert(0.0, float("nan"))
 
     def test_norm_helpers(self):
         phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)
@@ -214,3 +219,30 @@ class TestPerturbationSpec:
         assert pert.s_sup() == 0.5
         assert pert.theta_sup(grid) == pytest.approx(0.8)
         assert pert.phi_sup(grid) == pytest.approx(0.25, abs=1e-6)
+        # a NaN in the second interval only must not be dropped by the sup;
+        # the constructor rejects a NaN t or s, so plant them past it
+        lv = pert.levels[0]
+        object.__setattr__(lv, "t", (0.25, float("nan")))
+        object.__setattr__(lv, "s", (-0.5, float("nan")))
+        assert np.isnan(pert.t_sup())
+        assert np.isnan(pert.s_sup())
+        nan_fn = lambda x: np.full(np.shape(x), np.nan)  # noqa: E731
+        object.__setattr__(lv, "theta", (lv.theta[0], nan_fn))
+        object.__setattr__(lv, "phi", (lv.phi[0], nan_fn))
+        assert np.isnan(pert.theta_sup(grid))
+        assert np.isnan(pert.phi_sup(grid))
+
+    def test_nan_theta_is_not_contractive(self, running_cfg):
+        # theta is 0.2 left of 0.5 and NaN right of it; with t = 0.5 the
+        # estimate of ||alpha + t theta|| is NaN, which is not below 1
+        def theta(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.5, np.nan, 0.2)
+
+        zero = FunctionSpec.constant(0.0, DOM)
+        pert = PerturbationSpec((PerturbationLevel(
+            t=(0.5, 0.5), s=(0.0, 0.0), theta=(theta, theta), phi=(zero, zero)),))
+        with pytest.raises(PerturbationTooLarge):
+            pert.check_contractive(running_cfg)
+        with pytest.raises(PerturbationTooLarge):
+            backward_trajectory(None, 3, running_cfg, pert)
