@@ -302,21 +302,21 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
 
 def sensitivity_predicted(alpha_sup: float, t_sup: float, s_sup: float,
                           theta_sup: float, phi_sup: float, base_gap: float) -> float:
-    """The closed-form sensitivity bound; requires 1 - ||alpha|| - ||t|| ||theta|| > 0."""
+    """The closed-form sensitivity bound; requires ||alpha|| + ||t|| ||theta|| < 1."""
     c = t_sup * theta_sup
+    rate = alpha_sup + c  # rate < 1 in floats also makes denom > 0
+    if not rate < 1.0:
+        raise PerturbationTooLarge(f"||alpha|| + ||t||*||theta|| = {rate:.6g} is not below 1")
     denom = 1.0 - alpha_sup - c
-    if denom <= 0.0:
-        raise PerturbationTooLarge(
-            f"1 - ||alpha|| - ||t||*||theta|| = {denom:.6g} <= 0"
-        )
     return (phi_sup / denom * s_sup
             + theta_sup * base_gap / ((1.0 - alpha_sup) * denom) * t_sup)
 
 
 def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport:
     """Distance between the perturbed-map interpolant and the unperturbed one,
-    against the closed-form bound in ||s|| and ||t||.  The perturbed trajectory
-    checks ||alpha + t theta|| < 1 before the formula's own precondition."""
+    against the closed-form bound in ||s|| and ||t||.  The formula's
+    precondition, checked before any trajectory runs, keeps the tail rate
+    ||alpha|| + ||t|| ||theta|| below 1."""
     grid = cfg.grid
     a = cfg.alpha_sup
     t_sup = pert.t_sup()
@@ -324,14 +324,14 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     theta_sup = pert.theta_sup(grid)
     phi_sup = pert.phi_sup(grid)
     gap = cfg.base_gap_sup
-    rate = min(a + t_sup * theta_sup, 0.999999)
+    predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
+    rate = a + t_sup * theta_sup
     depth = max(
         resolve_depth(cfg),
         required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, DEPTH_CAP),
     )
     pert_vals = backward_trajectory(None, depth, cfg, pert).values.ys
     observed = sup_abs([pert_vals - _trajectory_values(cfg, depth)])
-    predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     trunc = truncation_error(cfg, depth) + geometric_tail(rate, gap + phi_sup, depth)
     return BoundReport(
         name="sensitivity",

@@ -362,10 +362,9 @@ class Level:
 class LevelSequence:
     """Explicit prefix of levels r = 1..R; levels beyond the prefix repeat the last.
 
-    Construction rejects scaling vectors whose estimated sup-norm reaches 1
-    (checked for FunctionSpec scalings on their own domains; arbitrary
-    callables are only checked once a grid is known, in
-    ``validate_level_sequence``).
+    Construction checks only the shape.  The contraction hypothesis
+    ||alpha||_inf < 1 needs a grid, so ``validate_level_sequence`` checks it
+    once per config, for FunctionSpec scalings and plain callables alike.
     """
 
     levels: tuple[Level, ...]
@@ -378,13 +377,6 @@ class LevelSequence:
         if any(len(lv.scalings) != n for lv in levels):
             raise ConfigError("all levels must carry the same number of scaling functions")
         object.__setattr__(self, "levels", levels)
-        worst = sup_abs(evaluate(spec, np.linspace(*spec.domain, 513)) for lv in levels
-                        for spec in lv.scalings if isinstance(spec, FunctionSpec))
-        if not worst < 1.0:
-            raise ScalingNotContractive(
-                f"scaling sup-norm estimate {worst:.6g} is not below 1; "
-                "the RB operators would not contract"
-            )
 
     @property
     def prefix_len(self) -> int:

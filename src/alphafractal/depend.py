@@ -76,7 +76,7 @@ def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
     cfgA = cfg.with_scalings(tuple(tuple(v) for v in alphas_a))
     cfgB = cfg.with_scalings(tuple(tuple(v) for v in alphas_b))
     for label, c in (("first", cfgA), ("second", cfgB)):
-        if c.alpha_sup > s_cap:
+        if not c.alpha_sup <= s_cap:
             raise CapViolated(
                 f"{label} scaling sequence sup estimate {c.alpha_sup:.6g} exceeds cap {s_cap}"
             )

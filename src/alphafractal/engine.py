@@ -27,6 +27,7 @@ from .core import (
     SampledFunction,
     evaluate,
     in_domain,
+    repeat_last,
     specs_equal,
     sup_abs,
 )
@@ -70,35 +71,36 @@ def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_alphas(cfg: ProblemConfig, r: int) -> np.ndarray:
-    """alpha_{i,r} evaluated at the Q points (cached per prefix level)."""
+def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None):
+    """Level r's (scale, bump) at the Q points: alpha_{i,r}(Q_i x) and None
+    (cached per prefix level), or with a perturbation alpha + t theta and
+    s phi (built fresh; callers keep them for the trajectory)."""
     r_eff = min(r, cfg.levels.prefix_len)
+    idx, q = _grid_geometry(cfg)
 
     def build():
-        idx, q = _grid_geometry(cfg)
         alpha_q = _per_interval(cfg.levels.level(r_eff).scalings, idx, q)
         alpha_q.setflags(write=False)
         return alpha_q
 
-    return cfg._cached(f"_rb_alphas_{r_eff}", build)
-
-
-def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig,
-             pert: PerturbationSpec | None = None) -> np.ndarray:
-    """One RB application to grid samples; returns a fresh value array."""
-    idx, q = _grid_geometry(cfg)
-    alpha_q = _level_alphas(cfg, r)
-    # np.interp returns a fresh array, so the step finishes in it.  IEEE
-    # products and sums commute, so this equals f + alpha * diff bit for bit.
-    out = np.interp(q, cfg.grid, values - cfg.base_values(r))
+    alpha_q = cfg._cached(f"_rb_alphas_{r_eff}", build)
     if pert is None:
-        out *= alpha_q
-        out += cfg.germ_values
-        return out
+        return alpha_q, None
     lv = pert.level(r)
-    out *= alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q)
+    return (alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q),
+            np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q))
+
+
+def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig, terms) -> np.ndarray:
+    """One RB application to grid samples, given level r's ``_level_terms``."""
+    scale, bump = terms
+    # np.interp returns a fresh array, so the step finishes in it.  IEEE
+    # products and sums commute: this is f + scale * diff (+ bump) bit for bit.
+    out = np.interp(_grid_geometry(cfg)[1], cfg.grid, values - cfg.base_values(r))
+    out *= scale
     out += cfg.germ_values
-    out += np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q)
+    if bump is not None:
+        out += bump
     return out
 
 
@@ -116,7 +118,7 @@ def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:
         raise EndpointMismatch(
             f"input endpoint residual {res:.3g} exceeds {ENDPOINT_TOL}"
         )
-    return g.with_values(_rb_step(g.ys, r, cfg))
+    return g.with_values(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +203,12 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
         raise GridMismatch("seed is not sampled on the configured grid")
     if pert is not None:
         pert.check_contractive(cfg)
+    # Levels past both prefixes repeat the last: one set of terms per level.
+    top = max(cfg.levels.prefix_len, pert.prefix_len if pert else 1)
+    terms = [_level_terms(cfg, r, pert) for r in range(1, min(depth, top) + 1)]
     vals = g.ys
     for r in range(depth, 0, -1):
-        vals = _rb_step(vals, r, cfg, pert)
+        vals = _rb_step(vals, r, cfg, repeat_last(terms, r))
     return Interpolant(cfg=cfg, depth=depth, values=g.with_values(vals))
 
 
@@ -275,8 +280,9 @@ def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
     if not _levels_constant(cfg):
         raise NotValidated("stationary fixed point needs a constant-in-r level sequence")
     vals = cfg.germ_values.copy()
+    terms = _level_terms(cfg, 1)
     for it in range(1, max_iter + 1):
-        new = _rb_step(vals, 1, cfg)
+        new = _rb_step(vals, 1, cfg, terms)
         delta = sup_abs([new - vals])
         vals = new
         if delta <= tol:

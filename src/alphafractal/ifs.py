@@ -125,7 +125,7 @@ class PerturbationSpec:
         return sup_abs(evaluate(ph, grid) for lv in self.levels for ph in lv.phi)
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
-        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 per level."""
+        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level."""
         grid = cfg.grid
         depth = max(self.prefix_len, cfg.levels.prefix_len)
         for r in range(1, depth + 1):
@@ -137,6 +137,8 @@ class PerturbationSpec:
                 raise PerturbationTooLarge(
                     f"level {r}: ||alpha + t*theta||_inf estimate {worst:.6g} is not below 1"
                 )
+            if not np.isfinite(sup_abs(evaluate(phi, grid) for phi in lv.phi)):
+                raise PerturbationTooLarge(f"level {r}: phi takes non-finite values on the grid")
 
 
 # ---------------------------------------------------------------------------

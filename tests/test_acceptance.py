@@ -33,6 +33,7 @@ from alphafractal.campaigns import (
 from alphafractal.core import Partition, SampledFunction, matched_endpoint_polynomial
 from alphafractal.depend import is_strictly_decreasing, partition_continuity
 from alphafractal.engine import (
+    _level_terms,
     _rb_step,
     apply_rb,
     backward_trajectory,
@@ -138,7 +139,7 @@ def test_criterion_5_geometric_convergence(batch):
     for cfg in batch:
         g = sample_germ(cfg)
         c0 = max(
-            float(np.max(np.abs(_rb_step(g.ys, r, cfg) - g.ys)))
+            float(np.max(np.abs(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)) - g.ys)))
             for r in range(1, cfg.levels.prefix_len + 1)
         )
         outs = [backward_trajectory(None, k, cfg).values.ys for k in range(1, 22)]

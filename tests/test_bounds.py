@@ -17,6 +17,7 @@ from alphafractal import (
     sensitivity_bound,
     stability_bound,
 )
+from alphafractal import bounds
 from alphafractal.bounds import config_with_operator_bases, sensitivity_predicted
 from alphafractal.errors import (
     ConfigError,
@@ -228,6 +229,14 @@ class TestSensitivity:
         # 1 - 0.4 - 0.65 * 1 < 0
         with pytest.raises(PerturbationTooLarge):
             sensitivity_bound(running_cfg, _make_pert(2, t=0.65))
+
+    def test_precondition_checked_before_any_trajectory(self, running_cfg, monkeypatch):
+        # ||alpha + t theta|| = 0.25 passes the contractivity check, but
+        # 1 - 0.4 - 0.65 * 1 < 0 fails the formula's precondition
+        calls = _count_calls(monkeypatch, bounds, "backward_trajectory")
+        with pytest.raises(PerturbationTooLarge):
+            sensitivity_bound(running_cfg, _make_pert(2, t=-0.65))
+        assert calls == []
 
     def test_formula_monotone_in_each_norm(self):
         base = dict(alpha_sup=0.4, t_sup=0.1, s_sup=0.1,

@@ -84,13 +84,19 @@ class TestBuild:
         for row in read_csv(tmp_path / "curve.csv"):
             assert row["falpha"] == row["f"]
 
-    def test_non_contractive_exits_2(self, tmp_path, capsys):
+    def test_non_contractive_exits_2(self, tmp_path, capsys, trajectories):
         data = json.loads(json.dumps(RUNNING_CONFIG))
         data["levels"][0]["scaling"]["value"] = 1.2
         cfg = write_config(tmp_path, data)
-        assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ScalingNotContractive"
+        man = write_config(tmp_path, {"config": data, "experiments": [
+            {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]}]}, "manifest.json")
+        for argv in (["build", "--config", str(cfg)],
+                     ["verify", "--config", str(cfg), "--trials", "1"],
+                     ["sweep", "--manifest", str(man)]):
+            assert main(argv + ["--out", str(tmp_path)]) == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ScalingNotContractive"
+        assert trajectories == []
 
     @pytest.mark.parametrize("section, spec", [
         ("scaling", {"family": "constant", "value": float("nan")}),

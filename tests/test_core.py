@@ -171,12 +171,18 @@ class TestValidation:
         with pytest.raises(EndpointMismatch):
             rep.raise_if_failed()
 
-    def test_scaling_not_contractive_at_construction(self):
+    def test_scaling_not_contractive_reported_by_validation(self, germ_x):
+        # construction checks only the shape; the grid estimate is the one check
+        seq = LevelSequence((Level(
+            (FunctionSpec.constant(1.2, DOM), FunctionSpec.constant(0.5, DOM)),
+            FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM),
+        ),))
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
+        rep = cfg.validation()
+        assert rep.alpha_sup == 1.2
+        assert [code for code, _ in rep.problems] == ["ScalingNotContractive"]
         with pytest.raises(ScalingNotContractive):
-            LevelSequence((Level(
-                (FunctionSpec.constant(1.2, DOM), FunctionSpec.constant(0.5, DOM)),
-                FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM),
-            ),))
+            rep.raise_if_failed()
 
     def test_degenerate_base_warns(self, germ_x):
         cfg = _cfg(0.4, germ_x)

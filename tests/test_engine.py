@@ -90,10 +90,10 @@ class TestRBStepInPlace:
         values = np.random.default_rng(5).normal(size=cfg.grid.size)
         idx, q = engine._grid_geometry(cfg)
         for r in (1, 2, 3):
-            alpha_q = engine._level_alphas(cfg, r)
+            alpha_q = engine._level_terms(cfg, r)[0]
             cached = [idx, q, alpha_q, cfg.base_values(r), cfg.germ_values, cfg.grid]
             before = [a.copy() for a in cached]
-            got = engine._rb_step(values, r, cfg, pert)
+            got = engine._rb_step(values, r, cfg, engine._level_terms(cfg, r, pert))
             diff_q = np.interp(q, cfg.grid, values - cfg.base_values(r))
             if pert is None:
                 want = cfg.germ_values + alpha_q * diff_q
@@ -155,7 +155,7 @@ class TestRBStepOracle:
         values = cfg.germ_values
         for r in (1, 2, 3):  # level 3 repeats level 2
             lv = cfg.levels.level(r)
-            got = engine._rb_step(values, r, cfg, pert)
+            got = engine._rb_step(values, r, cfg, engine._level_terms(cfg, r, pert))
             diff = values - cfg.base_values(r)
             scales = [np.asarray(a(grid)) for a in lv.scalings]
             bumps = [np.zeros_like(grid)] * 6
@@ -181,6 +181,29 @@ class TestRBStepOracle:
 
 
 class TestBackwardTrajectory:
+    def test_perturbed_terms_built_once_per_level(self, running_cfg):
+        # one prefix level on both sides: every level of the trajectory
+        # repeats level 1, so theta and phi are evaluated once per interval
+        # by check_contractive and once by the level terms, whatever the depth
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls.append(name)
+                return fn(np.asarray(x, dtype=float))
+            return wrapped
+
+        theta = counted("theta", lambda x: np.cos(x))
+        phi = counted("phi", lambda x: x * (1.0 - x))
+        pert = PerturbationSpec((PerturbationLevel(
+            t=(0.1, -0.2), s=(0.2, 0.1), theta=(theta, theta), phi=(phi, phi)),))
+        counts = []
+        for depth in (1, 30):
+            calls.clear()
+            backward_trajectory(None, depth, running_cfg, pert)
+            counts.append((calls.count("theta"), calls.count("phi")))
+        assert counts == [(4, 4), (4, 4)]
+
     def test_depth_one_zero_scaling_any_seed(self, make_cfg, germ_x, base_x2):
         zero = FunctionSpec.constant(0.0, DOM)
         cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[zero, zero]], [base_x2])

@@ -9,9 +9,10 @@ from alphafractal import (
     apply_F,
     backward_trajectory,
     build_partition,
+    sensitivity_bound,
     series_eval,
 )
-from alphafractal.engine import _rb_step
+from alphafractal.engine import _level_terms, _rb_step
 from alphafractal.errors import EndpointMismatch, OutOfDomain, PerturbationTooLarge
 from alphafractal.ifs import locate_many
 
@@ -159,7 +160,8 @@ class TestApplyT:
         pert = PerturbationSpec.zeros(2, DOM)
         values = self._values(cfg)
         for r in (1, 2):
-            assert np.array_equal(_rb_step(values, r, cfg, pert), _rb_step(values, r, cfg))
+            assert np.array_equal(_rb_step(values, r, cfg, _level_terms(cfg, r, pert)),
+                                  _rb_step(values, r, cfg, _level_terms(cfg, r)))
 
     def test_zero_perturbation_exact_on_full_grid(self, cfg):
         pert = PerturbationSpec.zeros(2, DOM)
@@ -171,7 +173,8 @@ class TestApplyT:
         phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)  # x(1-x)
         pert = _pert(0.0, 0.5, phi_spec=phi)
         values = cfg.germ_values
-        added = _rb_step(values, 1, cfg, pert) - _rb_step(values, 1, cfg)
+        added = (_rb_step(values, 1, cfg, _level_terms(cfg, 1, pert))
+                 - _rb_step(values, 1, cfg, _level_terms(cfg, 1)))
         a, e = ref_coefficients(list(cfg.partition.knots))
         for k in range(0, cfg.grid.size, 37):
             x = float(cfg.grid[k])
@@ -185,8 +188,8 @@ class TestApplyT:
                            [[FunctionSpec.constant(0.5, DOM)] * 2], [base_x2])
         pert = _pert(0.1, 0.0)
         values = self._values(cfg)
-        got = _rb_step(values, 1, cfg, pert)
-        want = _rb_step(values, 1, shifted)
+        got = _rb_step(values, 1, cfg, _level_terms(cfg, 1, pert))
+        want = _rb_step(values, 1, shifted, _level_terms(shifted, 1))
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_too_large_perturbation(self, cfg):
@@ -246,3 +249,20 @@ class TestPerturbationSpec:
             pert.check_contractive(running_cfg)
         with pytest.raises(PerturbationTooLarge):
             backward_trajectory(None, 3, running_cfg, pert)
+
+    def test_nan_phi_is_rejected(self, running_cfg):
+        # phi is NaN right of 0.5; alpha + t theta is fine, so only the phi
+        # check stands between it and a non-finite trajectory
+        def phi(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x > 0.5, np.nan, 0.0)
+
+        zero = FunctionSpec.constant(0.0, DOM)
+        pert = PerturbationSpec((PerturbationLevel(
+            t=(0.1, 0.1), s=(0.1, 0.1), theta=(zero, zero), phi=(phi, phi)),))
+        with pytest.raises(PerturbationTooLarge, match="level 1: phi"):
+            pert.check_contractive(running_cfg)
+        with pytest.raises(PerturbationTooLarge, match="phi"):
+            backward_trajectory(None, 3, running_cfg, pert)
+        with pytest.raises(PerturbationTooLarge, match="phi"):
+            sensitivity_bound(running_cfg, pert)
