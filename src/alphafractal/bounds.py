@@ -27,6 +27,7 @@ from .engine import (
     geometric_tail,
     required_depth,
     resolve_depth,
+    trajectory_interpolant,
     truncation_error,
 )
 from .errors import (
@@ -133,10 +134,10 @@ class BaseOperatorSpec:
 
 
 def config_with_operator_bases(cfg: ProblemConfig, op: BaseOperatorSpec) -> ProblemConfig:
-    """Replace every base with b_r = L_r f."""
+    """Replace every base with b_r = L_r f (built once per config and operator)."""
     n = max(cfg.levels.prefix_len, op.prefix_len)
-    bases = tuple(op.apply(r, cfg.germ, cfg.partition) for r in range(1, n + 1))
-    return cfg.with_bases(bases)
+    return cfg._cached(f"_operator_bases {op!r}", lambda: cfg.with_bases(
+        tuple(op.apply(r, cfg.germ, cfg.partition) for r in range(1, n + 1))))
 
 
 def _trajectory_values(cfg: ProblemConfig, depth: int) -> np.ndarray:
@@ -150,13 +151,15 @@ def _trajectory_values(cfg: ProblemConfig, depth: int) -> np.ndarray:
 
 def error_bound(cfg: ProblemConfig, op: BaseOperatorSpec) -> BoundReport:
     """||f^alpha - f||_inf <= ||alpha||/(1 - ||alpha||) * sup_r ||f - L_r f||_inf
-    with bases b_r = L_r f."""
+    with bases b_r = L_r f.  Shares its operator config and policy-depth
+    trajectory with ``corollary_bound`` through their caches."""
     cfg2 = config_with_operator_bases(cfg, op)
     a = cfg2.alpha_sup
     gap = cfg2.base_gap_sup
     predicted = a / (1.0 - a) * gap
-    depth = resolve_depth(cfg2)
-    observed = sup_abs([_trajectory_values(cfg2, depth) - cfg2.germ_values])
+    traj = trajectory_interpolant(cfg2)
+    depth = traj.depth
+    observed = sup_abs([traj.values.ys - cfg2.germ_values])
     return BoundReport(
         name="error",
         predicted=predicted,
@@ -172,8 +175,9 @@ def corollary_bound(cfg: ProblemConfig, op: BaseOperatorSpec, j: int = 1) -> Bou
     a = cfg2.alpha_sup
     gap = cfg2.base_gap_sup
     predicted = gap / (1.0 - a)
-    depth = resolve_depth(cfg2)
-    observed = sup_abs([_trajectory_values(cfg2, depth) - cfg2.base_values(j)])
+    traj = trajectory_interpolant(cfg2)
+    depth = traj.depth
+    observed = sup_abs([traj.values.ys - cfg2.base_values(j)])
     return BoundReport(
         name=f"corollary[j={j}]",
         predicted=predicted,

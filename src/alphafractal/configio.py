@@ -117,21 +117,25 @@ def funcspec_from_dict(d: dict, domain, base_dir: Path | None = None) -> Functio
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError(f"function spec must be an object with a 'family', got {d!r}")
     fam = d["family"]
+
+    def num(key, default=None):
+        return _number(d[key] if default is None else d.get(key, default), f"{fam} {key}")
+
     try:
         if fam == "constant":
-            return FunctionSpec.constant(d["value"], domain)
+            return FunctionSpec.constant(num("value"), domain)
         if fam == "linear-endpoint":
-            return FunctionSpec.linear_endpoint(d["left"], d["right"], domain)
+            return FunctionSpec.linear_endpoint(num("left"), num("right"), domain)
         if fam == "polynomial":
-            return FunctionSpec.polynomial(d["coeffs"], domain)
+            return FunctionSpec.polynomial(_list(d["coeffs"], f"{fam} coeffs"), domain)
         if fam == "sinusoid":
             return FunctionSpec.sinusoid(
-                d.get("amplitude", 1.0), d.get("omega", np.pi),
-                d.get("phase", 0.0), d.get("offset", 0.0), domain,
+                num("amplitude", 1.0), num("omega", np.pi),
+                num("phase", 0.0), num("offset", 0.0), domain,
             )
         if fam == "sampled":
             if "csv" not in d:
-                return FunctionSpec.sampled(d["values"], domain)
+                return FunctionSpec.sampled(_list(d["values"], f"{fam} values"), domain)
             xs, ys = load_xy_csv(_resolve(d["csv"], base_dir))
             steps = np.diff(xs)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):

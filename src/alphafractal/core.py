@@ -62,6 +62,23 @@ def sup_abs(arrays) -> float:
     return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only and returned, for arrays that callers share."""
+    a.setflags(write=False)
+    return a
+
+
+class _Cached:
+    """Derived data of a frozen dataclass, built once and kept in its __dict__."""
+
+    def _cached(self, key: str, build):
+        val = self.__dict__.get(key)
+        if val is None:
+            val = build()
+            object.__setattr__(self, key, val)
+        return val
+
+
 def in_domain(x, domain) -> np.ndarray:
     """``x`` as a float array; OutOfDomain unless every point (never NaN) lies in it."""
     xa = np.asarray(x, dtype=float)
@@ -233,11 +250,13 @@ def matched_endpoint_polynomial(coeffs: Sequence[float], domain,
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Cached):
     """Strictly increasing knot vector x_0 < x_1 < ... < x_N with N >= 2.
 
     N = 1 is rejected: it would force a_1 = 1, so the affine map l_1 would
-    not contract.
+    not contract.  Everything derived from the knots and a grid size alone
+    (the grid, and the RB step's geometry in ``engine``) is cached here, so
+    every config derived from one partition shares it.
     """
 
     knots: tuple[float, ...]
@@ -275,12 +294,12 @@ class Partition:
         return self.knots[-1] - self.knots[0]
 
     def array(self) -> np.ndarray:
-        arr = self.__dict__.get("_array")
-        if arr is None:
-            arr = np.asarray(self.knots, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_array", arr)
-        return arr
+        return self._cached("_array", lambda: frozen(np.asarray(self.knots, dtype=float)))
+
+    def grid(self, size: int) -> np.ndarray:
+        """Uniform grid of ``size`` points with every knot inserted (cached per size)."""
+        return self._cached(f"_grid_{size}", lambda: frozen(
+            np.union1d(np.linspace(self.lo, self.hi, size), self.array())))
 
     def interval(self, i: int) -> tuple[float, float]:
         """Endpoints of I_i for i in 1..N."""
@@ -409,9 +428,25 @@ class LevelSequence:
 # ---------------------------------------------------------------------------
 
 
+def _shared(a: np.ndarray) -> np.ndarray:
+    """``a`` itself when nothing can write to it (read-only down to the array
+    that owns its memory), else a read-only copy."""
+    base = a
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return a if base is None else frozen(a.copy())
+
+
 @dataclass(frozen=True)
 class SampledFunction:
-    """Function known through samples on a sorted grid; piecewise linear in between."""
+    """Function known through samples on a sorted grid; piecewise linear in between.
+
+    Both arrays are read-only.  An array nothing can write to (read-only and
+    owning its memory, like ``ProblemConfig.grid`` or a trajectory's frozen
+    values) is shared; any other array, including a read-only view of a
+    writable one, is copied, so a caller's later writes never reach the
+    function.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
@@ -427,12 +462,8 @@ class SampledFunction:
             raise ValueError("sample grid must be strictly increasing")
         if not np.all(np.isfinite(ys)):
             raise ValueError("sample values must be finite")
-        xs = xs.copy()
-        ys = ys.copy()
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "xs", _shared(xs))
+        object.__setattr__(self, "ys", _shared(ys))
 
     def __call__(self, x):
         out = np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
@@ -474,7 +505,7 @@ _MODES = {"continuous": "continuous", "cont": "continuous",
 
 
 @dataclass(frozen=True)
-class ProblemConfig:
+class ProblemConfig(_Cached):
     """Everything needed to build and evaluate the interpolant.
 
     ``germ`` may be a FunctionSpec or any vectorized callable on I.  When
@@ -530,13 +561,6 @@ class ProblemConfig:
 
     # -- cached derived data ------------------------------------------------
 
-    def _cached(self, key: str, build):
-        val = self.__dict__.get(key)
-        if val is None:
-            val = build()
-            object.__setattr__(self, key, val)
-        return val
-
     @property
     def n_intervals(self) -> int:
         return self.partition.n_intervals
@@ -548,14 +572,7 @@ class ProblemConfig:
     @property
     def grid(self) -> np.ndarray:
         """Evaluation grid: uniform grid_size points with every knot inserted."""
-
-        def build():
-            lo, hi = self.partition.domain
-            g = np.union1d(np.linspace(lo, hi, self.grid_size), self.partition.array())
-            g.setflags(write=False)
-            return g
-
-        return self._cached("_grid", build)
+        return self.partition.grid(self.grid_size)
 
     @property
     def maps(self) -> AffineMapSet:
@@ -563,12 +580,7 @@ class ProblemConfig:
 
     @property
     def germ_values(self) -> np.ndarray:
-        def build():
-            v = evaluate(self.germ, self.grid)
-            v.setflags(write=False)
-            return v
-
-        return self._cached("_germ_values", build)
+        return self._cached("_germ_values", lambda: frozen(evaluate(self.germ, self.grid)))
 
     @property
     def knot_ordinates(self) -> tuple[float, ...]:
@@ -592,13 +604,8 @@ class ProblemConfig:
         """b_r on the grid, evaluated once per prefix level (repeat-last
         beyond the prefix)."""
         r_eff = min(r, self.levels.prefix_len)
-
-        def build():
-            v = evaluate(self.levels.level(r_eff).base, self.grid)
-            v.setflags(write=False)
-            return v
-
-        return self._cached(f"_base_values_{r_eff}", build)
+        return self._cached(f"_base_values_{r_eff}",
+                            lambda: frozen(evaluate(self.levels.level(r_eff).base, self.grid)))
 
     @property
     def base_gap_sup(self) -> float:

@@ -11,7 +11,10 @@ same limit; truncation error obeys the geometric tail bound
 
 Off-grid reads inside an RB step use linear interpolation of the sampled
 difference g - b_r; interpolating the difference (rather than g alone) makes
-the degenerate identities b_r = f and alpha = 0 exact on the grid.
+the degenerate identities b_r = f and alpha = 0 exact on the grid.  The read
+is np.interp's own arithmetic from a stencil of the Q points built once per
+partition and grid size (``_interp_stencil``), so it matches np.interp bit
+for bit without its per-point search.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .core import (
     ProblemConfig,
     SampledFunction,
     evaluate,
+    frozen,
     in_domain,
     repeat_last,
     specs_equal,
@@ -43,22 +47,49 @@ def require_valid(cfg: ProblemConfig) -> None:
         raise NotValidated(rep.summary())
 
 
-def sample_germ(cfg: ProblemConfig) -> SampledFunction:
-    """The germ sampled on the configured grid (default trajectory seed)."""
-    return SampledFunction(cfg.grid, cfg.germ_values)
-
-
 def _grid_geometry(cfg: ProblemConfig):
-    """Interval index and Q_i(x) for every grid point (cached per config)."""
+    """Interval index and Q_i(x) for every grid point (cached per partition
+    and grid size)."""
 
     def build():
         idx = locate_many(cfg.grid, cfg.partition)
-        q = cfg.maps.inverse_many(idx, cfg.grid)
-        idx.setflags(write=False)
-        q.setflags(write=False)
-        return idx, q
+        return frozen(idx), frozen(cfg.maps.inverse_many(idx, cfg.grid))
 
-    return cfg._cached("_rb_geometry", build)
+    return cfg.partition._cached(f"_rb_geometry_{cfg.grid_size}", build)
+
+
+def _interp_stencil(grid: np.ndarray, q: np.ndarray):
+    """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
+    with grid[j] <= q, the offset q - grid[j], the cell widths, and the exact
+    node hits (off == 0, the right end among them).  j stays writable:
+    np.take copies a read-only index array on every call."""
+    j = np.searchsorted(grid, q, side="right") - 1
+    off = q - grid[j]
+    return j, frozen(off), frozen(np.diff(grid)), frozen(off == 0.0)
+
+
+def _interp_read(stencil, dy: np.ndarray) -> np.ndarray:
+    """np.interp(q, grid, dy) bit for bit, for finite slopes: s[j] * off + dy[j]
+    with s = diff(dy) / diff(grid), and dy[j] itself at node hits.  At most
+    three grid-sized arrays are alive at once, dy included."""
+    j, off, dx, hit = stencil
+    s = np.empty_like(dy)
+    np.subtract(dy[1:], dy[:-1], out=s[:-1])
+    s[:-1] /= dx
+    s[-1] = 0.0  # read only at the right end, a node hit
+    out = s.take(j)
+    del s
+    out *= off
+    at = dy.take(j)
+    out += at
+    np.copyto(out, at, where=hit)
+    return out
+
+
+def _stencil(cfg: ProblemConfig):
+    """The RB step's interpolation stencil (cached per partition and grid size)."""
+    return cfg.partition._cached(f"_rb_stencil_{cfg.grid_size}",
+                                 lambda: _interp_stencil(cfg.grid, _grid_geometry(cfg)[1]))
 
 
 def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -78,12 +109,8 @@ def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = Non
     r_eff = min(r, cfg.levels.prefix_len)
     idx, q = _grid_geometry(cfg)
 
-    def build():
-        alpha_q = _per_interval(cfg.levels.level(r_eff).scalings, idx, q)
-        alpha_q.setflags(write=False)
-        return alpha_q
-
-    alpha_q = cfg._cached(f"_rb_alphas_{r_eff}", build)
+    alpha_q = cfg._cached(f"_rb_alphas_{r_eff}", lambda: frozen(
+        _per_interval(cfg.levels.level(r_eff).scalings, idx, q)))
     if pert is None:
         return alpha_q, None
     lv = pert.level(r)
@@ -94,9 +121,9 @@ def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = Non
 def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig, terms) -> np.ndarray:
     """One RB application to grid samples, given level r's ``_level_terms``."""
     scale, bump = terms
-    # np.interp returns a fresh array, so the step finishes in it.  IEEE
+    # The read returns a fresh array, so the step finishes in it.  IEEE
     # products and sums commute: this is f + scale * diff (+ bump) bit for bit.
-    out = np.interp(_grid_geometry(cfg)[1], cfg.grid, values - cfg.base_values(r))
+    out = _interp_read(_stencil(cfg), values - cfg.base_values(r))
     out *= scale
     out += cfg.germ_values
     if bump is not None:
@@ -193,31 +220,31 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
                         pert: PerturbationSpec | None = None) -> Interpolant:
     """T^{alpha_1} o T^{alpha_2} o ... o T^{alpha_depth} applied to the seed g
     (defaults to the sampled germ).  Applications run innermost-first, so the
-    level-depth operator hits the seed."""
+    level-depth operator hits the seed.  The result shares the grid and its
+    own frozen values."""
     require_valid(cfg)
     if depth < 1:
         raise DepthZero("backward trajectory needs depth >= 1")
-    if g is None:
-        g = sample_germ(cfg)
-    if not np.array_equal(g.xs, cfg.grid):
+    if g is not None and not np.array_equal(g.xs, cfg.grid):
         raise GridMismatch("seed is not sampled on the configured grid")
     if pert is not None:
         pert.check_contractive(cfg)
     # Levels past both prefixes repeat the last: one set of terms per level.
     top = max(cfg.levels.prefix_len, pert.prefix_len if pert else 1)
     terms = [_level_terms(cfg, r, pert) for r in range(1, min(depth, top) + 1)]
-    vals = g.ys
+    vals = cfg.germ_values if g is None else g.ys
     for r in range(depth, 0, -1):
         vals = _rb_step(vals, r, cfg, repeat_last(terms, r))
-    return Interpolant(cfg=cfg, depth=depth, values=g.with_values(vals))
+    return Interpolant(cfg=cfg, depth=depth, values=SampledFunction(cfg.grid, frozen(vals)))
 
 
 def trajectory_interpolant(cfg: ProblemConfig) -> Interpolant:
-    """Trajectory at the policy depth from the germ seed (cached per config)."""
-    return cfg._cached(
-        "_trajectory",
-        lambda: backward_trajectory(None, resolve_depth(cfg), cfg),
-    )
+    """Trajectory at the policy depth from the germ seed.  Its values are
+    cached per config; the cache holds no Interpolant, which would refer back
+    to the config and keep both alive until the cycle collector runs."""
+    depth = resolve_depth(cfg)
+    values = cfg._cached("_trajectory", lambda: backward_trajectory(None, depth, cfg).values)
+    return Interpolant(cfg=cfg, depth=depth, values=values)
 
 
 # ---------------------------------------------------------------------------

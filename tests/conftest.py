@@ -6,7 +6,10 @@ from alphafractal import (
     Level,
     LevelSequence,
     ProblemConfig,
+    bounds,
     build_partition,
+    depend,
+    engine,
 )
 
 DOMAIN = (0.0, 1.0)
@@ -21,6 +24,22 @@ def running_cfg():
     b = FunctionSpec.polynomial([0.0, 0.0, 1.0], DOMAIN)
     a = FunctionSpec.constant(0.4, DOMAIN)
     return ProblemConfig(p, f, LevelSequence((Level((a, a), b),)))
+
+
+@pytest.fixture
+def trajectories(monkeypatch):
+    """Depths of every backward trajectory run, through each module that
+    looks the function up."""
+    depths = []
+    run = engine.backward_trajectory
+
+    def counted(*args, **kwargs):
+        depths.append(args[1])
+        return run(*args, **kwargs)
+
+    for module in (engine, bounds, depend):
+        monkeypatch.setattr(module, "backward_trajectory", counted)
+    return depths
 
 
 @pytest.fixture

@@ -38,7 +38,6 @@ from alphafractal.engine import (
     apply_rb,
     backward_trajectory,
     resolve_depth,
-    sample_germ,
 )
 from alphafractal.norms import estimate_norms
 from alphafractal.sampling import (
@@ -137,7 +136,7 @@ def test_criterion_5_geometric_convergence(batch):
     # D_k <= (||alpha|| + 0.05)^k * C with C = sup_r ||T^{alpha_r} g - g||
     worst_quot = 0.0
     for cfg in batch:
-        g = sample_germ(cfg)
+        g = SampledFunction(cfg.grid, cfg.germ_values)
         c0 = max(
             float(np.max(np.abs(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)) - g.ys)))
             for r in range(1, cfg.levels.prefix_len + 1)

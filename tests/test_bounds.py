@@ -17,7 +17,7 @@ from alphafractal import (
     sensitivity_bound,
     stability_bound,
 )
-from alphafractal import bounds
+from alphafractal import bounds, campaigns
 from alphafractal.bounds import config_with_operator_bases, sensitivity_predicted
 from alphafractal.errors import (
     ConfigError,
@@ -288,3 +288,14 @@ class TestComputedOnce:
         calls = _count_calls(monkeypatch, BaseOperatorSpec, "apply")
         assert corollary_bound(cfg, self.TWO_LEVELS, j=1).passed
         assert len(calls) == 2
+
+    def test_error_and_corollary_share_one_trajectory(self, running_cfg, trajectories):
+        reports = campaigns.error_suite(running_cfg, trials=3, seed=7)
+        assert [r.name for r in reports] == [f"{b}[{k}]" for k in range(3)
+                                             for b in ("error", "corollary")]
+        assert all(r.passed for r in reports)
+        assert len(trajectories) == 3
+        cfg = running_cfg.with_germ(FunctionSpec.polynomial([0.0, 0.5, 0.5], DOM))
+        op = BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5))
+        assert config_with_operator_bases(cfg, op) is config_with_operator_bases(
+            cfg, BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5)))

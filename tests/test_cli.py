@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alphafractal
-from alphafractal import FunctionSpec, bounds, depend, engine
+from alphafractal import FunctionSpec, engine
 from alphafractal.cli import main
 
 RUNNING_CONFIG = {
@@ -40,22 +40,6 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
-
-
-@pytest.fixture
-def trajectories(monkeypatch):
-    """Depths of every backward trajectory run, through each module that
-    looks the function up."""
-    depths = []
-    run = engine.backward_trajectory
-
-    def counted(*args, **kwargs):
-        depths.append(args[1])
-        return run(*args, **kwargs)
-
-    for module in (engine, bounds, depend):
-        monkeypatch.setattr(module, "backward_trajectory", counted)
-    return depths
 
 
 def read_csv(path):
@@ -127,6 +111,19 @@ class TestBuild:
         ("config", {"depth": {"k": 3, "eps": 1e-3}}),
         ("flags", ["--depth", "3", "--eps", "1e-3"]),
         ("flags", ["--grid", "abc"]),
+        # every spec parameter is read as a JSON number, never a string or boolean
+        ("scaling", {"family": "constant", "value": "0.4"}),
+        ("scaling", {"family": "constant", "value": True}),
+        ("germ", {"family": "polynomial", "coeffs": ["0", True]}),
+        ("germ", {"family": "polynomial", "coeffs": [0, 1, "2"]}),
+        ("level", {"base": {"family": "linear-endpoint", "left": 0, "right": "1"}}),
+        ("level", {"base": {"family": "linear-endpoint", "left": False, "right": 1}}),
+        ("germ", {"family": "sinusoid", "amplitude": True}),
+        ("germ", {"family": "sinusoid", "omega": "3"}),
+        ("germ", {"family": "sinusoid", "phase": None}),
+        ("germ", {"family": "sinusoid", "offset": [0.0]}),
+        ("germ", {"family": "sampled", "values": [0.0, "0.5", 1.0]}),
+        ("germ", {"family": "sampled", "values": [0.0, True, 1.0]}),
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, section, spec):
         data = json.loads(json.dumps(RUNNING_CONFIG))
@@ -146,6 +143,22 @@ class TestBuild:
         assert len(err_lines) == 1
         assert "Traceback" not in err_lines[0]
         assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+    def test_verify_locates_the_grid_once(self, tmp_path, monkeypatch):
+        # Every config a verify run derives keeps the template's partition,
+        # which caches the grid, its interval indices and the RB stencil.
+        sizes = []
+        locate = engine.locate_many
+
+        def counted(x, p):
+            sizes.append(np.size(x))
+            return locate(x, p)
+
+        monkeypatch.setattr(engine, "locate_many", counted)
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert sizes == [1025]
 
     def test_each_base_evaluated_once(self, tmp_path, monkeypatch):
         # Validation, the base-gap estimate and the RB steps share one

@@ -12,7 +12,7 @@ from alphafractal import (
     trajectory_interpolant,
     validate_level_sequence,
 )
-from alphafractal.core import sup_abs
+from alphafractal.core import SampledFunction, sup_abs
 from alphafractal.errors import (
     BadExponent,
     ConfigError,
@@ -326,3 +326,30 @@ class TestSupAbs:
             got = sup_abs(family)
             assert type(got) is float
             assert got == want
+
+
+class TestSampledFunction:
+    def test_copies_what_a_caller_can_write(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        ys = xs ** 2
+        view = ys[:]
+        view.setflags(write=False)
+        for f in (SampledFunction(xs, ys), SampledFunction(xs, view)):
+            assert not np.shares_memory(f.xs, xs) and not np.shares_memory(f.ys, ys)
+        f = SampledFunction(xs, ys)
+        g = SampledFunction(xs, view)
+        xs[1] = 0.3
+        ys[:] = 7.0
+        for h in (f, g):
+            assert h.xs.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert h.ys.tolist() == [0.0, 0.0625, 0.25, 0.5625, 1.0]
+            assert not h.xs.flags.writeable and not h.ys.flags.writeable
+
+    def test_shares_what_nothing_can_write(self, running_cfg):
+        ys = running_cfg.grid ** 2
+        ys.setflags(write=False)
+        f = SampledFunction(running_cfg.grid, ys)
+        assert f.xs is running_cfg.grid and f.ys is ys
+        traj = trajectory_interpolant(running_cfg)
+        assert traj.values.xs is running_cfg.grid
+        assert not traj.values.ys.flags.writeable

@@ -1,7 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alphafractal import (
+    AffineMapSet,
     DepthPolicy,
     FunctionSpec,
     Level,
@@ -19,7 +24,6 @@ from alphafractal import (
 )
 from alphafractal.core import SampledFunction
 from alphafractal import engine
-from alphafractal.engine import sample_germ
 from alphafractal.errors import (
     DepthZero,
     EndpointMismatch,
@@ -29,6 +33,7 @@ from alphafractal.errors import (
 )
 from alphafractal.ifs import PerturbationLevel, PerturbationSpec, locate_many
 from alphafractal.norms import lip_seminorm
+from alphafractal.sampling import random_partition
 
 from reference import ref_coefficients, ref_rb_point, ref_required_depth, ref_series
 
@@ -39,7 +44,7 @@ class TestApplyRB:
     def test_zero_scaling_returns_germ_exactly(self, make_cfg, germ_x, base_x2):
         zero = FunctionSpec.constant(0.0, DOM)
         cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[zero, zero]], [base_x2])
-        out = apply_rb(sample_germ(cfg), 1, cfg)
+        out = apply_rb(SampledFunction(cfg.grid, cfg.germ_values), 1, cfg)
         assert np.array_equal(out.ys, cfg.germ_values)
 
     def test_seed_equal_base_returns_germ_exactly(self, running_cfg):
@@ -49,13 +54,13 @@ class TestApplyRB:
         assert np.array_equal(out.ys, running_cfg.germ_values)
 
     def test_hand_substitution_at_quarter(self, running_cfg):
-        out = apply_rb(sample_germ(running_cfg), 1, running_cfg)
+        out = apply_rb(SampledFunction(running_cfg.grid, running_cfg.germ_values), 1, running_cfg)
         k = int(np.searchsorted(running_cfg.grid, 0.25))
         assert running_cfg.grid[k] == 0.25
         assert out.ys[k] == pytest.approx(0.35, abs=1e-12)
 
     def test_endpoints_fixed(self, running_cfg):
-        out = apply_rb(sample_germ(running_cfg), 1, running_cfg)
+        out = apply_rb(SampledFunction(running_cfg.grid, running_cfg.germ_values), 1, running_cfg)
         assert out.ys[0] == running_cfg.germ_values[0]
         assert out.ys[-1] == running_cfg.germ_values[-1]
 
@@ -109,6 +114,55 @@ class TestRBStepInPlace:
                 assert not np.shares_memory(got, arr)
                 assert arr.tobytes() == old.tobytes()
             values = got
+
+
+class TestInterpStencil:
+    """The RB step reads np.interp's own arithmetic from a cached stencil."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9),
+           size=st.integers(3, 3000), zeros=st.floats(0.0, 0.9))
+    def test_read_matches_np_interp(self, seed, n, size, zeros):
+        rng = np.random.default_rng(seed)
+        p = random_partition(rng, DOM, n)
+        grid = p.grid(size)
+        q = AffineMapSet.from_partition(p).inverse_many(locate_many(grid, p), grid)
+        # Q points as the RB step sees them, plus grid nodes and both ends
+        q = np.concatenate([q, rng.choice(grid, 40), grid[[0, -1]], rng.uniform(0, 1, 40)])
+        dy = rng.normal(size=grid.size) * 10.0 ** rng.uniform(-8, 8)
+        dy[rng.random(grid.size) < zeros] = 0.0
+        dy[rng.random(grid.size) < zeros / 2] = -0.0
+        got = engine._interp_read(engine._interp_stencil(grid, q), dy)
+        assert got.tobytes() == np.interp(q, grid, dy).tobytes()
+
+    def test_shared_by_configs_of_one_partition(self, running_cfg, base_x2):
+        other = running_cfg.with_germ(base_x2)
+        assert other.grid is running_cfg.grid
+        assert engine._grid_geometry(other) is engine._grid_geometry(running_cfg)
+        assert engine._stencil(other) is engine._stencil(running_cfg)
+        coarse = replace(running_cfg, grid_size=513)
+        assert coarse.partition is running_cfg.partition
+        assert engine._stencil(coarse)[1].size == coarse.grid.size == 513
+
+    def test_trajectory_peak_memory(self, make_cfg):
+        # Criterion-11 shape at grid 65537.  With warm caches a depth-5
+        # trajectory peaks at four grid-sized arrays (the step's input,
+        # g - b_r, the slopes or one gather, and the output); the guard
+        # allows five.
+        knots = [k / 6 for k in range(7)]
+        germ = FunctionSpec.sinusoid(0.8, 6.0, 1.0, 0.1, DOM)
+        base = FunctionSpec.linear_endpoint(*germ.endpoint_values(), DOM)
+        cfg = make_cfg(knots, germ, [[FunctionSpec.constant(0.45, DOM)] * 6,
+                                     [FunctionSpec.sinusoid(0.1, 3.0, 0.0, 0.3, DOM)] * 6],
+                       [base, base], grid_size=65537)
+        backward_trajectory(None, 5, cfg)
+        tracemalloc.start()
+        try:
+            backward_trajectory(None, 5, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * cfg.grid.nbytes + 2 ** 20
 
 
 def _grid_slope(vals, grid):
@@ -237,7 +291,8 @@ class TestBackwardTrajectory:
             backward_trajectory(None, 5, cfg)
 
     def test_seed_independence(self, running_cfg):
-        a = backward_trajectory(sample_germ(running_cfg), 30, running_cfg)
+        germ = SampledFunction(running_cfg.grid, running_cfg.germ_values)
+        a = backward_trajectory(germ, 30, running_cfg)
         other = SampledFunction(running_cfg.grid, running_cfg.grid ** 2)
         b = backward_trajectory(other, 30, running_cfg)
         # limit is seed-independent; depth-30 residual is ~alpha^30 * seed gap
