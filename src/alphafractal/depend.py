@@ -24,11 +24,18 @@ BASE_RATIO_SLACK = 1e-4  # allowance on the base-map ratio check
 LIP_SLACK = 0.05         # conservative inflation of estimated Lipschitz constants
 
 
+def _trajectory_values(cfg: ProblemConfig, depth: int):
+    """The germ-seeded trajectory's values at ``depth``, computed once per
+    config and depth (a partition sweep compares one config with many)."""
+    return cfg._cached(f"_trajectory_{depth}",
+                       lambda: backward_trajectory(None, depth, cfg).values)
+
+
 def _interpolant_sup_diff(cfgA: ProblemConfig, cfgB: ProblemConfig) -> tuple[float, int]:
     """Sup difference of the two trajectory interpolants on a shared comparison grid."""
     depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
-    fa = backward_trajectory(None, depth, cfgA).values
-    fb = backward_trajectory(None, depth, cfgB).values
+    fa = _trajectory_values(cfgA, depth)
+    fb = _trajectory_values(cfgB, depth)
     common = np.union1d(fa.xs, fb.xs)
     return sup_abs([fa(common) - fb(common)]), depth
 

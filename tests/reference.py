@@ -87,6 +87,18 @@ def ref_lip(xs, ys, d):
     return worst
 
 
+def ref_lip_adjacent(xs, ys):
+    """Largest |slope| between neighbours of increasing xs, one at a time;
+    NaN as soon as any slope is NaN."""
+    worst = 0.0
+    for i in range(len(xs) - 1):
+        q = abs(float(ys[i + 1]) - float(ys[i])) / abs(float(xs[i + 1]) - float(xs[i]))
+        if q != q:
+            return q
+        worst = max(worst, q)
+    return worst
+
+
 def ref_lip_pairs(xs, ys, d):
     """Every i < j Holder quotient at once by fancy indexing, then one max."""
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)

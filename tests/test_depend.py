@@ -132,6 +132,24 @@ def test_theta_constants_computed_once(make_cfg, monkeypatch):
     assert len(calls) == 1 + 2 + 2 * 3
 
 
+def test_partition_continuity_runs_each_trajectory_once(running_cfg, monkeypatch):
+    # four halvings compare one unperturbed config with four perturbed ones:
+    # its trajectory is built once per depth, not once per halving
+    calls = []
+    traj = depend.backward_trajectory
+
+    def counted(g, depth, cfg, *args, **kwargs):
+        calls.append(cfg is running_cfg)
+        return traj(g, depth, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(depend, "backward_trajectory", counted)
+    reports = partition_continuity(running_cfg, build_partition([0.0, 0.48, 1.0]),
+                                   halvings=4)
+    assert len({r.inputs["depth"] for r in reports}) == 1
+    assert calls.count(True) == 1
+    assert len(calls) == 4 + 1
+
+
 def _raw_theta(cfg):
     """Half the admissible theta limit from uninflated grid constants."""
     grid = cfg.grid

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from alphafractal import (
 from alphafractal.core import SampledFunction, matched_endpoint_polynomial
 from alphafractal.errors import BadExponent, EmptyGrid
 
-from reference import ref_lip, ref_lip_pairs
+from reference import ref_lip, ref_lip_adjacent, ref_lip_pairs
 
 DOM = (0.0, 1.0)
 
@@ -78,7 +79,7 @@ class TestLipSeminorm:
             lip_seminorm(lambda x: x, 1.0, np.array([0.5]))
 
     def test_subsampling_cap(self):
-        # strided estimate on a big grid stays close for a smooth function
+        # the estimate on a grid above LIP_PAIR_CAP stays close for a smooth function
         g = FunctionSpec.sinusoid(1.0, np.pi, 0.0, 0.0, DOM)
         big = lip_seminorm(g, 1.0, np.linspace(0, 1, 5001))
         assert big == pytest.approx(np.pi, rel=1e-3)
@@ -100,12 +101,36 @@ class TestLipSeminorm:
         assert np.isnan(est.lip_d) and np.isnan(est.norm_d)
 
     def test_strided_grid_matches_pair_oracle(self):
-        # 3000 points stride by 2 down to 1500, plus the last point
+        # d < 1: 3000 points stride by 2 down to 1500, plus the last point;
+        # d = 1 reads every point
         xs = np.linspace(0, 1, 3000)
         g = FunctionSpec.sinusoid(1.0, 9.0, 0.4, 0.0, DOM)
         sub = np.append(xs[::2], xs[-1])
-        for d in (1.0, 0.5):
-            assert lip_seminorm(g, d, xs) == ref_lip_pairs(sub, g(sub), d)
+        assert lip_seminorm(g, 0.5, xs) == ref_lip_pairs(sub, g(sub), 0.5)
+        assert lip_seminorm(g, 1.0, xs) == ref_lip_adjacent(xs, g(xs))
+
+    def test_d1_finds_a_steep_cell_between_strided_points(self):
+        # 5001 points stride by 3 at d < 1; a spike at index 1001 lies between
+        # the strided points 999 and 1002, which both read 0
+        xs = np.linspace(0, 1, 5001)
+        ys = np.zeros_like(xs)
+        ys[1001] = 1.0
+        g = SampledFunction(xs, ys)
+        sub = np.append(xs[::3], xs[-1])
+        assert ref_lip_pairs(sub, g(sub), 1.0) == 0.0
+        steep = max(1.0 / (xs[1001] - xs[1000]), 1.0 / (xs[1002] - xs[1001]))
+        assert lip_seminorm(g, 1.0, xs) == steep
+
+    def test_shuffled_grid_gives_the_sorted_value(self):
+        rng = np.random.default_rng(4)
+        xs = np.sort(rng.uniform(0, 1, size=500))
+        g = SampledFunction(xs, rng.normal(size=500))
+        want = lip_seminorm(g, 1.0, xs)
+        assert want == ref_lip_adjacent(xs, g(xs))
+        assert lip_seminorm(g, 1.0, rng.permutation(xs)) == want
+        assert lip_seminorm(g, 1.0, xs[::-1]) == want
+        # a repeated point still meets its twin once sorted: 0/0 is NaN
+        assert np.isnan(lip_seminorm(g, 1.0, rng.permutation(np.append(xs, xs[7]))))
 
     def test_peak_memory_stays_linear(self):
         g = FunctionSpec.sinusoid(1.0, 5.0, 0.1, 0.0, DOM)
@@ -118,6 +143,19 @@ class TestLipSeminorm:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_d1_peak_memory_above_the_cap(self):
+        # g's values and their evaluation temporary, the two differences and
+        # the quotient: never more than five grid-sized arrays at once
+        g = FunctionSpec.sinusoid(1.0, 5.0, 0.1, 0.0, DOM)
+        grid = np.linspace(0, 1, 1_048_577)
+        tracemalloc.start()
+        try:
+            lip_seminorm(g, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * grid.nbytes
+
     def test_triangle_inequality_on_shared_grid(self):
         rng = np.random.default_rng(9)
         grid = np.linspace(0, 1, 80)
@@ -128,19 +166,54 @@ class TestLipSeminorm:
             lip_seminorm(g, 0.6, grid) + lip_seminorm(h, 0.6, grid) + 1e-12)
 
 
+GRIDS = st.lists(st.floats(-100, 100), min_size=2, max_size=300, unique=True).map(sorted)
+KNOTS = st.lists(st.tuples(st.floats(-100, 100), st.floats(-1e3, 1e3)),
+                 min_size=1, max_size=8).map(sorted)
+
+# Relative error of one correctly rounded operation (round to nearest).
+U = Fraction(1, 2 ** 53)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    xs=st.lists(st.floats(-100, 100), min_size=2, max_size=300, unique=True).map(sorted),
-    d=st.floats(0.0, 1.0, exclude_min=True),
-    knots=st.lists(st.tuples(st.floats(-100, 100), st.floats(-1e3, 1e3)),
-                   min_size=1, max_size=8).map(sorted),
-)
+@given(xs=GRIDS, d=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), knots=KNOTS)
 def test_lip_seminorm_equals_pair_oracle(xs, d, knots):
-    """Bit for bit against the all-pairs oracle, on piecewise-linear g."""
+    """d < 1: bit for bit against the all-pairs oracle, on piecewise-linear g."""
     kx, ky = np.array(knots).T
     g = lambda x: np.interp(x, kx, ky)  # noqa: E731
     xs = np.array(xs)
     assert lip_seminorm(g, d, xs) == ref_lip_pairs(xs, g(xs), d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(xs=GRIDS, knots=KNOTS)
+def test_lip_seminorm_d1_brackets_pair_oracle(xs, knots):
+    """d = 1: bit for bit the largest adjacent slope, and within rounding of
+    the all-pairs maximum.
+
+    Adjacent pairs are among all pairs and their quotients are computed by
+    the same operations, so the estimate never exceeds the pair oracle.  In
+    exact arithmetic a chord's slope (y_j - y_i) / (x_j - x_i) is a weighted
+    mean of the adjacent slopes it spans, so the exact pair maximum P equals
+    the exact adjacent maximum S.  Each computed quotient is three correctly
+    rounded operations (two differences, one division; |.| is exact), each
+    with relative error at most u = 2^-53, so a computed pair quotient is at
+    most P (1 + u)^2 / (1 - u) and the computed adjacent slope that attains
+    S is at least S (1 - u)^2 / (1 + u).  Hence pairs <= lip (1 + u)^3 / (1 - u)^3
+    = lip (1 + 6u + O(u^2)), compared here in exact rational arithmetic.  The
+    model assumes the quotients neither overflow nor underflow; an infinite
+    pair maximum must be matched by an infinite estimate.
+    """
+    kx, ky = np.array(knots).T
+    g = lambda x: np.interp(x, kx, ky)  # noqa: E731
+    xs = np.array(xs)
+    lip = lip_seminorm(g, 1.0, xs)
+    pairs = ref_lip_pairs(xs, g(xs), 1.0)
+    assert lip == ref_lip_adjacent(xs, g(xs))
+    assert lip <= pairs
+    if np.isinf(pairs):
+        assert np.isinf(lip)
+    else:
+        assert Fraction(pairs) <= Fraction(lip) * ((1 + U) / (1 - U)) ** 3
 
 
 class TestNormEstimate:
