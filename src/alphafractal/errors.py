@@ -9,6 +9,10 @@ class ConfigError(AlphaFractalError):
     """Malformed configuration, manifest, or data file."""
 
 
+class OutputError(AlphaFractalError):
+    """An output file could not be written."""
+
+
 class NonMonotoneKnots(AlphaFractalError):
     """Knot vector is not strictly increasing."""
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alphafractal
-from alphafractal import FunctionSpec, engine
+from alphafractal import FunctionSpec, configio, engine
 from alphafractal.cli import main
 
 RUNNING_CONFIG = {
@@ -45,6 +45,31 @@ def write_config(tmp_path, data, name="cfg.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def c11_config():
+    """The criterion-11 shape at seed 1: six equal intervals, a sinusoid germ
+    whose phase the seed draws, two scaling levels and endpoint-matched
+    bases."""
+    phase = float(np.random.default_rng(1).uniform(0.0, 2.0 * np.pi))
+    base = {"family": "linear-endpoint", "left": 0.8 * np.sin(phase) + 0.1,
+            "right": 0.8 * np.sin(6.0 + phase) + 0.1}
+    return {
+        "partition": {"knots": [0.0, 1 / 6, 1 / 3, 0.5, 2 / 3, 5 / 6, 1.0]},
+        "germ": {"family": "sinusoid", "amplitude": 0.8, "omega": 6.0,
+                 "phase": phase, "offset": 0.1},
+        "levels": [
+            {"scaling": {"family": "constant", "value": 0.45}, "base": base},
+            {"scaling": {"family": "sinusoid", "amplitude": 0.1, "omega": 3.0,
+                         "phase": 0.0, "offset": 0.3}, "base": base},
+        ],
+    }
+
+
+def assert_one_diagnostic(capsys, error):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err)["error"] == error
 
 
 class TestBuild:
@@ -217,6 +242,47 @@ class TestBuild:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["knot_residual_max"] <= 1e-8
 
+    def test_curve_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, c11_config())
+        forks = []
+        fork_part = configio._fork_part
+        monkeypatch.setattr(configio, "_fork_part",
+                            lambda *args: forks.append(args) or fork_part(*args))
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(configio, "_usable_cores", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert main(["build", "--config", str(cfg), "--grid", "65537",
+                         "--eps", "1e-10", "--out", str(out)]) == 0
+            assert sorted(os.listdir(out)) == ["curve.csv", "summary.json"]
+            outputs.append([(out / name).read_bytes() for name in ("curve.csv", "summary.json")])
+        assert len(forks) == 1
+        assert outputs[0] == outputs[1]
+
+    def test_unwritable_curve_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        (out / "curve.csv").mkdir(parents=True)
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
+        assert (out / "curve.csv").is_dir() and os.listdir(out) == ["curve.csv"]
+
+    def test_failing_export_worker_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(configio, "CURVE_BLOCK_ROWS", 64)
+        monkeypatch.setattr(configio, "_usable_cores", lambda: 2)
+        write_rows = configio._write_rows
+
+        def fail_in_worker(fh, cols, start, stop):
+            if start:
+                raise RuntimeError("worker fails")
+            write_rows(fh, cols, start, stop)
+        monkeypatch.setattr(configio, "_write_rows", fail_in_worker)
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
+        assert os.listdir(out) == []
+
 
 class TestVerify:
     def test_all_suites_pass(self, tmp_path):
@@ -273,6 +339,14 @@ class TestVerify:
             assert main(["verify", "--config", str(cfg), "--suite", "stability",
                          "--trials", "4", "--seed", "3", "--out", str(out)]) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        assert main(["verify", "--config", str(cfg), "--suite", "error",
+                     "--trials", "2", "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
 
 
 class TestSweep:
