@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,10 +28,6 @@ from . import campaigns, configio, depend, norms
 from .engine import trajectory_interpolant
 from .errors import AlphaFractalError, ConfigError
 from .report import BoundReport
-
-
-def _diagnostic(code: str, detail: str) -> None:
-    print(json.dumps({"error": code, "detail": detail}), file=sys.stderr)
 
 
 def _overrides(args) -> dict:
@@ -46,6 +43,18 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+@contextmanager
+def _removed_on_failure(*written: Path):
+    """Remove the ``written`` outputs of this run if the block raises, so a
+    command that fails leaves no output behind."""
+    try:
+        yield
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def _tally(reports, passed_what: str) -> int:
     """Print the pass count and every failing report; exit 1 if any failed."""
     failing = [r for r in reports if not r.passed]
@@ -58,12 +67,8 @@ def _tally(reports, passed_what: str) -> int:
 def cmd_build(args) -> int:
     cfg = configio.load_config(args.config, overrides=_overrides(args))
     report = cfg.validation()
-    if not report.ok:
-        _diagnostic(report.problems[0][0], report.summary())
-        return 2
+    report.raise_if_failed()
     interp = trajectory_interpolant(cfg)
-    configio.write_curve_csv(args.out / "curve.csv", cfg.grid, cfg.germ_values,
-                             interp.values.ys)
     summary = {
         "grid_points": int(cfg.grid.size),
         "depth_used": interp.depth,
@@ -75,7 +80,7 @@ def cmd_build(args) -> int:
         "knot_residual_max": float(np.max(interp.knot_residuals())),
         "validation": {
             "ok": report.ok,
-            "alpha_sup": report.alpha_sup,
+            "alpha_sup": cfg.alpha_sup,
             "endpoint_residuals": [list(r) for r in report.endpoint_residuals],
             "degenerate_levels": list(report.degenerate_levels),
         },
@@ -83,8 +88,11 @@ def cmd_build(args) -> int:
     if cfg.mode == "lipschitz":
         lip = norms.check_lip_hypothesis(cfg)
         summary["lip_hypothesis"] = lip.to_json_dict()
-    configio.write_json(args.out / "summary.json", summary)
-    print(f"wrote {args.out / 'curve.csv'} and {args.out / 'summary.json'} "
+    curve = args.out / "curve.csv"
+    configio.write_curve_csv(curve, cfg.grid, cfg.germ_values, interp.values.ys)
+    with _removed_on_failure(curve):
+        configio.write_json(args.out / "summary.json", summary)
+    print(f"wrote {curve} and {args.out / 'summary.json'} "
           f"(depth {interp.depth}, grid {cfg.grid.size})")
     return 0
 
@@ -94,8 +102,10 @@ def cmd_verify(args) -> int:
     cfg.validation().raise_if_failed()
     reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed,
                                   t_scale=args.t_scale, s_scale=args.s_scale)
-    configio.write_report_csv(args.out / "report.csv", reports)
-    configio.write_reports_json(args.out / "report.json", reports)
+    table = args.out / "report.csv"
+    configio.write_report_csv(table, reports)
+    with _removed_on_failure(table):
+        configio.write_reports_json(args.out / "report.json", reports)
     return _tally(reports, f"bound checks passed (suite {args.suite}, "
                            f"trials {args.trials}, seed {args.seed})")
 
@@ -172,7 +182,7 @@ def main(argv=None) -> int:
         args.out = _out_dir(args.out)  # before any work, for every command
         return args.fn(args)
     except AlphaFractalError as exc:
-        _diagnostic(type(exc).__name__, str(exc))
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 2
 
 

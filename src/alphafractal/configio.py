@@ -2,8 +2,9 @@
 
 Config files are JSON with sections partition, germ, levels[], and optional
 d / grid / depth / mode / ordinates.  Knot and ordinate data can come from a
-two-column CSV with header ``x,y``.  All numeric output is written with 17
-significant digits so doubles round-trip.
+two-column CSV with header ``x,y``.  Ordinates are checked against the germ at
+the knots, the interpolation data f(x_i) of the construction.  All numeric
+output is written with 17 significant digits so doubles round-trip.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_GRID_SIZE,
+    ENDPOINT_TOL,
     DepthPolicy,
     FunctionSpec,
     Level,
@@ -27,8 +30,9 @@ from .core import (
     Partition,
     ProblemConfig,
     build_partition,
+    evaluate,
 )
-from .errors import ConfigError, OutputError
+from .errors import ConfigError, EndpointMismatch, OutputError
 
 FMT = "%.17g"
 CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
@@ -44,7 +48,6 @@ CURVE_MAX_WORKERS = 8
 # 2-3 ms and appending its part about 0.7 ms a block, against 22-28 ms to
 # format a block.
 CURVE_WORKER_MIN_BLOCKS = 2
-CURVE_COPY_BYTES = 1 << 20  # buffer for appending a worker's part
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,23 @@ def funcspec_from_dict(d: dict, domain, base_dir: Path | None = None) -> Functio
 # ---------------------------------------------------------------------------
 
 
+def _check_knot_data(germ, partition: Partition, source: str, values) -> None:
+    """The construction interpolates (x_i, f(x_i)), so values supplied at the
+    knots must be the germ's: EndpointMismatch at the first knot where they
+    differ by more than ENDPOINT_TOL (or either is NaN)."""
+    values = np.asarray(values, dtype=float)
+    if values.size != len(partition.knots):
+        raise ConfigError(f"{source} must supply one value per knot "
+                          f"({len(partition.knots)}), got {values.size}")
+    germ_values = evaluate(germ, partition.array())
+    bad = np.flatnonzero(~(np.abs(values - germ_values) <= ENDPOINT_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise EndpointMismatch(
+            f"{source} at knot x_{k} = {partition.knots[k]} is {float(values[k])}, "
+            f"not the germ value {float(germ_values[k])} (tolerance {ENDPOINT_TOL})")
+
+
 def config_from_dict(d: dict, base_dir: Path | None = None,
                      overrides: dict | None = None) -> ProblemConfig:
     if not isinstance(d, dict):
@@ -171,23 +191,27 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
     overrides = overrides or {}
 
     part = d.get("partition")
-    ordinates = d.get("ordinates")
     if not isinstance(part, dict):
         raise ConfigError("config needs a 'partition' section")
+    knot_data = []  # (source, values at the knots) pairs
     if "csv" in part:
-        xs, ordinates = load_xy_csv(_resolve(part["csv"], base_dir))
+        path = _resolve(part["csv"], base_dir)
+        xs, ys = load_xy_csv(path)
         partition = build_partition(xs)
+        knot_data.append((f"{path} column y", ys))
     elif "knots" in part:
         partition = build_partition(_list(part["knots"], "knots"))
-        if ordinates is not None:
-            ordinates = _list(ordinates, "ordinates")
     else:
         raise ConfigError("partition section needs 'knots' or 'csv'")
+    if d.get("ordinates") is not None:
+        knot_data.append(("ordinates", _list(d["ordinates"], "ordinates")))
     domain = partition.domain
 
     if "germ" not in d:
         raise ConfigError("config needs a 'germ' section")
     germ = funcspec_from_dict(d["germ"], domain, base_dir)
+    for source, values in knot_data:
+        _check_knot_data(germ, partition, source, values)
 
     def level(entry, what) -> Level:
         if not isinstance(entry, dict) or "scaling" not in entry or "base" not in entry:
@@ -232,7 +256,6 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
         partition=partition,
         germ=germ,
         levels=LevelSequence(levels),
-        ordinates=tuple(ordinates) if ordinates is not None else None,
         d=_number(d.get("d", 1.0), "d"),
         grid_size=grid_size,
         depth_policy=policy,
@@ -403,8 +426,7 @@ def write_curve_csv(path, xs, f_vals, fa_vals) -> None:
                             f"cannot write {path}: the worker for rows {rows[0]}..{rows[1]} "
                             f"exited with status {os.waitstatus_to_exitcode(status)}")
                     with part.open("rb") as src:
-                        while chunk := src.read(CURVE_COPY_BYTES):
-                            fh.write(chunk)
+                        shutil.copyfileobj(src, fh)
                     part.unlink()
             done = True
     finally:

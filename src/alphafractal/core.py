@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    AlphaFractalError,
     BadExponent,
     ConfigError,
     DepthZero,
@@ -30,7 +31,7 @@ from .errors import (
     TooFewKnots,
 )
 
-ENDPOINT_TOL = 1e-9       # base/ordinate endpoint matching tolerance
+ENDPOINT_TOL = 1e-9       # how closely knot data and base endpoints must match the germ
 DEGENERATE_TOL = 1e-12    # "function is identically zero on the grid" threshold
 DEFAULT_GRID_SIZE = 1025  # power of two plus one: nests under midpoint refinement
 DEFAULT_EPS = 1e-8        # default tail tolerance for the truncation depth
@@ -508,14 +509,13 @@ _MODES = {"continuous": "continuous", "cont": "continuous",
 class ProblemConfig(_Cached):
     """Everything needed to build and evaluate the interpolant.
 
-    ``germ`` may be a FunctionSpec or any vectorized callable on I.  When
-    ``ordinates`` is omitted the interpolation data are (x_i, f(x_i)).
+    ``germ`` may be a FunctionSpec or any vectorized callable on I.  The
+    interpolation data are (x_i, f(x_i)).
     """
 
     partition: Partition
     germ: FunctionLike
     levels: LevelSequence
-    ordinates: tuple[float, ...] | None = None
     d: float = 1.0
     grid_size: int = DEFAULT_GRID_SIZE
     depth_policy: DepthPolicy = field(default_factory=DepthPolicy)
@@ -537,27 +537,6 @@ class ProblemConfig(_Cached):
             raise ConfigError("grid_size must be at least the knot count")
         if self.grid_size > GRID_LIMIT:
             raise ConfigError(f"grid_size must be at most {GRID_LIMIT}, got {self.grid_size}")
-        if self.ordinates is not None:
-            ords = tuple(float(y) for y in self.ordinates)
-            if len(ords) != n + 1:
-                raise ConfigError("ordinates must supply one value per knot")
-            if not all(np.isfinite(ords)):
-                raise ConfigError("ordinates must be finite")
-            f0, fN = (float(evaluate(self.germ, self.partition.lo)),
-                      float(evaluate(self.germ, self.partition.hi)))
-            if abs(ords[0] - f0) > ENDPOINT_TOL or abs(ords[-1] - fN) > ENDPOINT_TOL:
-                raise EndpointMismatch(
-                    "ordinates must match the germ at both endpoints "
-                    f"(residuals {abs(ords[0] - f0):.3g}, {abs(ords[-1] - fN):.3g})"
-                )
-            interior = [np.asarray(ords[1:-1]) - evaluate(self.germ, self.partition.array()[1:-1])]
-            if sup_abs(interior) > ENDPOINT_TOL:
-                warnings.warn(
-                    "interior ordinates differ from the germ values; the construction "
-                    "interpolates (x_i, f(x_i)), so these ordinates will not be hit",
-                    stacklevel=2,
-                )
-            object.__setattr__(self, "ordinates", ords)
 
     # -- cached derived data ------------------------------------------------
 
@@ -584,8 +563,7 @@ class ProblemConfig(_Cached):
 
     @property
     def knot_ordinates(self) -> tuple[float, ...]:
-        if self.ordinates is not None:
-            return self.ordinates
+        """The interpolation data f(x_i) at the knots."""
         return self._cached(
             "_knot_ordinates",
             lambda: tuple(float(v) for v in evaluate(self.germ, self.partition.array())),
@@ -661,47 +639,38 @@ class ProblemConfig(_Cached):
         return replace(self, levels=LevelSequence(new))
 
     def with_germ(self, germ: FunctionLike) -> "ProblemConfig":
-        return replace(self, germ=germ, ordinates=None)
+        return replace(self, germ=germ)
 
     def with_partition(self, partition: Partition) -> "ProblemConfig":
-        return replace(self, partition=partition, ordinates=None)
+        return replace(self, partition=partition)
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 
-_PROBLEM_ERRORS = {
-    "ConfigError": ConfigError,
-    "ScalingNotContractive": ScalingNotContractive,
-    "EndpointMismatch": EndpointMismatch,
-    "LipConditionViolated": LipConditionViolated,
-}
-
-
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_level_sequence: estimates plus a list of problems."""
+    """Outcome of validate_level_sequence: endpoint residuals, degenerate
+    levels, and every problem found as an (error class, message) pair."""
 
-    alpha_sup: float
     endpoint_residuals: tuple[tuple[float, float], ...]
     degenerate_levels: tuple[int, ...]
-    lip_ratios: tuple[float, ...] | None
-    problems: tuple[tuple[str, str], ...]
+    problems: tuple[tuple[type[AlphaFractalError], str], ...]
 
     @property
     def ok(self) -> bool:
         return not self.problems
 
     def raise_if_failed(self) -> None:
+        """Raise the first problem's class with every problem in the message."""
         if self.problems:
-            code, message = self.problems[0]
-            raise _PROBLEM_ERRORS[code](message)
+            raise self.problems[0][0](self.summary())
 
     def summary(self) -> str:
         if self.ok:
             return "ok"
-        return "; ".join(f"{code}: {msg}" for code, msg in self.problems)
+        return "; ".join(f"{cls.__name__}: {msg}" for cls, msg in self.problems)
 
 
 def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
@@ -717,14 +686,14 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
 
     f_vals = cfg.germ_values
     f0, fN = float(f_vals[0]), float(f_vals[-1])
-    problems: list[tuple[str, str]] = []
+    problems: list[tuple[type[AlphaFractalError], str]] = []
     if not np.all(np.isfinite(f_vals)):
-        problems.append(("ConfigError", "germ takes non-finite values on the grid"))
+        problems.append((ConfigError, "germ takes non-finite values on the grid"))
 
     alpha_sup = cfg.alpha_sup
     if not alpha_sup < 1.0:
         problems.append((
-            "ScalingNotContractive",
+            ScalingNotContractive,
             f"||alpha||_inf estimate {alpha_sup:.6g} is not below 1",
         ))
 
@@ -733,12 +702,12 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     for r in range(1, cfg.levels.prefix_len + 1):
         b_vals = cfg.base_values(r)
         if not np.all(np.isfinite(b_vals)):
-            problems.append(("ConfigError", f"base b_{r} takes non-finite values on the grid"))
+            problems.append((ConfigError, f"base b_{r} takes non-finite values on the grid"))
         res = (abs(float(b_vals[0]) - f0), abs(float(b_vals[-1]) - fN))
         residuals.append(res)
         if not np.max(res) <= ENDPOINT_TOL:
             problems.append((
-                "EndpointMismatch",
+                EndpointMismatch,
                 f"base b_{r} endpoint residuals {res[0]:.3g}, {res[1]:.3g} exceed {ENDPOINT_TOL}",
             ))
         if sup_abs([b_vals - f_vals]) < DEGENERATE_TOL:
@@ -750,20 +719,16 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
             stacklevel=2,
         )
 
-    lip_ratios = None
     if cfg.mode == "lipschitz":
-        lip_ratios = norms.lip_ratios(cfg)
-        worst = float(np.max(lip_ratios))
+        worst = float(np.max(norms.lip_ratios(cfg)))
         if not worst < 0.5:
             problems.append((
-                "LipConditionViolated",
+                LipConditionViolated,
                 f"max ||alpha_i||_d / a_i^d = {worst:.6g} is not below 1/2",
             ))
 
     return ValidationReport(
-        alpha_sup=alpha_sup,
         endpoint_residuals=tuple(residuals),
         degenerate_levels=tuple(degenerate),
-        lip_ratios=lip_ratios,
         problems=tuple(problems),
     )

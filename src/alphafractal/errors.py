@@ -26,7 +26,7 @@ class ScalingNotContractive(AlphaFractalError):
 
 
 class EndpointMismatch(AlphaFractalError):
-    """A function violates a required endpoint matching condition."""
+    """A base's endpoints or the data given at the knots differ from the germ."""
 
 
 class LipConditionViolated(AlphaFractalError):

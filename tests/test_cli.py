@@ -267,6 +267,14 @@ class TestBuild:
         assert_one_diagnostic(capsys, "OutputError")
         assert (out / "curve.csv").is_dir() and os.listdir(out) == ["curve.csv"]
 
+    def test_unwritable_summary_leaves_no_curve(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
+        assert os.listdir(out) == ["summary.json"]
+
     def test_failing_export_worker_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(configio, "CURVE_BLOCK_ROWS", 64)
         monkeypatch.setattr(configio, "_usable_cores", lambda: 2)
@@ -347,6 +355,15 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg), "--suite", "error",
                      "--trials", "2", "--out", str(out)]) == 2
         assert_one_diagnostic(capsys, "OutputError")
+
+    def test_unwritable_report_json_leaves_no_report_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["verify", "--config", str(cfg), "--suite", "error",
+                     "--trials", "2", "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
+        assert os.listdir(out) == ["report.json"]
 
 
 class TestSweep:
@@ -510,6 +527,69 @@ README_MANIFEST = {"config": README_CONFIG, "experiments": [
      "alphas_b": [[CONST_035, CONST_035]], "s_cap": 0.4},
     {"kind": "partition", "knots": [0.0, 0.48, 1.0], "halvings": 3},
 ]}
+
+MATCHING_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
+# Changes to the README config, the partition CSV beside it, and the error.
+INVALID_CONFIGS = {
+    "scaling-and-base": ({"levels": [{
+        "scaling": {"family": "constant", "value": 1.2},
+        "base": {"family": "polynomial", "coeffs": [0.5, 0.0, 1.0]},  # off by 0.5 at both ends
+    }]}, None, "ScalingNotContractive"),
+    "ordinates-interior": ({"ordinates": [0, 0.9, 1]}, None, "EndpointMismatch"),
+    "csv-interior": ({"partition": {"csv": "data.csv"}}, "x,y\n0,0\n0.5,0.9\n1,1\n",
+                     "EndpointMismatch"),
+    "ordinates-beside-csv": ({"partition": {"csv": "data.csv"}, "ordinates": [0, 0.9, 1]},
+                             MATCHING_CSV, "EndpointMismatch"),
+}
+
+
+@pytest.mark.parametrize("changes, csv_text, error", INVALID_CONFIGS.values(),
+                         ids=list(INVALID_CONFIGS))
+def test_one_diagnostic_from_every_command(tmp_path, capsys, trajectories,
+                                           changes, csv_text, error):
+    """build, verify and sweep reject one invalid config with the same JSON
+    line on stderr, which names every problem, and run and write nothing."""
+    data = {**README_CONFIG, **changes}
+    if csv_text is not None:
+        (tmp_path / "data.csv").write_text(csv_text)
+    cfg = write_config(tmp_path, data)
+    man = write_config(tmp_path, {**README_MANIFEST, "config": data}, "manifest.json")
+    lines = []
+    for argv in (["build", "--config", str(cfg)],
+                 ["verify", "--config", str(cfg), "--trials", "1"],
+                 ["sweep", "--manifest", str(man)]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2
+        lines.append(capsys.readouterr().err)
+        assert os.listdir(out) == []
+    assert lines[0] == lines[1] == lines[2]
+    assert lines[0].count("\n") == 1
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == error
+    if error == "ScalingNotContractive":
+        assert "EndpointMismatch: base b_1" in diagnostic["detail"]
+    assert trajectories == []
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "sweep", "build-c11"])
+def test_success_is_quiet_on_stderr(tmp_path, command):
+    """A run that succeeds exits 0 and writes nothing to stderr, with the
+    interpreter's default warning filters: no warning leaks out."""
+    cfg = write_config(tmp_path, README_CONFIG)
+    argv = {
+        "build": ["build", "--config", str(cfg)],
+        "verify": ["verify", "--config", str(cfg), "--suite", "all", "--trials", "2"],
+        "sweep": ["sweep", "--manifest",
+                  str(write_config(tmp_path, README_MANIFEST, "manifest.json"))],
+        "build-c11": ["build", "--config", str(write_config(tmp_path, c11_config(), "c11.json")),
+                      "--grid", "4097"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli", *argv,
+                           "--out", str(tmp_path / "out")], capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 # Small magnitudes keep every drawn grid, depth and halving count cheap.
 SCALARS = st.one_of(

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from alphafractal import configio
-from alphafractal.configio import CURVE_BLOCK_ROWS, write_curve_csv
-from alphafractal.errors import OutputError
+from alphafractal.configio import CURVE_BLOCK_ROWS, config_from_dict, write_curve_csv
+from alphafractal.errors import ConfigError, EndpointMismatch, OutputError
 
 from reference import ref_write_curve_csv
 
@@ -129,3 +129,46 @@ def test_parent_failing_mid_write_reaps_and_cleans(tmp_path, small_blocks, monke
         write_curve_csv(tmp_path / "curve.csv", *[np.arange(20.0)] * 3)
     assert os.listdir(tmp_path) == []
     _assert_no_children()
+
+
+# f(x) = x on the knots 0, 1/2, 1: the interpolation data are (0, 0.5, 1).
+KNOT_DATA_CONFIG = {
+    "germ": {"family": "polynomial", "coeffs": [0.0, 1.0]},
+    "levels": [{"scaling": {"family": "constant", "value": 0.4},
+                "base": {"family": "polynomial", "coeffs": [0.0, 0.0, 1.0]}}],
+}
+CSV_MATCHING = "x,y\n0,0\n0.5,0.5\n1,1\n"
+
+
+@pytest.mark.parametrize("csv_text, ordinates, error", [
+    (None, [0.0, 0.5, 1.0], None),
+    (None, [0.0, 0.5 + 1e-10, 1.0], None),
+    (None, [0.1, 0.5, 1.0], EndpointMismatch),
+    (None, [0.0, 0.5, 1.0 + 2e-9], EndpointMismatch),
+    (None, [0.0, 0.7, 1.0], EndpointMismatch),
+    (None, [0.0, float("nan"), 1.0], EndpointMismatch),
+    (None, [0.0, 0.5], ConfigError),
+    (CSV_MATCHING, None, None),
+    (CSV_MATCHING, [0.0, 0.5, 1.0], None),
+    ("x,y\n0,0\n0.5,0.9\n1,1\n", None, EndpointMismatch),
+    ("x,y\n0,0.1\n0.5,0.5\n1,1\n", None, EndpointMismatch),
+    (CSV_MATCHING, [0.0, 0.9, 1.0], EndpointMismatch),
+    (CSV_MATCHING, [0.0, 0.5, 1.0, 1.5], ConfigError),
+], ids=["ordinates", "ordinates-within-tol", "ordinates-left-end", "ordinates-right-end",
+        "ordinates-interior", "ordinates-nan", "ordinates-short", "csv", "csv-and-ordinates",
+        "csv-interior", "csv-left-end", "csv-then-ordinates-interior", "csv-then-ordinates-long"])
+def test_knot_data_checked_against_germ(tmp_path, csv_text, ordinates, error):
+    """Knot values from a CSV partition's y column or from "ordinates" must
+    be the germ's values at the knots, within ENDPOINT_TOL at every knot."""
+    data = dict(KNOT_DATA_CONFIG, partition={"knots": [0.0, 0.5, 1.0]})
+    if csv_text is not None:
+        (tmp_path / "data.csv").write_text(csv_text)
+        data["partition"] = {"csv": "data.csv"}
+    if ordinates is not None:
+        data["ordinates"] = ordinates
+    if error is None:
+        cfg = config_from_dict(data, base_dir=tmp_path)
+        assert cfg.knot_ordinates == (0.0, 0.5, 1.0)
+    else:
+        with pytest.raises(error):
+            config_from_dict(data, base_dir=tmp_path)

@@ -17,11 +17,13 @@ from alphafractal.errors import (
     BadExponent,
     ConfigError,
     EndpointMismatch,
+    LipConditionViolated,
     NonMonotoneKnots,
     NotValidated,
     ScalingNotContractive,
     TooFewKnots,
 )
+from alphafractal.norms import lip_ratios
 
 DOM = (0.0, 1.0)
 
@@ -152,10 +154,11 @@ def _cfg(alpha_value, base, mode="continuous", d=1.0):
 
 class TestValidation:
     def test_ratio_08_fails_lip_passes_continuous(self, base_x2):
-        rep = validate_level_sequence(_cfg(0.4, base_x2, mode="lip"))
+        cfg = _cfg(0.4, base_x2, mode="lip")
+        rep = validate_level_sequence(cfg)
         assert not rep.ok
-        assert rep.problems[0][0] == "LipConditionViolated"
-        assert rep.lip_ratios[0] == pytest.approx(0.8)
+        assert rep.problems[0][0] is LipConditionViolated
+        assert lip_ratios(cfg)[0] == pytest.approx(0.8)
         rep2 = validate_level_sequence(_cfg(0.4, base_x2, mode="cont"))
         assert rep2.ok
 
@@ -167,7 +170,7 @@ class TestValidation:
         shifted = FunctionSpec.polynomial([0.1, 0.0, 1.0], DOM)  # x^2 + 0.1
         rep = validate_level_sequence(_cfg(0.4, shifted))
         assert not rep.ok
-        assert rep.problems[0][0] == "EndpointMismatch"
+        assert rep.problems[0][0] is EndpointMismatch
         with pytest.raises(EndpointMismatch):
             rep.raise_if_failed()
 
@@ -179,8 +182,8 @@ class TestValidation:
         ),))
         cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
         rep = cfg.validation()
-        assert rep.alpha_sup == 1.2
-        assert [code for code, _ in rep.problems] == ["ScalingNotContractive"]
+        assert cfg.alpha_sup == 1.2
+        assert [cls for cls, _ in rep.problems] == [ScalingNotContractive]
         with pytest.raises(ScalingNotContractive):
             rep.raise_if_failed()
 
@@ -222,14 +225,14 @@ class TestLevelSequence:
         assert np.isnan(seq.alpha_sup(np.linspace(0, 1, 9)))
         cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
         rep = validate_level_sequence(cfg)
-        assert rep.problems[0][0] == "ScalingNotContractive"
+        assert rep.problems[0][0] is ScalingNotContractive
 
 
-    @pytest.mark.parametrize("where, code", [
-        (lambda x: (x > 0.4) & (x < 0.6), "ConfigError"),
-        (lambda x: x == 1.0, "EndpointMismatch"),
+    @pytest.mark.parametrize("where, error", [
+        (lambda x: (x > 0.4) & (x < 0.6), ConfigError),
+        (lambda x: x == 1.0, EndpointMismatch),
     ], ids=["interior", "right-end"])
-    def test_nan_base_fails_validation(self, germ_x, where, code):
+    def test_nan_base_fails_validation(self, germ_x, where, error):
         # Knots 0, 1/2, 1 on a 65-point grid; b = x^2 except for NaN at `where`.
         def nan_base(x):
             x = np.asarray(x, dtype=float)
@@ -240,7 +243,7 @@ class TestLevelSequence:
                             LevelSequence((Level((a, a), nan_base),)), grid_size=65)
         rep = validate_level_sequence(cfg)
         assert not rep.ok
-        assert code in [c for c, _ in rep.problems]
+        assert error in [cls for cls, _ in rep.problems]
         assert np.isnan(cfg.base_gap_sup) and np.isnan(cfg.base_sup)
         with pytest.raises(NotValidated):
             trajectory_interpolant(cfg)
@@ -260,18 +263,6 @@ class TestProblemConfig:
             _cfg(0.4, base_x2, d=0.0)
         with pytest.raises(BadExponent):
             _cfg(0.4, base_x2, d=1.5)
-
-    def test_ordinate_endpoints_enforced(self, germ_x, base_x2):
-        p = build_partition([0.0, 0.5, 1.0])
-        a = FunctionSpec.constant(0.4, DOM)
-        levels = LevelSequence((Level((a, a), base_x2),))
-        with pytest.raises(EndpointMismatch):
-            ProblemConfig(p, germ_x, levels, ordinates=(0.1, 0.5, 1.0))
-        # interior mismatch only warns
-        with pytest.warns(UserWarning, match="interior"):
-            ProblemConfig(p, germ_x, levels, ordinates=(0.0, 0.7, 1.0))
-        with pytest.raises(ConfigError):
-            ProblemConfig(p, germ_x, levels, ordinates=(0.0, float("nan"), 1.0))
 
     def test_mode_must_be_a_known_name(self, germ_x, base_x2):
         p = build_partition([0.0, 0.5, 1.0])

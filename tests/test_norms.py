@@ -273,7 +273,7 @@ def test_validation_and_hypothesis_share_ratios(monkeypatch):
                         LevelSequence(levels), mode="lipschitz")
     assert cfg.validation().ok
     rep = check_lip_hypothesis(cfg)
-    assert rep.inputs["per_level_ratios"] == cfg.validation().lip_ratios
+    assert rep.inputs["per_level_ratios"] == norms.lip_ratios(cfg)
     assert rep.passed
     assert len(calls) == 2 * 3
 
