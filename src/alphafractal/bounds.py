@@ -140,10 +140,6 @@ def config_with_operator_bases(cfg: ProblemConfig, op: BaseOperatorSpec) -> Prob
         tuple(op.apply(r, cfg.germ, cfg.partition) for r in range(1, n + 1))))
 
 
-def _trajectory_values(cfg: ProblemConfig, depth: int) -> np.ndarray:
-    return backward_trajectory(None, depth, cfg).values.ys
-
-
 # ---------------------------------------------------------------------------
 # Error and operator bounds
 # ---------------------------------------------------------------------------
@@ -209,7 +205,8 @@ def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
             skipped += 1
             continue
         depth = max(resolve_depth(cfg1), resolve_depth(cfg2))
-        diff = sup_abs([_trajectory_values(cfg1, depth) - _trajectory_values(cfg2, depth)])
+        diff = sup_abs([trajectory_interpolant(cfg1, depth).values.ys
+                        - trajectory_interpolant(cfg2, depth).values.ys])
         trunc = max(trunc, (truncation_error(cfg1, depth)
                             + truncation_error(cfg2, depth)) / denom)
         worst = max(worst, diff / denom)
@@ -245,9 +242,9 @@ def relative_bound_check(cfg: ProblemConfig, op: BaseOperatorSpec,
         f = random_polynomial_spec(rng, cfg.domain, POLY_DEGREE)
         cfg2 = config_with_operator_bases(cfg.with_germ(f), op)
         rhs = cfg2.germ_sup / (1.0 - a) + a / (1.0 - a) * cfg2.base_sup
-        depth = resolve_depth(cfg2)
-        lhs = sup_abs([_trajectory_values(cfg2, depth)])
-        trunc = max(trunc, truncation_error(cfg2, depth))
+        traj = trajectory_interpolant(cfg2)
+        lhs = sup_abs([traj.values.ys])
+        trunc = max(trunc, truncation_error(cfg2, traj.depth))
         if rhs - lhs < worst_margin:
             worst_margin = rhs - lhs
             worst = (lhs, rhs, k)
@@ -288,7 +285,8 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
     base_gap = cfgA.base_distance(cfgB)
     predicted = (germ_gap + a * base_gap) / (1.0 - a)
     depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
-    observed = sup_abs([_trajectory_values(cfgA, depth) - _trajectory_values(cfgB, depth)])
+    observed = sup_abs([trajectory_interpolant(cfgA, depth).values.ys
+                        - trajectory_interpolant(cfgB, depth).values.ys])
     return BoundReport(
         name="stability",
         predicted=predicted,
@@ -335,7 +333,7 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
         required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, DEPTH_CAP),
     )
     pert_vals = backward_trajectory(None, depth, cfg, pert).values.ys
-    observed = sup_abs([pert_vals - _trajectory_values(cfg, depth)])
+    observed = sup_abs([pert_vals - trajectory_interpolant(cfg, depth).values.ys])
     trunc = truncation_error(cfg, depth) + geometric_tail(rate, gap + phi_sup, depth)
     return BoundReport(
         name="sensitivity",

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import depend
 from .core import (
     DEFAULT_GRID_SIZE,
     ENDPOINT_TOL,
@@ -32,7 +33,7 @@ from .core import (
     build_partition,
     evaluate,
 )
-from .errors import ConfigError, EndpointMismatch, OutputError
+from .errors import AlphaFractalError, ConfigError, EndpointMismatch, OutputError
 
 FMT = "%.17g"
 CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
@@ -286,29 +287,37 @@ class Experiment:
     halvings: int | None = None
 
 
-def experiment_from_dict(d: dict, domain, base_dir: Path | None = None) -> Experiment:
+def experiment_from_dict(d: dict, partition: Partition,
+                         base_dir: Path | None = None) -> Experiment:
+    """One experiment on a config over ``partition``, parsed and put through
+    the range checks its ``depend`` function makes before it runs."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in ("base", "scaling", "partition"):
         raise ConfigError("needs kind base | scaling | partition")
 
     def specs(raw, what):
-        return _list(raw, what, lambda s, _: funcspec_from_dict(s, domain, base_dir))
+        return _list(raw, what, lambda s, _: funcspec_from_dict(s, partition.domain, base_dir))
 
     try:
         if kind == "base":
             return Experiment(kind, specs(d["bases_a"], "bases_a"), specs(d["bases_b"], "bases_b"))
         if kind == "scaling":
             a, b = (_list(d[name], name, specs) for name in ("alphas_a", "alphas_b"))
-            return Experiment(kind, a, b, s_cap=_number(d.get("s_cap", 0.99), "s_cap"))
-        return Experiment(kind, partition=build_partition(_list(d["knots"], "knots")),
-                          halvings=_integer(d.get("halvings", 3), "halvings"))
+            s_cap = _number(d.get("s_cap", 0.99), "s_cap")
+            depend.require_cap(s_cap)
+            return Experiment(kind, a, b, s_cap=s_cap)
+        other = build_partition(_list(d["knots"], "knots"))
+        halvings = _integer(d.get("halvings", 3), "halvings")
+        depend.require_halvings(halvings)
+        depend.require_same_interval(partition, other)
+        return Experiment(kind, partition=other, halvings=halvings)
     except KeyError as exc:
         raise ConfigError(f"{kind} experiment missing field {exc}") from None
 
 
 def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[Experiment]]:
-    """The manifest's config and its experiments, every experiment parsed
-    before any of them runs."""
+    """The manifest's config and its experiments, every experiment parsed and
+    range-checked before any of them runs."""
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -325,9 +334,9 @@ def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, l
     experiments = []
     for k, exp in enumerate(raw):
         try:
-            experiments.append(experiment_from_dict(exp, cfg.domain, path.parent))
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: experiment {k}: {exc}") from None
+            experiments.append(experiment_from_dict(exp, cfg.partition, path.parent))
+        except AlphaFractalError as exc:
+            raise type(exc)(f"{path}: experiment {k}: {exc}") from None
     return cfg, experiments
 
 

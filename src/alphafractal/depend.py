@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import VERIFY_TOL
 from .core import Partition, ProblemConfig, evaluate, sup_abs
-from .engine import backward_trajectory, resolve_depth, truncation_error
+from .engine import backward_trajectory, resolve_depth, trajectory_interpolant, truncation_error
 from .errors import CapViolated, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
 from .report import BoundReport
@@ -24,18 +24,13 @@ BASE_RATIO_SLACK = 1e-4  # allowance on the base-map ratio check
 LIP_SLACK = 0.05         # conservative inflation of estimated Lipschitz constants
 
 
-def _trajectory_values(cfg: ProblemConfig, depth: int):
-    """The germ-seeded trajectory's values at ``depth``, computed once per
-    config and depth (a partition sweep compares one config with many)."""
-    return cfg._cached(f"_trajectory_{depth}",
-                       lambda: backward_trajectory(None, depth, cfg).values)
-
-
-def _interpolant_sup_diff(cfgA: ProblemConfig, cfgB: ProblemConfig) -> tuple[float, int]:
-    """Sup difference of the two trajectory interpolants on a shared comparison grid."""
-    depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
-    fa = _trajectory_values(cfgA, depth)
-    fb = _trajectory_values(cfgB, depth)
+def _interpolant_sup_diff(ref: ProblemConfig, other: ProblemConfig) -> tuple[float, int]:
+    """Sup difference of the two trajectory interpolants on a shared comparison
+    grid.  The reference's trajectory is cached (a partition sweep compares one
+    config with many); ``other`` is new in every caller."""
+    depth = max(resolve_depth(ref), resolve_depth(other))
+    fa = trajectory_interpolant(ref, depth).values
+    fb = backward_trajectory(None, depth, other).values
     common = np.union1d(fa.xs, fb.xs)
     return sup_abs([fa(common) - fb(common)]), depth
 
@@ -47,9 +42,12 @@ def _interpolant_sup_diff(cfgA: ProblemConfig, cfgB: ProblemConfig) -> tuple[flo
 
 def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
     """Ratio ||A(b) - A(c)|| / ||b - c|| against the Lipschitz constant
-    ||alpha||/(1 - ||alpha||).  Identical sequences give ratio 0."""
+    ||alpha||/(1 - ||alpha||).  Identical sequences give ratio 0; both must
+    pass validation, equal or not."""
     cfgA = cfg.with_bases(tuple(bases_a))
     cfgB = cfg.with_bases(tuple(bases_b))
+    for c in (cfgA, cfgB):
+        c.validation().raise_if_failed()
     a = cfg.alpha_sup
     predicted = a / (1.0 - a)
     denom = cfgA.base_distance(cfgB)
@@ -74,12 +72,16 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def require_cap(s_cap: float) -> None:
+    if not 0.0 < s_cap < 1.0:
+        raise CapViolated(f"s_cap must lie in (0, 1), got {s_cap}")
+
+
 def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
                        s_cap: float) -> BoundReport:
     """||B(alpha) - B(beta)|| <= ||alpha - beta|| ||f - b|| / (1 - s_cap)^2 for
     sequences capped by s_cap < 1."""
-    if not 0.0 < s_cap < 1.0:
-        raise CapViolated(f"s_cap must lie in (0, 1), got {s_cap}")
+    require_cap(s_cap)
     cfgA = cfg.with_scalings(tuple(tuple(v) for v in alphas_a))
     cfgB = cfg.with_scalings(tuple(tuple(v) for v in alphas_b))
     for label, c in (("first", cfgA), ("second", cfgB)):
@@ -150,7 +152,7 @@ def compute_theta(cfg: ProblemConfig) -> float:
     return _theta(theta_constants(cfg)["theta_limit"])
 
 
-def _require_same_interval(p: Partition, other: Partition) -> None:
+def require_same_interval(p: Partition, other: Partition) -> None:
     if len(other.knots) != len(p.knots):
         raise KnotCountMismatch(f"partitions carry {len(p.knots)} vs {len(other.knots)} knots")
     if other.lo != p.lo or other.hi != p.hi:
@@ -168,7 +170,7 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     witness.
     """
     p = cfg.partition
-    _require_same_interval(p, other)
+    require_same_interval(p, other)
     cfgB = cfg.with_partition(other)
     consts = theta_constants(cfg)
     theta = _theta(consts["theta_limit"])
@@ -199,14 +201,18 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     )
 
 
+def require_halvings(halvings: int) -> None:
+    if halvings < 1:
+        raise KnotCountMismatch("need at least one magnitude")
+
+
 def partition_continuity(cfg: ProblemConfig, other: Partition,
                          halvings: int = 3) -> list[BoundReport]:
     """Reports along knot perturbations of geometrically shrinking magnitude:
     Delta + (Delta~ - Delta)/2^k for k = 0..halvings-1.  A continuity witness
     requires the interpolant sup-differences to decrease strictly."""
-    if halvings < 1:
-        raise KnotCountMismatch("need at least one magnitude")
-    _require_same_interval(cfg.partition, other)
+    require_halvings(halvings)
+    require_same_interval(cfg.partition, other)
     base = cfg.partition.array()
     target = other.array()
     out = []

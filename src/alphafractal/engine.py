@@ -131,20 +131,22 @@ def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig, terms) -> np.ndarra
     return out
 
 
+def _check_seed(g: SampledFunction, cfg: ProblemConfig) -> None:
+    """An RB operator acts on functions on the configured grid that match the
+    germ at both endpoints (within ENDPOINT_TOL)."""
+    if not np.array_equal(g.xs, cfg.grid):
+        raise GridMismatch("seed is not sampled on the configured grid")
+    res = sup_abs([g.ys[[0, -1]] - cfg.germ_values[[0, -1]]])
+    if not res <= ENDPOINT_TOL:
+        raise EndpointMismatch(f"seed endpoint residual {res:.3g} exceeds {ENDPOINT_TOL}")
+
+
 def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:
     """One Read-Bajraktarevic application
         (T^{alpha_r} g)(x) = f(x) + alpha_{i,r}(Q_i(x)) (g - b_r)(Q_i(x))
-    on the configured grid.  The input must live on that grid and match the
-    germ at both endpoints."""
+    on the configured grid, to a seed that passes ``_check_seed``."""
     require_valid(cfg)
-    if not np.array_equal(g.xs, cfg.grid):
-        raise GridMismatch("input is not sampled on the configured grid")
-    f_vals = cfg.germ_values
-    res = sup_abs([g.ys[[0, -1]] - f_vals[[0, -1]]])
-    if res > ENDPOINT_TOL:
-        raise EndpointMismatch(
-            f"input endpoint residual {res:.3g} exceeds {ENDPOINT_TOL}"
-        )
+    _check_seed(g, cfg)
     return g.with_values(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)))
 
 
@@ -219,14 +221,14 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
                         cfg: ProblemConfig,
                         pert: PerturbationSpec | None = None) -> Interpolant:
     """T^{alpha_1} o T^{alpha_2} o ... o T^{alpha_depth} applied to the seed g
-    (defaults to the sampled germ).  Applications run innermost-first, so the
-    level-depth operator hits the seed.  The result shares the grid and its
-    own frozen values."""
+    (defaults to the sampled germ; any other seed must pass ``_check_seed``).
+    Applications run innermost-first, so the level-depth operator hits the
+    seed.  The result shares the grid and its own frozen values."""
     require_valid(cfg)
     if depth < 1:
         raise DepthZero("backward trajectory needs depth >= 1")
-    if g is not None and not np.array_equal(g.xs, cfg.grid):
-        raise GridMismatch("seed is not sampled on the configured grid")
+    if g is not None:
+        _check_seed(g, cfg)
     if pert is not None:
         pert.check_contractive(cfg)
     # Levels past both prefixes repeat the last: one set of terms per level.
@@ -238,12 +240,14 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
     return Interpolant(cfg=cfg, depth=depth, values=SampledFunction(cfg.grid, frozen(vals)))
 
 
-def trajectory_interpolant(cfg: ProblemConfig) -> Interpolant:
-    """Trajectory at the policy depth from the germ seed.  Its values are
-    cached per config; the cache holds no Interpolant, which would refer back
-    to the config and keep both alive until the cycle collector runs."""
-    depth = resolve_depth(cfg)
-    values = cfg._cached("_trajectory", lambda: backward_trajectory(None, depth, cfg).values)
+def trajectory_interpolant(cfg: ProblemConfig, depth: int | None = None) -> Interpolant:
+    """The germ-seeded trajectory at ``depth`` (default: the policy depth),
+    built once per config and depth.  The cache holds its values, not an
+    Interpolant, which would refer back to the config and keep both alive
+    until the cycle collector runs."""
+    depth = resolve_depth(cfg) if depth is None else depth
+    values = cfg._cached(f"_trajectory_{depth}",
+                         lambda: backward_trajectory(None, depth, cfg).values)
     return Interpolant(cfg=cfg, depth=depth, values=values)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import importlib
 import io
 import json
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import alphafractal
 from alphafractal import FunctionSpec, configio, engine
 from alphafractal.cli import main
+from test_span_sites import PERFBENCH, SMALL_RUNS
 
 RUNNING_CONFIG = {
     "partition": {"knots": [0.0, 0.5, 1.0]},
@@ -452,13 +454,36 @@ class TestSweep:
         assert json.loads(err_lines[0])["error"] == "ConfigError"
 
     def test_experiments_checked_before_any_runs(self, tmp_path, capsys, trajectories):
-        man = self._manifest(tmp_path, [
-            {"kind": "base", "bases_a": [SQUARE], "bases_b": [CUBE]},
-            {"kind": "partition"},
-        ])
+        # a valid experiment first, then one that is malformed or that its
+        # depend function would reject: the sweep fails before either runs
+        first = {"kind": "partition", "knots": [0.0, 0.48, 1.0], "halvings": 3}
+        cases = [
+            ({"kind": "partition"}, "ConfigError"),
+            (dict(first, halvings=0), "KnotCountMismatch"),
+            ({"kind": "scaling", "alphas_a": [[CONST_04, CONST_04]],
+              "alphas_b": [[CONST_035, CONST_035]], "s_cap": 1.5}, "CapViolated"),
+            (dict(first, knots=[0.0, 0.3, 0.6, 1.0]), "KnotCountMismatch"),
+            (dict(first, knots=[0.0, 0.5, 2.0]), "EndpointMismatch"),
+        ]
+        for bad, error in cases:
+            man = self._manifest(tmp_path, [first, bad])
+            assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], "experiment 1" in err["detail"]) == (error, True), bad
+            assert trajectories == []
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("other", [[0.5, 0.0, 1.0], [0.0, 0.5, 1.0]])
+    def test_base_off_the_germ_exits_2(self, tmp_path, capsys, other):
+        # b(0) = 0.5 where f(0) = 0, paired with itself or another base off the germ
+        off = {"family": "polynomial", "coeffs": [0.5, 0.0, 1.0]}
+        man = self._manifest(tmp_path, [{"kind": "base", "bases_a": [off], "bases_b": [
+            {"family": "polynomial", "coeffs": other}]}])
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 2
-        assert "experiment 1" in json.loads(capsys.readouterr().err)["detail"]
-        assert trajectories == []
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert json.loads(err_lines[0])["error"] == "EndpointMismatch"
+        assert not (tmp_path / "results.csv").exists()
 
 
 # {cfg} is the running example's config file, {manifest} a valid manifest on
@@ -646,3 +671,26 @@ def test_contract_holds_for_any_leaf_values(data):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error", "detail"}
+
+
+# Depths of the trajectories each small benchmark run builds, in order.  verify
+# runs one trial per suite: the error bound and its corollary share one; the
+# operator check compares two germs and the relative bound reads one; the
+# stability pair is two; the sensitivity bound runs a perturbed and an
+# unperturbed trajectory at one depth.
+SMALL_RUN_TRAJECTORIES = {
+    "build-1m": [29],
+    "verify-all": [26, 30, 30, 29, 30, 30, 43, 43],
+    "sweep-dependence": [19] * 9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_small_benchmark_runs_build_pinned_trajectories(tmp_path, monkeypatch,
+                                                        trajectories, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads").WORKLOADS[name](1, tmp_path)
+    wl.prepare()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(SMALL_RUNS[name](wl) + ["--out", str(tmp_path / "out")]) == 0
+    assert trajectories == SMALL_RUN_TRAJECTORIES[name]

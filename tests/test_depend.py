@@ -10,6 +10,7 @@ from alphafractal import (
     partition_continuity,
     partition_dependence,
     scaling_dependence,
+    trajectory_interpolant,
 )
 from alphafractal.depend import (
     LIP_SLACK,
@@ -41,6 +42,15 @@ class TestBaseDependence:
         assert rep.inputs["base_distance"] == pytest.approx(4.0 / 27.0, abs=1e-6)
         assert rep.observed <= rep.predicted + rep.tolerance
         assert rep.passed
+
+    @pytest.mark.parametrize("other", [(0.5, 0.0, 1.0), (0.0, 0.5, 1.0)])
+    def test_base_off_the_germ_rejected(self, running_cfg, trajectories, other):
+        # b(0) = 0.5 where f(0) = 0: equal sequences must not take the
+        # identical-sequence shortcut, and unequal ones fail before a trajectory
+        off = FunctionSpec.polynomial([0.5, 0.0, 1.0], DOM)
+        with pytest.raises(EndpointMismatch):
+            base_dependence(running_cfg, (off,), (FunctionSpec.polynomial(list(other), DOM),))
+        assert trajectories == []
 
     def test_randomized_pairs(self, running_cfg):
         from alphafractal.campaigns import base_pair_suite
@@ -132,22 +142,17 @@ def test_theta_constants_computed_once(make_cfg, monkeypatch):
     assert len(calls) == 1 + 2 + 2 * 3
 
 
-def test_partition_continuity_runs_each_trajectory_once(running_cfg, monkeypatch):
+def test_partition_continuity_runs_each_trajectory_once(running_cfg, trajectories):
     # four halvings compare one unperturbed config with four perturbed ones:
     # its trajectory is built once per depth, not once per halving
-    calls = []
-    traj = depend.backward_trajectory
-
-    def counted(g, depth, cfg, *args, **kwargs):
-        calls.append(cfg is running_cfg)
-        return traj(g, depth, cfg, *args, **kwargs)
-
-    monkeypatch.setattr(depend, "backward_trajectory", counted)
     reports = partition_continuity(running_cfg, build_partition([0.0, 0.48, 1.0]),
                                    halvings=4)
-    assert len({r.inputs["depth"] for r in reports}) == 1
-    assert calls.count(True) == 1
-    assert len(calls) == 4 + 1
+    depths = {r.inputs["depth"] for r in reports}
+    assert len(depths) == 1
+    assert len(trajectories) == 4 + 1
+    # the unperturbed one was among them: reading it again builds nothing
+    trajectory_interpolant(running_cfg, depths.pop())
+    assert len(trajectories) == 4 + 1
 
 
 def _raw_theta(cfg):

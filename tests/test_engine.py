@@ -64,15 +64,18 @@ class TestApplyRB:
         assert out.ys[0] == running_cfg.germ_values[0]
         assert out.ys[-1] == running_cfg.germ_values[-1]
 
-    def test_grid_mismatch(self, running_cfg):
+    # both entry points that take a seed check it the same way
+    @pytest.mark.parametrize("run", [apply_rb, backward_trajectory], ids=lambda f: f.__name__)
+    def test_grid_mismatch(self, running_cfg, run):
         bad = SampledFunction(np.linspace(0, 1, 11), np.linspace(0, 1, 11))
         with pytest.raises(GridMismatch):
-            apply_rb(bad, 1, running_cfg)
+            run(bad, 1, running_cfg)
 
-    def test_endpoint_mismatch(self, running_cfg):
+    @pytest.mark.parametrize("run", [apply_rb, backward_trajectory], ids=lambda f: f.__name__)
+    def test_endpoint_mismatch(self, running_cfg, run):
         bad = SampledFunction(running_cfg.grid, running_cfg.grid + 0.01)
         with pytest.raises(EndpointMismatch):
-            apply_rb(bad, 1, running_cfg)
+            run(bad, 1, running_cfg)
 
 
 class TestRBStepInPlace:
@@ -473,3 +476,15 @@ class TestFixedDepthPolicy:
                             depth_policy=DepthPolicy(depth=7))
         assert resolve_depth(cfg) == 7
         assert trajectory_interpolant(cfg).depth == 7
+
+
+def test_one_trajectory_cache_per_config_and_depth(running_cfg, trajectories):
+    depth = resolve_depth(running_cfg)
+    policy = trajectory_interpolant(running_cfg)
+    assert trajectory_interpolant(running_cfg, depth).values is policy.values
+    deeper = trajectory_interpolant(running_cfg, depth + 3)
+    assert deeper.depth == depth + 3
+    assert trajectory_interpolant(running_cfg, depth + 3).values is deeper.values
+    assert trajectories == [depth, depth + 3]
+    assert np.array_equal(deeper.values.ys,
+                          backward_trajectory(None, depth + 3, running_cfg).values.ys)
