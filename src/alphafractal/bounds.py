@@ -319,12 +319,11 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     against the closed-form bound in ||s|| and ||t||.  The formula's
     precondition, checked before any trajectory runs, keeps the tail rate
     ||alpha|| + ||t|| ||theta|| below 1."""
-    grid = cfg.grid
+    sups = pert.grid_sups(cfg)  # first, as it settles cfg.alpha_sup on its way
     a = cfg.alpha_sup
     t_sup = pert.t_sup()
     s_sup = pert.s_sup()
-    theta_sup = pert.theta_sup(grid)
-    phi_sup = pert.phi_sup(grid)
+    theta_sup, phi_sup = sups.theta_sup, sups.phi_sup
     gap = cfg.base_gap_sup
     predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     rate = a + t_sup * theta_sup

@@ -287,10 +287,11 @@ class Experiment:
     halvings: int | None = None
 
 
-def experiment_from_dict(d: dict, partition: Partition,
+def experiment_from_dict(d: dict, cfg: ProblemConfig,
                          base_dir: Path | None = None) -> Experiment:
-    """One experiment on a config over ``partition``, parsed and put through
-    the range checks its ``depend`` function makes before it runs."""
+    """One experiment on ``cfg``, parsed and put through the range checks its
+    ``depend`` function makes before it runs."""
+    partition = cfg.partition
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in ("base", "scaling", "partition"):
         raise ConfigError("needs kind base | scaling | partition")
@@ -305,6 +306,8 @@ def experiment_from_dict(d: dict, partition: Partition,
             a, b = (_list(d[name], name, specs) for name in ("alphas_a", "alphas_b"))
             s_cap = _number(d.get("s_cap", 0.99), "s_cap")
             depend.require_cap(s_cap)
+            depend.require_capped(cfg, a, s_cap, "first")
+            depend.require_capped(cfg, b, s_cap, "second")
             return Experiment(kind, a, b, s_cap=s_cap)
         other = build_partition(_list(d["knots"], "knots"))
         halvings = _integer(d.get("halvings", 3), "halvings")
@@ -334,7 +337,7 @@ def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, l
     experiments = []
     for k, exp in enumerate(raw):
         try:
-            experiments.append(experiment_from_dict(exp, cfg.partition, path.parent))
+            experiments.append(experiment_from_dict(exp, cfg, path.parent))
         except AlphaFractalError as exc:
             raise type(exc)(f"{path}: experiment {k}: {exc}") from None
     return cfg, experiments

@@ -206,10 +206,20 @@ class FunctionSpec:
             yl, yr = self.params
             out = yl + (yr - yl) * (x - lo) / (hi - lo)
         elif self.family == "polynomial":
-            out = np.polynomial.polynomial.polyval(x, np.asarray(self.params))
+            # Horner's rule in place, in polyval's own order: x*0 + c[-1],
+            # then c[i] + out*x (IEEE sums and products commute)
+            out = np.multiply(x, 0.0, out=np.empty_like(x))
+            out += self.params[-1]
+            for c in self.params[-2::-1]:
+                out *= x
+                out += c
         elif self.family == "sinusoid":
             a, w, phase, offset = self.params
-            out = a * np.sin(w * x + phase) + offset
+            out = np.multiply(w, x, out=np.empty_like(x))
+            out += phase
+            np.sin(out, out=out)
+            out *= a
+            out += offset
         else:
             xs, ys = self._sample_arrays()
             out = np.interp(x, xs, ys)
@@ -219,6 +229,22 @@ class FunctionSpec:
     def endpoint_values(self) -> tuple[float, float]:
         lo, hi = self.domain
         return float(self(lo)), float(self(hi))
+
+
+def group_specs(fns) -> list[tuple[object, list[int]]]:
+    """Each distinct function of ``fns`` with the 0-based positions it takes,
+    in first-seen order: FunctionSpecs grouped by equality, any other
+    callable (hashable or not) by identity."""
+    groups: dict = {}
+    for k, fn in enumerate(fns):
+        key = fn if isinstance(fn, FunctionSpec) else id(fn)
+        first = groups.get(key, (fn,))[0]
+        if first is not fn and repr(first) != repr(fn):
+            # equal, but a number is a zero of the other sign (0.0 == -0.0),
+            # which can flip the sign of a zero value: evaluated apart
+            key = (key, k)
+        groups.setdefault(key, (fn, []))[1].append(k)
+    return list(groups.values())
 
 
 def specs_equal(a, b) -> bool:
@@ -353,8 +379,8 @@ class AffineMapSet:
         clipped into the domain."""
         k = self.partition.array()
         lo, hi = self.partition.domain
-        xl = k[idx - 1]
-        xr = k[idx]
+        xl = k.take(idx - 1)
+        xr = k.take(idx)
         out = (lo * (xr - z) + hi * (z - xl)) / (xr - xl)
         out = np.where(z == xl, lo, np.where(z == xr, hi, out))
         return np.clip(out, lo, hi)
@@ -420,8 +446,10 @@ class LevelSequence:
 
     def alpha_sup(self, grid: np.ndarray) -> float:
         """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over the
-        prefix); NaN when any scaling value is NaN."""
-        return sup_abs(evaluate(spec, grid) for lv in self.levels for spec in lv.scalings)
+        prefix, each distinct scaling evaluated once); NaN when any scaling
+        value is NaN."""
+        return sup_abs(evaluate(spec, grid) for spec, _ in
+                       group_specs([spec for lv in self.levels for spec in lv.scalings]))
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +598,19 @@ class ProblemConfig(_Cached):
         )
 
     @property
+    def scaling_cache(self) -> _Cached:
+        """Holder of what the scalings give on the grid: ``alpha_sup`` (key
+        "alpha_sup") and the RB step's alphas at the Q points (``engine``).
+        Configs made with ``with_germ`` or ``with_bases`` keep the scalings,
+        partition and grid size, so they share this one object; every other
+        config starts its own."""
+        return self._cached("_scaling_cache", _Cached)
+
+    @property
     def alpha_sup(self) -> float:
         """Grid estimate of ||alpha||_inf."""
-        return self._cached("_alpha_sup", lambda: self.levels.alpha_sup(self.grid))
+        return self.scaling_cache._cached("alpha_sup",
+                                          lambda: self.levels.alpha_sup(self.grid))
 
     @property
     def germ_sup(self) -> float:
@@ -627,7 +665,7 @@ class ProblemConfig(_Cached):
             Level(self.levels.level(r).scalings, repeat_last(bases, r))
             for r in range(1, n + 1)
         )
-        return replace(self, levels=LevelSequence(new))
+        return self._sharing_scalings(replace(self, levels=LevelSequence(new)))
 
     def with_scalings(self, scalings_per_level: Sequence[Sequence]) -> "ProblemConfig":
         """Same bases, new scaling vectors per level."""
@@ -639,7 +677,11 @@ class ProblemConfig(_Cached):
         return replace(self, levels=LevelSequence(new))
 
     def with_germ(self, germ: FunctionLike) -> "ProblemConfig":
-        return replace(self, germ=germ)
+        return self._sharing_scalings(replace(self, germ=germ))
+
+    def _sharing_scalings(self, other: "ProblemConfig") -> "ProblemConfig":
+        object.__setattr__(other, "_scaling_cache", self.scaling_cache)
+        return other
 
     def with_partition(self, partition: Partition) -> "ProblemConfig":
         return replace(self, partition=partition)

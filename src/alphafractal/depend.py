@@ -77,18 +77,24 @@ def require_cap(s_cap: float) -> None:
         raise CapViolated(f"s_cap must lie in (0, 1), got {s_cap}")
 
 
+def require_capped(cfg: ProblemConfig, alphas, s_cap: float, label: str) -> ProblemConfig:
+    """``cfg`` with the scaling sequence ``alphas`` (per-level vectors);
+    CapViolated unless its sup estimate is at most s_cap."""
+    capped = cfg.with_scalings(tuple(tuple(v) for v in alphas))
+    if not capped.alpha_sup <= s_cap:
+        raise CapViolated(
+            f"{label} scaling sequence sup estimate {capped.alpha_sup:.6g} exceeds cap {s_cap}"
+        )
+    return capped
+
+
 def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
                        s_cap: float) -> BoundReport:
     """||B(alpha) - B(beta)|| <= ||alpha - beta|| ||f - b|| / (1 - s_cap)^2 for
     sequences capped by s_cap < 1."""
     require_cap(s_cap)
-    cfgA = cfg.with_scalings(tuple(tuple(v) for v in alphas_a))
-    cfgB = cfg.with_scalings(tuple(tuple(v) for v in alphas_b))
-    for label, c in (("first", cfgA), ("second", cfgB)):
-        if not c.alpha_sup <= s_cap:
-            raise CapViolated(
-                f"{label} scaling sequence sup estimate {c.alpha_sup:.6g} exceeds cap {s_cap}"
-            )
+    cfgA = require_capped(cfg, alphas_a, s_cap, "first")
+    cfgB = require_capped(cfg, alphas_b, s_cap, "second")
     depth_levels = max(cfgA.levels.prefix_len, cfgB.levels.prefix_len)
     dist = sup_abs(evaluate(cfgA.levels.scaling(i, r), cfg.grid)
                    - evaluate(cfgB.levels.scaling(i, r), cfg.grid)

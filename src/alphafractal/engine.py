@@ -30,8 +30,8 @@ from .core import (
     SampledFunction,
     evaluate,
     frozen,
+    group_specs,
     in_domain,
-    repeat_last,
     specs_equal,
     sup_abs,
 )
@@ -60,27 +60,34 @@ def _grid_geometry(cfg: ProblemConfig):
 
 def _interp_stencil(grid: np.ndarray, q: np.ndarray):
     """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
-    with grid[j] <= q, the offset q - grid[j], the cell widths, and the exact
-    node hits (off == 0, the right end among them).  j stays writable:
-    np.take copies a read-only index array on every call."""
-    j = np.searchsorted(grid, q, side="right") - 1
-    off = q - grid[j]
-    return j, frozen(off), frozen(np.diff(grid)), frozen(off == 0.0)
+    with grid[j] <= q, the offset q - grid[j], the width of cell j (of the
+    last cell where j is the right end), and the exact node hits (off == 0,
+    the right end among them).  j stays writable: np.take copies a
+    read-only index array on every call."""
+    # Each grid-sized temporary is freed just before an array of its size is
+    # kept, which can take its place: a freed block left between kept ones
+    # stays resident (a 1M-point build's peak RSS rose by 7 MiB that way).
+    j = np.searchsorted(grid, q, side="right")
+    j -= 1
+    dxj = grid[1:].take(j, mode="clip")
+    dxj -= grid[:-1].take(j, mode="clip")
+    off = grid.take(j)
+    np.subtract(q, off, out=off)
+    return j, frozen(off), frozen(dxj), frozen(off == 0.0)
 
 
 def _interp_read(stencil, dy: np.ndarray) -> np.ndarray:
-    """np.interp(q, grid, dy) bit for bit, for finite slopes: s[j] * off + dy[j]
-    with s = diff(dy) / diff(grid), and dy[j] itself at node hits.  At most
+    """np.interp(q, grid, dy) bit for bit, for finite slopes: s * off + dy[j]
+    with the slope s = (dy[j+1] - dy[j]) / (grid[j+1] - grid[j]), and dy[j]
+    itself at node hits.  The slopes are taken at j only; at the right end j
+    is the last node, a hit, whose clipped slope is never read.  At most
     three grid-sized arrays are alive at once, dy included."""
-    j, off, dx, hit = stencil
-    s = np.empty_like(dy)
-    np.subtract(dy[1:], dy[:-1], out=s[:-1])
-    s[:-1] /= dx
-    s[-1] = 0.0  # read only at the right end, a node hit
-    out = s.take(j)
-    del s
-    out *= off
+    j, off, dxj, hit = stencil
     at = dy.take(j)
+    out = dy[1:].take(j, mode="clip")
+    out -= at
+    out /= dxj
+    out *= off
     out += at
     np.copyto(out, at, where=hit)
     return out
@@ -93,39 +100,52 @@ def _stencil(cfg: ProblemConfig):
 
 
 def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """fns[i-1] evaluated at the points of z whose 1-based interval index is i."""
+    """fns[i-1] evaluated at the points of z whose 1-based interval index is
+    i; a function that several intervals share is evaluated once, over all
+    of their points."""
     out = np.empty_like(z)
-    for i, fn in enumerate(fns, start=1):
-        mask = idx == i
+    groups = group_specs(fns)
+    if len(groups) == 1:
+        out[...] = evaluate(fns[0], z)
+        return out
+    for fn, positions in groups:
+        mask = idx == positions[0] + 1
+        for k in positions[1:]:
+            mask |= idx == k + 1
         if np.any(mask):
             out[mask] = evaluate(fn, z[mask])
     return out
 
 
 def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None):
-    """Level r's (scale, bump) at the Q points: alpha_{i,r}(Q_i x) and None
-    (cached per prefix level), or with a perturbation alpha + t theta and
-    s phi (built fresh; callers keep them for the trajectory)."""
+    """Level r's (base, scale, bump) for ``_rb_step``: b_r on the grid,
+    alpha_{i,r}(Q_i x) and None, or with a perturbation alpha + t theta and
+    s phi.  The alphas are cached per prefix level in the config's
+    ``scaling_cache``, which configs with the same scalings share; the
+    perturbed terms are built fresh, and callers keep them for the
+    trajectory."""
     r_eff = min(r, cfg.levels.prefix_len)
     idx, q = _grid_geometry(cfg)
-
-    alpha_q = cfg._cached(f"_rb_alphas_{r_eff}", lambda: frozen(
+    alpha_q = cfg.scaling_cache._cached(f"rb_alphas_{r_eff}", lambda: frozen(
         _per_interval(cfg.levels.level(r_eff).scalings, idx, q)))
+    base = cfg.base_values(r)
     if pert is None:
-        return alpha_q, None
+        return base, alpha_q, None
     lv = pert.level(r)
-    return (alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q),
+    return (base,
+            alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q),
             np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q))
 
 
-def _rb_step(values: np.ndarray, r: int, cfg: ProblemConfig, terms) -> np.ndarray:
-    """One RB application to grid samples, given level r's ``_level_terms``."""
-    scale, bump = terms
+def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray:
+    """One RB application to grid samples, given the config's ``_stencil``,
+    its germ values and level r's ``_level_terms``."""
+    base, scale, bump = terms
     # The read returns a fresh array, so the step finishes in it.  IEEE
     # products and sums commute: this is f + scale * diff (+ bump) bit for bit.
-    out = _interp_read(_stencil(cfg), values - cfg.base_values(r))
+    out = _interp_read(stencil, values - base)
     out *= scale
-    out += cfg.germ_values
+    out += germ
     if bump is not None:
         out += bump
     return out
@@ -147,7 +167,7 @@ def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:
     on the configured grid, to a seed that passes ``_check_seed``."""
     require_valid(cfg)
     _check_seed(g, cfg)
-    return g.with_values(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)))
+    return g.with_values(_rb_step(g.ys, _stencil(cfg), cfg.germ_values, _level_terms(cfg, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +254,10 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
     # Levels past both prefixes repeat the last: one set of terms per level.
     top = max(cfg.levels.prefix_len, pert.prefix_len if pert else 1)
     terms = [_level_terms(cfg, r, pert) for r in range(1, min(depth, top) + 1)]
-    vals = cfg.germ_values if g is None else g.ys
+    stencil, germ = _stencil(cfg), cfg.germ_values
+    vals = germ if g is None else g.ys
     for r in range(depth, 0, -1):
-        vals = _rb_step(vals, r, cfg, repeat_last(terms, r))
+        vals = _rb_step(vals, stencil, germ, terms[min(r, len(terms)) - 1])
     return Interpolant(cfg=cfg, depth=depth, values=SampledFunction(cfg.grid, frozen(vals)))
 
 
@@ -310,10 +331,11 @@ def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
     require_valid(cfg)
     if not _levels_constant(cfg):
         raise NotValidated("stationary fixed point needs a constant-in-r level sequence")
-    vals = cfg.germ_values.copy()
+    stencil, germ = _stencil(cfg), cfg.germ_values
+    vals = germ.copy()
     terms = _level_terms(cfg, 1)
     for it in range(1, max_iter + 1):
-        new = _rb_step(vals, 1, cfg, terms)
+        new = _rb_step(vals, stencil, germ, terms)
         delta = sup_abs([new - vals])
         vals = new
         if delta <= tol:

@@ -20,6 +20,7 @@ from .core import (
     Partition,
     ProblemConfig,
     evaluate,
+    group_specs,
     in_domain,
     repeat_last,
     sup_abs,
@@ -118,27 +119,63 @@ class PerturbationSpec:
     def s_sup(self) -> float:
         return sup_abs(lv.s for lv in self.levels)
 
-    def theta_sup(self, grid: np.ndarray) -> float:
-        return sup_abs(evaluate(th, grid) for lv in self.levels for th in lv.theta)
+    def grid_sups(self, cfg: ProblemConfig) -> GridSups:
+        """This perturbation's scalars on the config's grid, computed once per
+        config scalings and grid (``cfg.scaling_cache``).  Only the scalars
+        are kept, never the grid values."""
+        held = self.__dict__.get("_grid_sups")
+        if held is None or held[0] is not cfg.scaling_cache:
+            held = (cfg.scaling_cache, self._measure(cfg))
+            object.__setattr__(self, "_grid_sups", held)
+        return held[1]
 
-    def phi_sup(self, grid: np.ndarray) -> float:
-        return sup_abs(evaluate(ph, grid) for lv in self.levels for ph in lv.phi)
+    def _measure(self, cfg: ProblemConfig) -> GridSups:
+        """One pass over the grid that evaluates each distinct alpha, theta
+        and phi of a level once.  It sees every scaling of the prefix, so it
+        also settles ``cfg.alpha_sup`` when that is not yet known."""
+        grid = cfg.grid
+        alphas, thetas, rates = [], [], []
+        for r in range(1, max(self.prefix_len, cfg.levels.prefix_len) + 1):
+            lv = self.level(r)
+            level = []
+            for alpha, ii in group_specs(cfg.levels.level(r).scalings):
+                a = evaluate(alpha, grid)
+                alphas.append(sup_abs([a]))
+                for theta, jj in group_specs([lv.theta[i] for i in ii]):
+                    th = evaluate(theta, grid)
+                    thetas.append(sup_abs([th]))
+                    level += [sup_abs([a + lv.t[ii[j]] * th]) for j in jj]
+            rates.append(sup_abs([level]))
+        phis = [sup_abs(evaluate(phi, grid) for phi, _ in group_specs(lv.phi))
+                for lv in self.levels]
+        cfg.scaling_cache._cached("alpha_sup", lambda: sup_abs([alphas]))
+        return GridSups(theta_sup=sup_abs([thetas]), phi_sup=sup_abs([phis]),
+                        rates=tuple(rates),
+                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis))
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
         """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level."""
-        grid = cfg.grid
-        depth = max(self.prefix_len, cfg.levels.prefix_len)
-        for r in range(1, depth + 1):
-            lv = self.level(r)
-            worst = sup_abs(evaluate(cfg.levels.scaling(i, r), grid)
-                            + lv.t[i - 1] * evaluate(lv.theta[i - 1], grid)
-                            for i in range(1, cfg.n_intervals + 1))
+        sups = self.grid_sups(cfg)
+        for r, worst in enumerate(sups.rates, start=1):
             if not worst < 1.0:
                 raise PerturbationTooLarge(
                     f"level {r}: ||alpha + t*theta||_inf estimate {worst:.6g} is not below 1"
                 )
-            if not np.isfinite(sup_abs(evaluate(phi, grid) for phi in lv.phi)):
+            if not repeat_last(sups.phi_finite, r):
                 raise PerturbationTooLarge(f"level {r}: phi takes non-finite values on the grid")
+
+
+@dataclass(frozen=True)
+class GridSups:
+    """A perturbation's grid estimates on one config: sup |theta| and
+    sup |phi| over its levels, and per level r (up to the longer prefix)
+    max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf; per perturbation level,
+    whether every phi is finite."""
+
+    theta_sup: float
+    phi_sup: float
+    rates: tuple[float, ...]
+    phi_finite: tuple[bool, ...]
 
 
 # ---------------------------------------------------------------------------

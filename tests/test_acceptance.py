@@ -35,6 +35,7 @@ from alphafractal.depend import is_strictly_decreasing, partition_continuity
 from alphafractal.engine import (
     _level_terms,
     _rb_step,
+    _stencil,
     apply_rb,
     backward_trajectory,
     resolve_depth,
@@ -138,7 +139,8 @@ def test_criterion_5_geometric_convergence(batch):
     for cfg in batch:
         g = SampledFunction(cfg.grid, cfg.germ_values)
         c0 = max(
-            float(np.max(np.abs(_rb_step(g.ys, r, cfg, _level_terms(cfg, r)) - g.ys)))
+            float(np.max(np.abs(_rb_step(g.ys, _stencil(cfg), cfg.germ_values,
+                                         _level_terms(cfg, r)) - g.ys)))
             for r in range(1, cfg.levels.prefix_len + 1)
         )
         outs = [backward_trajectory(None, k, cfg).values.ys for k in range(1, 22)]

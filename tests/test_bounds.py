@@ -17,7 +17,7 @@ from alphafractal import (
     sensitivity_bound,
     stability_bound,
 )
-from alphafractal import bounds, campaigns
+from alphafractal import campaigns
 from alphafractal.bounds import config_with_operator_bases, sensitivity_predicted
 from alphafractal.errors import (
     ConfigError,
@@ -230,13 +230,13 @@ class TestSensitivity:
         with pytest.raises(PerturbationTooLarge):
             sensitivity_bound(running_cfg, _make_pert(2, t=0.65))
 
-    def test_precondition_checked_before_any_trajectory(self, running_cfg, monkeypatch):
+    def test_precondition_checked_before_any_trajectory(self, running_cfg, trajectories):
         # ||alpha + t theta|| = 0.25 passes the contractivity check, but
-        # 1 - 0.4 - 0.65 * 1 < 0 fails the formula's precondition
-        calls = _count_calls(monkeypatch, bounds, "backward_trajectory")
+        # 1 - 0.4 - 0.65 * 1 < 0 fails the formula's precondition; neither
+        # the perturbed run nor the cached unperturbed one may start
         with pytest.raises(PerturbationTooLarge):
             sensitivity_bound(running_cfg, _make_pert(2, t=-0.65))
-        assert calls == []
+        assert trajectories == []
 
     def test_formula_monotone_in_each_norm(self):
         base = dict(alpha_sup=0.4, t_sup=0.1, s_sup=0.1,

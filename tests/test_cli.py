@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -66,6 +67,29 @@ def c11_config():
                          "phase": 0.0, "offset": 0.3}, "base": base},
         ],
     }
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every FunctionSpec evaluation as (repeat, callers): whether the same
+    spec was evaluated on the same points before, and the names of the
+    functions on the stack."""
+    seen, log = set(), []
+    call = FunctionSpec.__call__
+
+    def counted(self, x):
+        xa = np.asarray(x, dtype=float)
+        key = (self, xa.shape, hashlib.sha256(xa.tobytes()).digest())
+        callers, frame = set(), sys._getframe(1)
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        log.append((key in seen, callers))
+        seen.add(key)
+        return call(self, x)
+
+    monkeypatch.setattr(FunctionSpec, "__call__", counted)
+    return log
 
 
 def assert_one_diagnostic(capsys, error):
@@ -211,6 +235,16 @@ class TestBuild:
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert sizes == [257, 257]
 
+    def test_each_scaling_evaluated_once(self, tmp_path, evaluations):
+        # c11 repeats one scaling spec per level over all six intervals: the
+        # sup estimate evaluates it once on the grid, the RB terms once at
+        # the Q points
+        cfg = write_config(tmp_path, c11_config())
+        assert main(["build", "--config", str(cfg), "--grid", "4097", "--eps", "1e-10",
+                     "--out", str(tmp_path)]) == 0
+        assert sum("alpha_sup" in callers for _, callers in evaluations) == 2
+        assert sum("_level_terms" in callers for _, callers in evaluations) == 2
+
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"partition": {"knots": [0, 0.5, 1]}})
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -313,6 +347,19 @@ class TestVerify:
         rc = main(["verify", "--config", str(cfg), "--suite", "error",
                    "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_grid_values_evaluated_once(self, tmp_path, evaluations):
+        # the sup estimates (shared by configs that keep the scalings), the
+        # perturbation's grid sups behind the contractivity check, and the
+        # RB terms never evaluate a spec again on points it has seen
+        cfg = write_config(tmp_path, c11_config())
+        assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "2",
+                     "--seed", "1", "--grid", "1025", "--out", str(tmp_path)]) == 0
+        watched = {"alpha_sup", "grid_sups", "check_contractive", "_level_terms"}
+        assert {site for _, callers in evaluations for site in callers & watched} == {
+            "alpha_sup", "grid_sups", "_level_terms"}
+        assert [callers & watched for repeat, callers in evaluations
+                if repeat and callers & watched] == []
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         data = json.loads(json.dumps(RUNNING_CONFIG))
@@ -462,6 +509,8 @@ class TestSweep:
             (dict(first, halvings=0), "KnotCountMismatch"),
             ({"kind": "scaling", "alphas_a": [[CONST_04, CONST_04]],
               "alphas_b": [[CONST_035, CONST_035]], "s_cap": 1.5}, "CapViolated"),
+            ({"kind": "scaling", "alphas_a": [[CONST_04, CONST_04]],
+              "alphas_b": [[CONST_035, CONST_035]], "s_cap": 0.3}, "CapViolated"),
             (dict(first, knots=[0.0, 0.3, 0.6, 1.0]), "KnotCountMismatch"),
             (dict(first, knots=[0.0, 0.5, 2.0]), "EndpointMismatch"),
         ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphafractal import (
     AffineMapSet,
@@ -142,6 +144,72 @@ class TestFunctionSpec:
     def test_non_finite_parameters_rejected(self, make):
         with pytest.raises(ConfigError, match="finite"):
             make()
+
+
+# both signed zeros, often: a result can differ from the formula's in the
+# sign of a zero alone
+_PARAM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _spec_and_formula(draw):
+    """A FunctionSpec of any family and its textbook formula as a function
+    of the points."""
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.sampled_from([1e-3, 0.5, 1.0, 7.25, 20.0]))
+    domain = (lo, hi)
+    family = draw(st.sampled_from(["constant", "linear-endpoint", "polynomial",
+                                   "sinusoid", "sampled"]))
+    if family == "constant":
+        c = draw(_PARAM)
+        return FunctionSpec.constant(c, domain), lambda x: np.full(np.shape(x), c)
+    if family == "linear-endpoint":
+        yl, yr = draw(_PARAM), draw(_PARAM)
+        return (FunctionSpec.linear_endpoint(yl, yr, domain),
+                lambda x: yl + (yr - yl) * (x - lo) / (hi - lo))
+    if family == "polynomial":
+        c = draw(st.lists(_PARAM, min_size=1, max_size=7))
+        return (FunctionSpec.polynomial(c, domain),
+                lambda x: np.polynomial.polynomial.polyval(x, np.asarray(c)))
+    if family == "sinusoid":
+        a, w, phase, offset = (draw(_PARAM) for _ in range(4))
+        return (FunctionSpec.sinusoid(a, w, phase, offset, domain),
+                lambda x: a * np.sin(w * x + phase) + offset)
+    ys = draw(st.lists(_PARAM, min_size=2, max_size=9))
+    xs = np.linspace(lo, hi, len(ys))
+    if draw(st.booleans()):
+        inner = sorted(set(draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                                         min_size=len(ys) - 2, max_size=len(ys) - 2,
+                                         unique=True))))
+        if len(inner) == len(ys) - 2:
+            xs = np.array([lo, *inner, hi])
+            return (FunctionSpec.sampled(ys, domain, abscissas=xs),
+                    lambda x: np.interp(x, xs, ys))
+    return FunctionSpec.sampled(ys, domain), lambda x: np.interp(x, xs, ys)
+
+
+class TestFamilyFormulas:
+    """Every family evaluates to the bytes of its textbook formula, on arrays,
+    0-d arrays and Python scalars, at the domain ends and at both zeros."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_spec_and_formula(), data=st.data())
+    def test_same_bytes_as_the_formula(self, case, data):
+        spec, formula = case
+        lo, hi = spec.domain
+        inside = st.floats(lo, hi)
+        points = data.draw(st.lists(inside, max_size=40))
+        points += [lo, hi] + [z for z in (0.0, -0.0) if lo <= z <= hi]
+        x = np.array(data.draw(st.permutations(points)), dtype=float)
+        want = np.asarray(formula(x), dtype=float)
+        got = spec(x)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for v in points[-4:]:
+            for scalar in (v, np.asarray(v)):
+                out = spec(scalar)
+                assert type(out) is float
+                assert np.float64(out).tobytes() == np.asarray(
+                    formula(np.asarray(scalar, dtype=float)), dtype=float).tobytes()
 
 
 def _cfg(alpha_value, base, mode="continuous", d=1.0):

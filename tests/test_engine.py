@@ -98,10 +98,11 @@ class TestRBStepInPlace:
         values = np.random.default_rng(5).normal(size=cfg.grid.size)
         idx, q = engine._grid_geometry(cfg)
         for r in (1, 2, 3):
-            alpha_q = engine._level_terms(cfg, r)[0]
+            alpha_q = engine._level_terms(cfg, r)[1]
             cached = [idx, q, alpha_q, cfg.base_values(r), cfg.germ_values, cfg.grid]
             before = [a.copy() for a in cached]
-            got = engine._rb_step(values, r, cfg, engine._level_terms(cfg, r, pert))
+            got = engine._rb_step(values, engine._stencil(cfg), cfg.germ_values,
+                                  engine._level_terms(cfg, r, pert))
             diff_q = np.interp(q, cfg.grid, values - cfg.base_values(r))
             if pert is None:
                 want = cfg.germ_values + alpha_q * diff_q
@@ -117,6 +118,30 @@ class TestRBStepInPlace:
                 assert not np.shares_memory(got, arr)
                 assert arr.tobytes() == old.tobytes()
             values = got
+
+
+class TestPerInterval:
+    def test_shared_spec_evaluated_once_with_its_own_zeros(self, monkeypatch):
+        # equal specs share one evaluation, but 0.0 == -0.0 must not merge
+        # two constants whose values differ in the sign of a zero
+        calls = []
+        spec = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
+        equal = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
+        plus, minus = FunctionSpec.constant(0.0, DOM), FunctionSpec.constant(-0.0, DOM)
+        fns = (spec, plus, equal, minus, spec)
+        z = np.linspace(0.0, 1.0, 101)
+        idx = np.repeat(np.arange(1, 6), [20, 20, 20, 20, 21])
+        want = np.concatenate([fn(z[idx == i]) for i, fn in enumerate(fns, start=1)])
+        evaluate = engine.evaluate
+
+        def counted(fn, x):
+            calls.append(fn)
+            return evaluate(fn, x)
+
+        monkeypatch.setattr(engine, "evaluate", counted)
+        got = engine._per_interval(fns, idx, z)
+        assert got.tobytes() == want.tobytes()
+        assert calls == [spec, plus, minus]
 
 
 class TestInterpStencil:
@@ -212,7 +237,8 @@ class TestRBStepOracle:
         values = cfg.germ_values
         for r in (1, 2, 3):  # level 3 repeats level 2
             lv = cfg.levels.level(r)
-            got = engine._rb_step(values, r, cfg, engine._level_terms(cfg, r, pert))
+            got = engine._rb_step(values, engine._stencil(cfg), cfg.germ_values,
+                                  engine._level_terms(cfg, r, pert))
             diff = values - cfg.base_values(r)
             scales = [np.asarray(a(grid)) for a in lv.scalings]
             bumps = [np.zeros_like(grid)] * 6
@@ -240,8 +266,9 @@ class TestRBStepOracle:
 class TestBackwardTrajectory:
     def test_perturbed_terms_built_once_per_level(self, running_cfg):
         # one prefix level on both sides: every level of the trajectory
-        # repeats level 1, so theta and phi are evaluated once per interval
-        # by check_contractive and once by the level terms, whatever the depth
+        # repeats level 1, and both intervals share theta and phi, so each is
+        # evaluated once on the grid (the contractivity check) and once at
+        # the Q points (the level terms), whatever the depth
         calls = []
 
         def counted(name, fn):
@@ -252,14 +279,19 @@ class TestBackwardTrajectory:
 
         theta = counted("theta", lambda x: np.cos(x))
         phi = counted("phi", lambda x: x * (1.0 - x))
-        pert = PerturbationSpec((PerturbationLevel(
-            t=(0.1, -0.2), s=(0.2, 0.1), theta=(theta, theta), phi=(phi, phi)),))
         counts = []
         for depth in (1, 30):
+            pert = PerturbationSpec((PerturbationLevel(
+                t=(0.1, -0.2), s=(0.2, 0.1), theta=(theta, theta), phi=(phi, phi)),))
             calls.clear()
             backward_trajectory(None, depth, running_cfg, pert)
             counts.append((calls.count("theta"), calls.count("phi")))
-        assert counts == [(4, 4), (4, 4)]
+        assert counts == [(2, 2), (2, 2)]
+        # the grid sups are kept on the perturbation: another trajectory
+        # evaluates theta and phi at the Q points only
+        calls.clear()
+        backward_trajectory(None, 5, running_cfg, pert)
+        assert (calls.count("theta"), calls.count("phi")) == (1, 1)
 
     def test_depth_one_zero_scaling_any_seed(self, make_cfg, germ_x, base_x2):
         zero = FunctionSpec.constant(0.0, DOM)

@@ -12,7 +12,7 @@ from alphafractal import (
     sensitivity_bound,
     series_eval,
 )
-from alphafractal.engine import _level_terms, _rb_step
+from alphafractal.engine import _level_terms, _rb_step, _stencil
 from alphafractal.errors import EndpointMismatch, OutOfDomain, PerturbationTooLarge
 from alphafractal.ifs import locate_many
 
@@ -143,6 +143,11 @@ class TestApplyF:
                 apply_F(1, 1, x, 0.0, cfg)
 
 
+def _step(values, r, cfg, pert=None):
+    """One RB step of level r on grid samples, perturbed or not."""
+    return _rb_step(values, _stencil(cfg), cfg.germ_values, _level_terms(cfg, r, pert))
+
+
 def _pert(t, s, theta_val=1.0, n=2, phi_spec=None):
     theta = (FunctionSpec.constant(theta_val, DOM),) * n
     phi = (phi_spec if phi_spec is not None else FunctionSpec.constant(0.0, DOM),) * n
@@ -160,8 +165,7 @@ class TestApplyT:
         pert = PerturbationSpec.zeros(2, DOM)
         values = self._values(cfg)
         for r in (1, 2):
-            assert np.array_equal(_rb_step(values, r, cfg, _level_terms(cfg, r, pert)),
-                                  _rb_step(values, r, cfg, _level_terms(cfg, r)))
+            assert np.array_equal(_step(values, r, cfg, pert), _step(values, r, cfg))
 
     def test_zero_perturbation_exact_on_full_grid(self, cfg):
         pert = PerturbationSpec.zeros(2, DOM)
@@ -173,8 +177,7 @@ class TestApplyT:
         phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)  # x(1-x)
         pert = _pert(0.0, 0.5, phi_spec=phi)
         values = cfg.germ_values
-        added = (_rb_step(values, 1, cfg, _level_terms(cfg, 1, pert))
-                 - _rb_step(values, 1, cfg, _level_terms(cfg, 1)))
+        added = _step(values, 1, cfg, pert) - _step(values, 1, cfg)
         a, e = ref_coefficients(list(cfg.partition.knots))
         for k in range(0, cfg.grid.size, 37):
             x = float(cfg.grid[k])
@@ -188,8 +191,8 @@ class TestApplyT:
                            [[FunctionSpec.constant(0.5, DOM)] * 2], [base_x2])
         pert = _pert(0.1, 0.0)
         values = self._values(cfg)
-        got = _rb_step(values, 1, cfg, _level_terms(cfg, 1, pert))
-        want = _rb_step(values, 1, shifted, _level_terms(shifted, 1))
+        got = _step(values, 1, cfg, pert)
+        want = _step(values, 1, shifted)
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_too_large_perturbation(self, cfg):
@@ -214,14 +217,22 @@ class TestPerturbationSpec:
         with pytest.raises(PerturbationTooLarge):
             _pert(0.0, float("nan"))
 
-    def test_norm_helpers(self):
+    def test_norm_helpers(self, running_cfg):
         phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)
         pert = _pert(0.25, -0.5, theta_val=0.8, phi_spec=phi)
-        grid = np.linspace(0, 1, 1001)
         assert pert.t_sup() == 0.25
         assert pert.s_sup() == 0.5
-        assert pert.theta_sup(grid) == pytest.approx(0.8)
-        assert pert.phi_sup(grid) == pytest.approx(0.25, abs=1e-6)
+        sups = pert.grid_sups(running_cfg)
+        assert sups.theta_sup == pytest.approx(0.8)
+        assert sups.phi_sup == pytest.approx(0.25, abs=1e-6)
+        assert sups.rates == (pytest.approx(0.4 + 0.25 * 0.8),)
+        assert sups.phi_finite == (True,)
+        # kept per config scalings and grid: a config that shares them reads
+        # the same scalars, one with other scalings gets its own
+        assert pert.grid_sups(running_cfg.with_germ(phi)) is sups
+        half = FunctionSpec.constant(0.5, DOM)
+        other = running_cfg.with_scalings([(half, half)])
+        assert pert.grid_sups(other).rates == (pytest.approx(0.5 + 0.25 * 0.8),)
         # a NaN in the second interval only must not be dropped by the sup;
         # the constructor rejects a NaN t or s, so plant them past it
         lv = pert.levels[0]
@@ -230,10 +241,14 @@ class TestPerturbationSpec:
         assert np.isnan(pert.t_sup())
         assert np.isnan(pert.s_sup())
         nan_fn = lambda x: np.full(np.shape(x), np.nan)  # noqa: E731
-        object.__setattr__(lv, "theta", (lv.theta[0], nan_fn))
-        object.__setattr__(lv, "phi", (lv.phi[0], nan_fn))
-        assert np.isnan(pert.theta_sup(grid))
-        assert np.isnan(pert.phi_sup(grid))
+        nan_pert = PerturbationSpec((PerturbationLevel(
+            t=(0.25, 0.25), s=(0.5, 0.5), theta=(lv.theta[0], nan_fn),
+            phi=(lv.phi[0], nan_fn)),))
+        sups = nan_pert.grid_sups(running_cfg)
+        assert np.isnan(sups.theta_sup)
+        assert np.isnan(sups.phi_sup)
+        assert np.isnan(sups.rates[0])
+        assert sups.phi_finite == (False,)
 
     def test_nan_theta_is_not_contractive(self, running_cfg):
         # theta is 0.2 left of 0.5 and NaN right of it; with t = 0.5 the
