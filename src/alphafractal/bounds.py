@@ -25,6 +25,7 @@ from .core import (
 from .engine import (
     backward_trajectory,
     geometric_tail,
+    pair_depth,
     required_depth,
     resolve_depth,
     trajectory_interpolant,
@@ -145,42 +146,36 @@ def config_with_operator_bases(cfg: ProblemConfig, op: BaseOperatorSpec) -> Prob
 # ---------------------------------------------------------------------------
 
 
+def _against_trajectory(cfg2: ProblemConfig, name: str, predicted: float,
+                        reference: np.ndarray, inputs: dict) -> BoundReport:
+    """``name``'s report: the sup distance of cfg2's policy-depth trajectory
+    from the grid values ``reference``, with the trajectory's tail as slack."""
+    traj = trajectory_interpolant(cfg2)
+    return BoundReport(
+        name=name,
+        predicted=predicted,
+        observed=sup_abs([traj.values.ys - reference]),
+        tolerance=VERIFY_TOL + truncation_error(cfg2, traj.depth),
+        inputs={**inputs, "depth": traj.depth},
+    )
+
+
 def error_bound(cfg: ProblemConfig, op: BaseOperatorSpec) -> BoundReport:
     """||f^alpha - f||_inf <= ||alpha||/(1 - ||alpha||) * sup_r ||f - L_r f||_inf
     with bases b_r = L_r f.  Shares its operator config and policy-depth
     trajectory with ``corollary_bound`` through their caches."""
     cfg2 = config_with_operator_bases(cfg, op)
-    a = cfg2.alpha_sup
-    gap = cfg2.base_gap_sup
-    predicted = a / (1.0 - a) * gap
-    traj = trajectory_interpolant(cfg2)
-    depth = traj.depth
-    observed = sup_abs([traj.values.ys - cfg2.germ_values])
-    return BoundReport(
-        name="error",
-        predicted=predicted,
-        observed=observed,
-        tolerance=VERIFY_TOL + truncation_error(cfg2, depth),
-        inputs={"alpha_sup": a, "base_gap_sup": gap, "depth": depth},
-    )
+    a, gap = cfg2.alpha_sup, cfg2.base_gap_sup
+    return _against_trajectory(cfg2, "error", a / (1.0 - a) * gap, cfg2.germ_values,
+                               {"alpha_sup": a, "base_gap_sup": gap})
 
 
 def corollary_bound(cfg: ProblemConfig, op: BaseOperatorSpec, j: int = 1) -> BoundReport:
     """||f^alpha - L_j f||_inf <= 1/(1 - ||alpha||) * sup_r ||f - L_r f||_inf."""
     cfg2 = config_with_operator_bases(cfg, op)
-    a = cfg2.alpha_sup
-    gap = cfg2.base_gap_sup
-    predicted = gap / (1.0 - a)
-    traj = trajectory_interpolant(cfg2)
-    depth = traj.depth
-    observed = sup_abs([traj.values.ys - cfg2.base_values(j)])
-    return BoundReport(
-        name=f"corollary[j={j}]",
-        predicted=predicted,
-        observed=observed,
-        tolerance=VERIFY_TOL + truncation_error(cfg2, depth),
-        inputs={"alpha_sup": a, "base_gap_sup": gap, "j": j, "depth": depth},
-    )
+    a, gap = cfg2.alpha_sup, cfg2.base_gap_sup
+    return _against_trajectory(cfg2, f"corollary[j={j}]", gap / (1.0 - a), cfg2.base_values(j),
+                               {"alpha_sup": a, "base_gap_sup": gap, "j": j})
 
 
 def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
@@ -204,11 +199,10 @@ def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
         if denom < 1e-12:
             skipped += 1
             continue
-        depth = max(resolve_depth(cfg1), resolve_depth(cfg2))
+        depth, tail1, tail2 = pair_depth(cfg1, cfg2)
         diff = sup_abs([trajectory_interpolant(cfg1, depth).values.ys
                         - trajectory_interpolant(cfg2, depth).values.ys])
-        trunc = max(trunc, (truncation_error(cfg1, depth)
-                            + truncation_error(cfg2, depth)) / denom)
+        trunc = max(trunc, (tail1 + tail2) / denom)
         worst = max(worst, diff / denom)
         used += 1
     if used == 0:
@@ -284,14 +278,14 @@ def stability_bound(cfgA: ProblemConfig, cfgB: ProblemConfig) -> BoundReport:
     germ_gap = sup_abs([cfgA.germ_values - cfgB.germ_values])
     base_gap = cfgA.base_distance(cfgB)
     predicted = (germ_gap + a * base_gap) / (1.0 - a)
-    depth = max(resolve_depth(cfgA), resolve_depth(cfgB))
+    depth, tailA, tailB = pair_depth(cfgA, cfgB)
     observed = sup_abs([trajectory_interpolant(cfgA, depth).values.ys
                         - trajectory_interpolant(cfgB, depth).values.ys])
     return BoundReport(
         name="stability",
         predicted=predicted,
         observed=observed,
-        tolerance=VERIFY_TOL + truncation_error(cfgA, depth) + truncation_error(cfgB, depth),
+        tolerance=VERIFY_TOL + tailA + tailB,
         inputs={"alpha_sup": a, "germ_gap": germ_gap, "base_gap": base_gap,
                 "depth": depth},
     )

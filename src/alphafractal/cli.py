@@ -24,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import campaigns, configio, depend, norms
+from . import campaigns, configio, norms
 from .engine import trajectory_interpolant
 from .errors import AlphaFractalError, ConfigError
-from .report import BoundReport
 
 
 def _overrides(args) -> dict:
@@ -110,20 +109,11 @@ def cmd_verify(args) -> int:
                            f"trials {args.trials}, seed {args.seed})")
 
 
-def _run_experiment(cfg, exp: configio.Experiment) -> list[BoundReport]:
-    if exp.kind == "base":
-        return [depend.base_dependence(cfg, exp.a, exp.b)]
-    if exp.kind == "scaling":
-        return [depend.scaling_dependence(cfg, exp.a, exp.b, exp.s_cap)]
-    return depend.partition_continuity(cfg, exp.partition, halvings=exp.halvings)
-
-
 def cmd_sweep(args) -> int:
-    cfg, experiments = configio.load_manifest(args.manifest, overrides=_overrides(args))
+    cfg, runs = configio.load_manifest(args.manifest, overrides=_overrides(args))
     cfg.validation().raise_if_failed()
     reports = [replace(rep, name=f"{rep.name}[exp={k}]")
-               for k, exp in enumerate(experiments)
-               for rep in _run_experiment(cfg, exp)]
+               for k, run in enumerate(runs) for rep in run()]
     configio.write_report_csv(args.out / "results.csv", reports)
     return _tally(reports, "sweep rows passed")
 

@@ -14,8 +14,8 @@ import json
 import os
 import shutil
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .core import (
     evaluate,
 )
 from .errors import AlphaFractalError, ConfigError, EndpointMismatch, OutputError
+from .report import BoundReport
 
 FMT = "%.17g"
 CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
@@ -274,21 +275,12 @@ def load_config(path, overrides: dict | None = None) -> ProblemConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """One parsed sweep experiment; ``a`` and ``b`` are two base sequences
-    (kind base) or two scaling sequences of per-level spec tuples."""
-
-    kind: str
-    a: tuple = ()
-    b: tuple = ()
-    s_cap: float | None = None
-    partition: Partition | None = None
-    halvings: int | None = None
+# A parsed sweep experiment: the call that runs it and gives its reports.
+SweepRun = Callable[[], list[BoundReport]]
 
 
 def experiment_from_dict(d: dict, cfg: ProblemConfig,
-                         base_dir: Path | None = None) -> Experiment:
+                         base_dir: Path | None = None) -> SweepRun:
     """One experiment on ``cfg``, parsed and put through the range checks its
     ``depend`` function makes before it runs."""
     partition = cfg.partition
@@ -301,26 +293,27 @@ def experiment_from_dict(d: dict, cfg: ProblemConfig,
 
     try:
         if kind == "base":
-            return Experiment(kind, specs(d["bases_a"], "bases_a"), specs(d["bases_b"], "bases_b"))
+            a, b = specs(d["bases_a"], "bases_a"), specs(d["bases_b"], "bases_b")
+            return lambda: [depend.base_dependence(cfg, a, b)]
         if kind == "scaling":
             a, b = (_list(d[name], name, specs) for name in ("alphas_a", "alphas_b"))
             s_cap = _number(d.get("s_cap", 0.99), "s_cap")
             depend.require_cap(s_cap)
             depend.require_capped(cfg, a, s_cap, "first")
             depend.require_capped(cfg, b, s_cap, "second")
-            return Experiment(kind, a, b, s_cap=s_cap)
+            return lambda: [depend.scaling_dependence(cfg, a, b, s_cap)]
         other = build_partition(_list(d["knots"], "knots"))
         halvings = _integer(d.get("halvings", 3), "halvings")
         depend.require_halvings(halvings)
         depend.require_same_interval(partition, other)
-        return Experiment(kind, partition=other, halvings=halvings)
+        return lambda: depend.partition_continuity(cfg, other, halvings=halvings)
     except KeyError as exc:
         raise ConfigError(f"{kind} experiment missing field {exc}") from None
 
 
-def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[Experiment]]:
-    """The manifest's config and its experiments, every experiment parsed and
-    range-checked before any of them runs."""
+def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, list[SweepRun]]:
+    """The manifest's config and the run of each experiment, every experiment
+    parsed and range-checked before any of them runs."""
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, dict):
@@ -334,13 +327,13 @@ def load_manifest(path, overrides: dict | None = None) -> tuple[ProblemConfig, l
     raw = data.get("experiments", [])
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: 'experiments' must be a list")
-    experiments = []
+    runs = []
     for k, exp in enumerate(raw):
         try:
-            experiments.append(experiment_from_dict(exp, cfg, path.parent))
+            runs.append(experiment_from_dict(exp, cfg, path.parent))
         except AlphaFractalError as exc:
             raise type(exc)(f"{path}: experiment {k}: {exc}") from None
-    return cfg, experiments
+    return cfg, runs
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,15 @@ class Partition(_Cached):
             raise NonMonotoneKnots("knots must be finite")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise NonMonotoneKnots(f"knots must be strictly increasing, got {knots}")
+        # The maps' two-point forms (AffineMapSet.forward, inverse_many) sum
+        # two products of a knot or an end, at most M = max(|x_0|, |x_N|) in
+        # size, with a distance between points of [x_0, x_N], at most
+        # x_N - x_0.  Both sums are thus at most 2 M (x_N - x_0) (up to
+        # rounding); where that overflows, inf - inf would give NaN, and where
+        # the span itself does, the grid's step is already infinite.
+        if not np.isfinite(2.0 * max(abs(knots[0]), abs(knots[-1])) * (knots[-1] - knots[0])):
+            raise ConfigError(f"knots {knots[0]} .. {knots[-1]} are too large: "
+                              "2 max(|x_0|, |x_N|) (x_N - x_0) overflows")
         object.__setattr__(self, "knots", knots)
 
     @property
@@ -617,11 +626,19 @@ class ProblemConfig(_Cached):
         return self._cached("_germ_sup", lambda: sup_abs([self.germ_values]))
 
     def base_values(self, r: int) -> np.ndarray:
-        """b_r on the grid, evaluated once per prefix level (repeat-last
-        beyond the prefix)."""
-        r_eff = min(r, self.levels.prefix_len)
-        return self._cached(f"_base_values_{r_eff}",
-                            lambda: frozen(evaluate(self.levels.level(r_eff).base, self.grid)))
+        """b_r on the grid (repeat-last beyond the prefix).  Each distinct
+        base of the prefix is evaluated once, and the levels that share it
+        share its array."""
+
+        def build():
+            arrays = [None] * self.levels.prefix_len
+            for base, positions in group_specs([lv.base for lv in self.levels.levels]):
+                values = frozen(evaluate(base, self.grid))
+                for k in positions:
+                    arrays[k] = values
+            return tuple(arrays)
+
+        return repeat_last(self._cached("_base_values", build), r)
 
     @property
     def base_gap_sup(self) -> float:

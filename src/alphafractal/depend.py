@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import VERIFY_TOL
 from .core import Partition, ProblemConfig, evaluate, sup_abs
-from .engine import backward_trajectory, resolve_depth, trajectory_interpolant, truncation_error
+from .engine import backward_trajectory, pair_depth, trajectory_interpolant
 from .errors import CapViolated, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
 from .report import BoundReport
@@ -24,15 +24,16 @@ BASE_RATIO_SLACK = 1e-4  # allowance on the base-map ratio check
 LIP_SLACK = 0.05         # conservative inflation of estimated Lipschitz constants
 
 
-def _interpolant_sup_diff(ref: ProblemConfig, other: ProblemConfig) -> tuple[float, int]:
+def _interpolant_sup_diff(ref: ProblemConfig, other: ProblemConfig) -> tuple[float, int, float]:
     """Sup difference of the two trajectory interpolants on a shared comparison
-    grid.  The reference's trajectory is cached (a partition sweep compares one
-    config with many); ``other`` is new in every caller."""
-    depth = max(resolve_depth(ref), resolve_depth(other))
+    grid, at ``pair_depth``, with that depth and the sum of both tails.  The
+    reference's trajectory is cached (a partition sweep compares one config
+    with many); ``other`` is new in every caller."""
+    depth, tail_ref, tail_other = pair_depth(ref, other)
     fa = trajectory_interpolant(ref, depth).values
     fb = backward_trajectory(None, depth, other).values
     common = np.union1d(fa.xs, fb.xs)
-    return sup_abs([fa(common) - fb(common)]), depth
+    return sup_abs([fa(common) - fb(common)]), depth, tail_ref + tail_other
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +56,9 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
         observed, depth = 0.0, 0
         trunc = 0.0
     else:
-        num, depth = _interpolant_sup_diff(cfgA, cfgB)
+        num, depth, tails = _interpolant_sup_diff(cfgA, cfgB)
         observed = num / denom
-        trunc = (truncation_error(cfgA, depth) + truncation_error(cfgB, depth)) / denom
+        trunc = tails / denom
     return BoundReport(
         name="base-dependence",
         predicted=predicted,
@@ -100,13 +101,12 @@ def scaling_dependence(cfg: ProblemConfig, alphas_a, alphas_b,
                    - evaluate(cfgB.levels.scaling(i, r), cfg.grid)
                    for r in range(1, depth_levels + 1) for i in range(1, cfg.n_intervals + 1))
     predicted = dist * cfg.base_gap_sup / (1.0 - s_cap) ** 2
-    observed, depth = _interpolant_sup_diff(cfgA, cfgB)
-    trunc = truncation_error(cfgA, depth) + truncation_error(cfgB, depth)
+    observed, depth, tails = _interpolant_sup_diff(cfgA, cfgB)
     return BoundReport(
         name="scaling-dependence",
         predicted=predicted,
         observed=observed,
-        tolerance=VERIFY_TOL + trunc,
+        tolerance=VERIFY_TOL + tails,
         inputs={"alpha_distance": dist, "s_cap": s_cap,
                 "base_gap_sup": cfg.base_gap_sup, "depth": depth},
     )
@@ -191,7 +191,7 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
 
     observed = sup_abs(shift(i) for i in range(1, p.n_intervals + 1))
 
-    sup_diff, depth = _interpolant_sup_diff(cfg, cfgB)
+    sup_diff, depth, _ = _interpolant_sup_diff(cfg, cfgB)
     return BoundReport(
         name="partition-displacement",
         predicted=predicted,

@@ -206,6 +206,18 @@ def truncation_error(cfg: ProblemConfig, depth: int) -> float:
     return geometric_tail(cfg.alpha_sup, cfg.base_gap_sup, depth)
 
 
+def pair_depth(a: ProblemConfig, b: ProblemConfig) -> tuple[int, float, float]:
+    """The one rule for comparing two configs' trajectories: both run to the
+    deeper of their policy depths, and each one's tail bound at that depth
+    is slack on their sup difference.  Returns (depth, tail_a, tail_b).
+    Both configs are validated first, as their trajectories would be: the
+    depth and tails divide by 1 - ||alpha||."""
+    require_valid(a)
+    require_valid(b)
+    depth = max(resolve_depth(a), resolve_depth(b))
+    return depth, truncation_error(a, depth), truncation_error(b, depth)
+
+
 # ---------------------------------------------------------------------------
 # Interpolant
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alphafractal
-from alphafractal import FunctionSpec, configio, engine
+from alphafractal import FunctionSpec, bounds, configio, depend, engine
 from alphafractal.cli import main
 from test_span_sites import PERFBENCH, SMALL_RUNS
 
@@ -213,7 +214,8 @@ class TestBuild:
 
     def test_each_base_evaluated_once(self, tmp_path, monkeypatch):
         # Validation, the base-gap estimate and the RB steps share one
-        # evaluation of each prefix level's base on the grid.
+        # evaluation of each distinct base on the grid: both levels here
+        # share one base, so it is evaluated once.
         sizes = []
         call = FunctionSpec.__call__
 
@@ -233,7 +235,7 @@ class TestBuild:
         }
         cfg = write_config(tmp_path, data)
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert sizes == [257, 257]
+        assert sizes == [257]
 
     def test_each_scaling_evaluated_once(self, tmp_path, evaluations):
         # c11 repeats one scaling spec per level over all six intervals: the
@@ -277,6 +279,38 @@ class TestBuild:
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["knot_residual_max"] <= 1e-8
+
+    def test_blank_csv_row_is_skipped(self, tmp_path):
+        data = json.loads(json.dumps(RUNNING_CONFIG))
+        data["partition"] = {"csv": "data.csv"}
+        (tmp_path / "data.csv").write_text("x,y\n0.0,0.0\n\n0.5,0.5\n1.0,1.0\n")
+        assert main(["build", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "csv")]) == 0
+        assert main(["build", "--config", str(write_config(tmp_path, RUNNING_CONFIG, "knots.json")),
+                     "--out", str(tmp_path / "knots")]) == 0
+        assert ((tmp_path / "csv" / "curve.csv").read_bytes()
+                == (tmp_path / "knots" / "curve.csv").read_bytes())
+
+    def test_depth_flag_overrides_the_eps_policy(self, tmp_path):
+        cfg = write_config(tmp_path, {**RUNNING_CONFIG, "depth": {"eps": 1e-8}})
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "eps")]) == 0
+        assert json.loads((tmp_path / "eps" / "summary.json").read_text())["depth_used"] != 5
+        assert main(["build", "--config", str(cfg), "--depth", "5",
+                     "--out", str(tmp_path / "k")]) == 0
+        assert json.loads((tmp_path / "k" / "summary.json").read_text())["depth_used"] == 5
+
+    def test_csv_sampled_germ(self, tmp_path, capsys):
+        # a sampled spec read from an x,y file beside the config, which must
+        # sample the domain uniformly
+        data = {**RUNNING_CONFIG, "germ": {"family": "sampled", "csv": "germ.csv"}}
+        cfg = write_config(tmp_path, data)
+        (tmp_path / "germ.csv").write_text("x,y\n0,0\n0.25,0.3\n0.5,0.5\n0.75,0.6\n1,1\n")
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "uniform")]) == 0
+        curve = read_csv(tmp_path / "uniform" / "curve.csv")
+        assert float(curve[len(curve) // 4]["f"]) == 0.3
+        (tmp_path / "germ.csv").write_text("x,y\n0,0\n0.2,0.3\n0.5,0.5\n1,1\n")
+        assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "non-uniform")]) == 2
+        assert_one_diagnostic(capsys, "ConfigError")
 
     def test_curve_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, c11_config())
@@ -339,6 +373,27 @@ class TestVerify:
         assert all(r["pass"] == "true" for r in rows)
         detail = json.loads((tmp_path / "report.json").read_text())
         assert len(detail) == len(rows)
+
+    def test_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the first stability report fails; both reports are still written
+        real, calls = bounds.stability_bound, []
+
+        def first_fails(*args):
+            rep = real(*args)
+            calls.append(rep)
+            return rep if len(calls) > 1 else replace(rep, observed=rep.predicted + 1.0)
+
+        monkeypatch.setattr(bounds, "stability_bound", first_fails)
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        assert main(["verify", "--config", str(cfg), "--suite", "stability",
+                     "--trials", "2", "--seed", "3", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "1/2 bound checks passed (suite stability, trials 2, seed 3)"
+        assert out[1].startswith("[FAIL] stability[0]: observed ")
+        assert len(out) == 2
+        assert [r["pass"] for r in read_csv(tmp_path / "report.csv")] == ["false", "true"]
+        detail = json.loads((tmp_path / "report.json").read_text())
+        assert [r["pass"] for r in detail] == [False, True]
 
     def test_error_suite_zero_scaling(self, tmp_path):
         data = json.loads(json.dumps(RUNNING_CONFIG))
@@ -432,6 +487,45 @@ class TestSweep:
         rows = read_csv(tmp_path / "results.csv")
         assert len(rows) == 1
         assert float(rows[0]["observed"]) <= 2.0 / 3.0 + 1e-4
+
+    def test_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the run looks the dependence check up when it runs
+        real = depend.base_dependence
+        monkeypatch.setattr(depend, "base_dependence", lambda *args: replace(
+            real(*args), observed=2.0, predicted=1.0, tolerance=0.0))
+        man = write_config(tmp_path, README_MANIFEST, "manifest.json")
+        assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "4/5 sweep rows passed",
+            "[FAIL] base-dependence[exp=0]: observed 2 vs predicted 1 (margin -1)"]
+        rows = read_csv(tmp_path / "results.csv")
+        assert [r["pass"] for r in rows] == ["false"] + ["true"] * 4
+
+    def test_partition_that_breaks_contraction_exits_2(self, tmp_path, capsys, trajectories):
+        # sin(pi x) stays below 1 on this grid, but moving the knot to 0.5
+        # puts x = 0.5 on the compared config's grid, where ||alpha|| = 1
+        man = write_config(tmp_path, {"config": {
+            **README_CONFIG, "partition": {"knots": [0.0, 0.4, 1.0]}, "grid": 4,
+            "levels": [{"scaling": {"family": "sinusoid", "amplitude": 1.0,
+                                    "omega": math.pi}, "base": SQUARE}],
+        }, "experiments": [{"kind": "partition", "knots": [0.0, 0.5, 1.0], "halvings": 1}]},
+            "manifest.json")
+        assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path / "out")]) == 2
+        assert_one_diagnostic(capsys, "NotValidated")
+        assert trajectories == []
+
+    def test_config_path_is_read_beside_the_manifest(self, tmp_path):
+        inline = write_config(tmp_path, README_MANIFEST, "inline.json")
+        assert main(["sweep", "--manifest", str(inline), "--out", str(tmp_path / "inline")]) == 0
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_config(sub, README_CONFIG, "cfg.json")
+        by_path = write_config(sub, {"config_path": "cfg.json",
+                                     "experiments": README_MANIFEST["experiments"]},
+                               "manifest.json")
+        assert main(["sweep", "--manifest", str(by_path), "--out", str(tmp_path / "path")]) == 0
+        assert ((tmp_path / "path" / "results.csv").read_bytes()
+                == (tmp_path / "inline" / "results.csv").read_bytes())
 
     def test_empty_manifest(self, tmp_path):
         man = self._manifest(tmp_path, [])
@@ -643,6 +737,40 @@ def test_one_diagnostic_from_every_command(tmp_path, capsys, trajectories,
     if error == "ScalingNotContractive":
         assert "EndpointMismatch: base b_1" in diagnostic["detail"]
     assert trajectories == []
+
+
+def test_oversized_knots_exit_2(tmp_path, capsys, trajectories):
+    """Knots whose maps' two-point forms overflow are invalid input for
+    every command, a sweep's partition experiment included."""
+    knots = [-1e200, 0.0, 1e200]
+    cfg = write_config(tmp_path, {**README_CONFIG, "partition": {"knots": knots}})
+    man = write_config(tmp_path, {**README_MANIFEST, "experiments": [
+        {"kind": "partition", "knots": knots}]}, "manifest.json")
+    for argv in (["build", "--config", str(cfg)],
+                 ["verify", "--config", str(cfg), "--trials", "1"],
+                 ["sweep", "--manifest", str(man)]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "ConfigError"
+        assert "too large" in json.loads(err)["detail"]
+        assert os.listdir(out) == []
+    assert trajectories == []
+
+
+def test_large_knots_still_build(tmp_path):
+    cfg = write_config(tmp_path, {
+        "partition": {"knots": [1e150, 2e150, 3e150]},
+        "germ": {"family": "constant", "value": 1.0},
+        "levels": [{"scaling": {"family": "constant", "value": 0.3},
+                    "base": {"family": "sampled", "values": [1.0, 2.0, 1.0]}}],
+        "grid": 65,
+    })
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "curve.csv")
+    assert len(rows) == json.loads((tmp_path / "summary.json").read_text())["grid_points"]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "sweep", "build-c11"])

@@ -15,6 +15,7 @@ from alphafractal import (
     validate_level_sequence,
 )
 from alphafractal.core import SampledFunction, sup_abs
+from alphafractal.ifs import locate_many
 from alphafractal.errors import (
     BadExponent,
     ConfigError,
@@ -51,6 +52,23 @@ class TestPartition:
             build_partition([0.0, 0.5, 0.5, 1.0])
         with pytest.raises(NonMonotoneKnots):
             build_partition([0.0, 0.6, 0.5])
+
+    @pytest.mark.parametrize("a", [7e153, 1e200, 1.7e308])
+    def test_knots_whose_maps_overflow_rejected(self, a):
+        # 2 max(|x_0|, |x_N|) (x_N - x_0) = 4 a^2 overflows from about
+        # a = 6.7e153; at 1.7e308 the span x_N - x_0 overflows too
+        with pytest.raises(ConfigError, match="too large"):
+            build_partition([-a, 0.0, a])
+
+    @pytest.mark.parametrize("knots", [[-6e153, 0.0, 6e153], [1e150, 2e150, 3e150]])
+    def test_large_knots_give_finite_maps(self, knots):
+        p = build_partition(knots)
+        maps = AffineMapSet.from_partition(p)
+        grid = p.grid(65)
+        assert np.all(np.isfinite(grid))
+        for i in (1, 2):
+            assert np.all(np.isfinite(maps.forward(i, grid)))
+        assert np.all(np.isfinite(maps.inverse_many(locate_many(grid, p), grid)))
 
 
 def _offsets(m):
