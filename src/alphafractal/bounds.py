@@ -17,6 +17,7 @@ from .core import (
     DEPTH_CAP,
     FunctionSpec,
     ProblemConfig,
+    endpoint_values,
     evaluate,
     repeat_last,
     specs_equal,
@@ -104,17 +105,15 @@ class BaseOperatorSpec:
 
     def apply(self, r: int, germ, partition):
         """L_r f as an evaluable function."""
-        lo, hi = partition.domain
-        y0 = float(evaluate(germ, lo))
-        y1 = float(evaluate(germ, hi))
         kind = self.kind(r)
-        if kind == "endpoint-line":
-            return FunctionSpec.linear_endpoint(y0, y1, partition.domain)
         if kind == "knot-piecewise-linear":
             return FunctionSpec.sampled(
                 evaluate(germ, partition.array()), partition.domain,
                 abscissas=partition.knots,
             )
+        y0, y1 = endpoint_values(germ, partition.domain)
+        if kind == "endpoint-line":
+            return FunctionSpec.linear_endpoint(y0, y1, partition.domain)
         return BlendedFunction(germ, y0, y1, repeat_last(self.lambdas, r), partition.domain)
 
     def empirical_norm(self, cfg: ProblemConfig, rng, probes: int = 20) -> float:

@@ -227,8 +227,22 @@ class FunctionSpec:
         return out if out.shape else float(out)
 
     def endpoint_values(self) -> tuple[float, float]:
-        lo, hi = self.domain
-        return float(self(lo)), float(self(hi))
+        """The spec at both ends of its domain, evaluated once per spec."""
+        cached = self.__dict__.get("_endpoints")
+        if cached is None:
+            lo, hi = self.domain
+            cached = (float(self(lo)), float(self(hi)))
+            object.__setattr__(self, "_endpoints", cached)
+        return cached
+
+
+def endpoint_values(fn: FunctionLike, domain) -> tuple[float, float]:
+    """``fn`` at both ends of ``domain``: a spec on that very domain (signed
+    zeros included) reads its cached pair, anything else is evaluated."""
+    lo, hi = float(domain[0]), float(domain[1])
+    if isinstance(fn, FunctionSpec) and repr(fn.domain) == repr((lo, hi)):
+        return fn.endpoint_values()
+    return float(evaluate(fn, lo)), float(evaluate(fn, hi))
 
 
 def group_specs(fns) -> list[tuple[object, list[int]]]:

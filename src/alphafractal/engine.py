@@ -9,12 +9,19 @@ along the address chain z_j of the evaluation point.  Both approximate the
 same limit; truncation error obeys the geometric tail bound
     ||alpha||^{k+1} / (1 - ||alpha||) * sup_r ||f - b_r||.
 
-Off-grid reads inside an RB step use linear interpolation of the sampled
-difference g - b_r; interpolating the difference (rather than g alone) makes
-the degenerate identities b_r = f and alpha = 0 exact on the grid.  The read
-is np.interp's own arithmetic from a stencil of the Q points built once per
-partition and grid size (``_interp_stencil``), so it matches np.interp bit
-for bit without its per-point search.
+An RB step reads the sampled difference g - b_r at the points Q_i(x);
+reading the difference (rather than g alone) makes the degenerate identities
+b_r = f and alpha = 0 exact on the grid.  How it reads is decided once per
+partition and grid size, from one search of the Q points (``_stencil``):
+
+- on a closed grid, one that every Q_i maps into itself (every Q point lies
+  within a derived round-off distance of a node), the step gathers g and b_r
+  at the nearest nodes: ``g[j] - b_r[j]``, exact up to that distance;
+- on any other grid it interpolates linearly with np.interp's own
+  arithmetic from a cached stencil (``_interp_stencil``), so it matches
+  np.interp bit for bit without its per-point search.
+
+Both reads give the same doubles wherever a Q point is a node exactly.
 """
 
 from __future__ import annotations
@@ -58,17 +65,18 @@ def _grid_geometry(cfg: ProblemConfig):
     return cfg.partition._cached(f"_rb_geometry_{cfg.grid_size}", build)
 
 
-def _interp_stencil(grid: np.ndarray, q: np.ndarray):
+def _interp_stencil(grid: np.ndarray, q: np.ndarray, j: np.ndarray | None = None):
     """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
-    with grid[j] <= q, the offset q - grid[j], the width of cell j (of the
-    last cell where j is the right end), and the exact node hits (off == 0,
-    the right end among them).  j stays writable: np.take copies a
-    read-only index array on every call."""
+    with grid[j] <= q (searched for unless given), the offset q - grid[j],
+    the width of cell j (of the last cell where j is the right end), and the
+    exact node hits (off == 0, the right end among them).  j stays writable:
+    np.take copies a read-only index array on every call."""
     # Each grid-sized temporary is freed just before an array of its size is
     # kept, which can take its place: a freed block left between kept ones
     # stays resident (a 1M-point build's peak RSS rose by 7 MiB that way).
-    j = np.searchsorted(grid, q, side="right")
-    j -= 1
+    if j is None:
+        j = np.searchsorted(grid, q, side="right")
+        j -= 1
     dxj = grid[1:].take(j, mode="clip")
     dxj -= grid[:-1].take(j, mode="clip")
     off = grid.take(j)
@@ -93,10 +101,62 @@ def _interp_read(stencil, dy: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closure_tol(cfg: ProblemConfig) -> float:
+    """How far a computed Q point may lie from a grid node on a grid that
+    the Q_i map into themselves, from rounding alone.
+
+    Let u be the unit round-off, X = max(|x_0|, |x_N|) and a_min the
+    smallest ratio a_i.  The nodes of a closed grid stand for real points
+    that Q_i maps onto one another exactly; each stored node is off by
+    nu = u (X + 2 span) at most (np.linspace rounds the step, its product
+    with k, and the sum with x_0; a knot is off by uX).  The computed
+    Q_i(x) then misses the real image of x by
+    - at most 5uX from the two-point form in ``AffineMapSet.inverse_many``,
+    - plus nu / a_i from the node x, which Q_i stretches by 1 / a_i,
+    - plus nu / a_i from the cell's two knots, whose sensitivities add up
+      to 1 / a_i as well,
+    and that image is a stored node up to a further nu.  The result
+    bounds the gap absolutely: dividing by a cell width would blow up at
+    grids such as 6^k + 1, where ``Partition.grid`` keeps knots and
+    linspace nodes that differ in the last bit.  A gap within it moves a
+    read by at most Lip(g) times the tolerance, the order of the rounding
+    that the Q point already carries, so even a grid wrongly called closed
+    is never read far off."""
+    u = np.finfo(float).eps / 2
+    lo, hi = cfg.domain
+    big = max(abs(lo), abs(hi))
+    nu = u * (big + 2.0 * (hi - lo))
+    return 5.0 * u * big + nu * (1.0 + 2.0 / min(cfg.maps.a))
+
+
+def _node_read(grid: np.ndarray, q: np.ndarray, tol: float):
+    """How the RB step reads a function on ``grid`` at the points q, from one
+    search: the index of the nearest node of each q where every q lies
+    within ``tol`` of a node (a closed grid), else np.interp's stencil."""
+    j = np.searchsorted(grid, q, side="right")
+    j -= 1
+    below = grid.take(j)
+    np.subtract(q, below, out=below)       # q - grid[j] >= 0
+    above = grid[1:].take(j, mode="clip")  # grid[j + 1]; q itself at the right end
+    above -= q
+    nearer_above = above < below
+    np.minimum(below, above, out=above)
+    closed = bool(np.max(above) <= tol)
+    del below, above
+    if not closed:
+        del nearer_above
+        return _interp_stencil(grid, q, j)
+    j += nearer_above
+    return j
+
+
 def _stencil(cfg: ProblemConfig):
-    """The RB step's interpolation stencil (cached per partition and grid size)."""
-    return cfg.partition._cached(f"_rb_stencil_{cfg.grid_size}",
-                                 lambda: _interp_stencil(cfg.grid, _grid_geometry(cfg)[1]))
+    """The RB step's read of the Q points (cached per partition and grid
+    size): nearest-node indices on a closed grid, else the interpolation
+    stencil, a tuple."""
+    return cfg.partition._cached(
+        f"_rb_stencil_{cfg.grid_size}",
+        lambda: _node_read(cfg.grid, _grid_geometry(cfg)[1], _closure_tol(cfg)))
 
 
 def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -117,8 +177,19 @@ def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _base_read(cfg: ProblemConfig, r: int):
+    """b_r as ``_rb_step`` subtracts it: on a closed grid at the nearest
+    nodes of the Q points (one gather per distinct base, cached per config),
+    else on the grid."""
+    base, j = cfg.base_values(r), _stencil(cfg)
+    if isinstance(j, tuple):
+        return base
+    # the config keeps its base arrays, so their ids stay theirs
+    return cfg._cached(f"_rb_base_read_{id(base)}", lambda: frozen(base.take(j)))
+
+
 def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None):
-    """Level r's (base, scale, bump) for ``_rb_step``: b_r on the grid,
+    """Level r's (base, scale, bump) for ``_rb_step``: ``_base_read``,
     alpha_{i,r}(Q_i x) and None, or with a perturbation alpha + t theta and
     s phi.  The alphas are cached per prefix level in the config's
     ``scaling_cache``, which configs with the same scalings share; the
@@ -128,7 +199,7 @@ def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = Non
     idx, q = _grid_geometry(cfg)
     alpha_q = cfg.scaling_cache._cached(f"rb_alphas_{r_eff}", lambda: frozen(
         _per_interval(cfg.levels.level(r_eff).scalings, idx, q)))
-    base = cfg.base_values(r)
+    base = _base_read(cfg, r)
     if pert is None:
         return base, alpha_q, None
     lv = pert.level(r)
@@ -143,7 +214,11 @@ def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray
     base, scale, bump = terms
     # The read returns a fresh array, so the step finishes in it.  IEEE
     # products and sums commute: this is f + scale * diff (+ bump) bit for bit.
-    out = _interp_read(stencil, values - base)
+    if isinstance(stencil, tuple):
+        out = _interp_read(stencil, values - base)
+    else:  # a closed grid: values[j] - b_r[j], as np.interp reads a node hit
+        out = values.take(stencil)
+        out -= base
     out *= scale
     out += germ
     if bump is not None:

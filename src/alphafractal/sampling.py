@@ -15,7 +15,7 @@ from .core import (
     Partition,
     ProblemConfig,
     build_partition,
-    evaluate,
+    endpoint_values,
     matched_endpoint_polynomial,
 )
 from .errors import ConfigError
@@ -54,9 +54,7 @@ def random_germ_spec(rng, domain) -> FunctionSpec:
 
 def matched_base_spec(rng, germ, domain, scale: float = 1.0) -> FunctionSpec:
     """Random polynomial shifted to agree with the germ at both endpoints."""
-    lo, hi = domain
-    y0 = float(evaluate(germ, lo))
-    y1 = float(evaluate(germ, hi))
+    y0, y1 = endpoint_values(germ, domain)
     coeffs = rng.uniform(-scale, scale, size=POLY_DEGREE + 1)
     return matched_endpoint_polynomial(coeffs, domain, y0, y1)
 

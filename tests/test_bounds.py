@@ -299,3 +299,31 @@ class TestComputedOnce:
         op = BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5))
         assert config_with_operator_bases(cfg, op) is config_with_operator_bases(
             cfg, BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5)))
+
+    def test_germ_endpoints_evaluated_once(self, running_cfg, monkeypatch):
+        # every level of L_r f and every matched random base reads the
+        # germ's cached endpoint pair; a bare callable is evaluated there
+        # each time
+        points = []
+        call = FunctionSpec.__call__
+
+        def counted(spec, x):
+            if spec == running_cfg.germ:
+                points.append(np.size(x))
+            return call(spec, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
+        germ, part = running_cfg.germ, running_cfg.partition
+        op = BaseOperatorSpec(("endpoint-line", "blend", "endpoint-line"),
+                              lambdas=(0.0, 0.5, 0.0))
+        bases = [op.apply(r, germ, part) for r in (1, 2, 3, 4)]
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            campaigns.matched_base_spec(rng, germ, part.domain)
+        assert points == [1, 1]
+        assert germ.endpoint_values() == (float(call(germ, 0.0)), float(call(germ, 1.0)))
+        assert bases[0] == FunctionSpec.linear_endpoint(*germ.endpoint_values(), DOM)
+
+        bare = []
+        op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
+        assert bare == [0.0, 1.0]

@@ -22,6 +22,7 @@ from alphafractal import (
     stationary_fixed_point,
     trajectory_interpolant,
 )
+from alphafractal.configio import config_from_dict
 from alphafractal.core import SampledFunction
 from alphafractal import engine
 from alphafractal.errors import (
@@ -36,6 +37,7 @@ from alphafractal.norms import lip_seminorm
 from alphafractal.sampling import random_partition
 
 from reference import ref_coefficients, ref_rb_point, ref_required_depth, ref_series
+from test_cli import README_CONFIG, c11_config
 
 DOM = (0.0, 1.0)
 
@@ -163,20 +165,32 @@ class TestInterpStencil:
         got = engine._interp_read(engine._interp_stencil(grid, q), dy)
         assert got.tobytes() == np.interp(q, grid, dy).tobytes()
 
-    def test_shared_by_configs_of_one_partition(self, running_cfg, base_x2):
-        other = running_cfg.with_germ(base_x2)
-        assert other.grid is running_cfg.grid
-        assert engine._grid_geometry(other) is engine._grid_geometry(running_cfg)
-        assert engine._stencil(other) is engine._stencil(running_cfg)
-        coarse = replace(running_cfg, grid_size=513)
-        assert coarse.partition is running_cfg.partition
-        assert engine._stencil(coarse)[1].size == coarse.grid.size == 513
+    def test_shared_by_configs_of_one_partition(self, make_cfg, germ_x, base_x2):
+        a = FunctionSpec.constant(0.4, DOM)
+        # a closed grid (the Q_i map nodes onto nodes) and an open one
+        for knots in ([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]):
+            cfg = make_cfg(knots, germ_x, [[a, a]], [base_x2])
+            other = cfg.with_germ(base_x2)
+            assert other.grid is cfg.grid
+            assert engine._grid_geometry(other) is engine._grid_geometry(cfg)
+            assert engine._stencil(other) is engine._stencil(cfg)
+            coarse = replace(cfg, grid_size=513)
+            assert coarse.partition is cfg.partition
+            assert coarse.grid.size < cfg.grid.size
+            read = engine._stencil(coarse)
+            if knots[1] == 0.5:
+                # only the nearest-node indices are kept
+                assert isinstance(read, np.ndarray) and read.dtype.kind == "i"
+                assert read.size == coarse.grid.size
+            else:
+                # np.interp's stencil: cells, offsets, widths and node hits
+                assert [arr.size for arr in read] == [coarse.grid.size] * 4
 
     def test_trajectory_peak_memory(self, make_cfg):
-        # Criterion-11 shape at grid 65537.  With warm caches a depth-5
-        # trajectory peaks at four grid-sized arrays (the step's input,
-        # g - b_r, the slopes or one gather, and the output); the guard
-        # allows five.
+        # Criterion-11 shape at grid 65537, a closed grid.  With warm caches
+        # (b_r at the nearest nodes among them) a depth-5 trajectory peaks at
+        # two grid-sized arrays, the step's input and its output; the guard
+        # allows three.
         knots = [k / 6 for k in range(7)]
         germ = FunctionSpec.sinusoid(0.8, 6.0, 1.0, 0.1, DOM)
         base = FunctionSpec.linear_endpoint(*germ.endpoint_values(), DOM)
@@ -190,7 +204,101 @@ class TestInterpStencil:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * cfg.grid.nbytes + 2 ** 20
+        assert peak <= 3 * cfg.grid.nbytes + 2 ** 20
+
+
+def _closed(cfg):
+    """Whether the RB step reads cfg's grid at the nearest nodes."""
+    return not isinstance(engine._stencil(cfg), tuple)
+
+
+def _c11_nu():
+    data = c11_config()
+    data["partition"] = {"knots": [0.0, 0.13, 0.3, 0.52, 0.6, 0.81, 1.0]}
+    return data
+
+
+def _sup_and_lip(spec, span):
+    """sup |spec| and its Lipschitz constant, in closed form."""
+    p = spec.params
+    if spec.family == "constant":
+        return abs(p[0]), 0.0
+    if spec.family == "linear-endpoint":
+        return max(abs(p[0]), abs(p[1])), abs(p[1] - p[0]) / span
+    assert spec.family == "sinusoid"
+    return abs(p[0]) + abs(p[3]), abs(p[0] * p[1])
+
+
+class TestGatherStep:
+    """On a grid that every Q_i maps into itself the RB step reads g - b_r at
+    the nearest nodes; elsewhere it interpolates."""
+
+    @pytest.mark.parametrize("data, grid, closed", [
+        (c11_config(), 1025, True), (c11_config(), 4097, True),
+        (c11_config(), 65537, True), (README_CONFIG, 1025, True),
+        (_c11_nu(), 1025, False), (_c11_nu(), 4097, False)],
+        ids=["c11-1025", "c11-4097", "c11-65537", "readme", "c11nu-1025", "c11nu-4097"])
+    def test_closure(self, data, grid, closed):
+        assert _closed(config_from_dict(data, overrides={"grid": grid})) is closed
+
+    def test_gather_step_equals_interpolating_step(self):
+        # every Q point of the README config is a node exactly, where
+        # np.interp returns the node's own value
+        cfg = config_from_dict(README_CONFIG)
+        assert _closed(cfg)
+        stencil = engine._interp_stencil(cfg.grid, engine._grid_geometry(cfg)[1])
+        assert np.all(stencil[3])
+        values = cfg.germ_values
+        noise = np.random.default_rng(3).normal(size=cfg.grid.size)
+        for r in range(1, 31):
+            terms = engine._level_terms(cfg, r)
+            interp_terms = (cfg.base_values(r),) + terms[1:]
+            got = [engine._rb_step(v, engine._stencil(cfg), cfg.germ_values, terms)
+                   for v in (values, noise)]
+            want = [engine._rb_step(v, stencil, cfg.germ_values, interp_terms)
+                    for v in (values, noise)]
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            values = got[0]
+
+    def test_trajectory_matches_reference_series_on_c11(self):
+        # Both sides evaluate W_1 = T_1 o ... o T_K f at the nodes, exactly
+        # the depth-K partial sum there (W_{K+1} = f).  Level j reads
+        # W_{j+1} - b_j and alpha_j at a point each side gets off by delta
+        # from the exact Q_i of its own input: the trajectory by the closure
+        # tolerance plus the 5uX of the two-point form, the reference by its
+        # raw (z - e_i) / a_i, 4uX + 6uX^2 / (span a_min) (see
+        # TestRBStepOracle).  That moves level j's term by c_j delta, with
+        # c_j = Lip(alpha) M + A (L_{j+1} + Lip b), where M = (|f| + |b|) /
+        # (1 - A) bounds W - b; the outer levels scale it by A^{j-1}.  The
+        # Lipschitz constant of W_j grows by 1 / a_min per level:
+        # L_j = Lip f + c_j / a_min.  Each level also rounds a few operations
+        # on values below |f| + M.
+        depth = 5
+        cfg = config_from_dict(c11_config(), overrides={"grid": 1025})
+        assert _closed(cfg)
+        knots = list(cfg.partition.knots)
+        span = knots[-1] - knots[0]
+        levels = cfg.levels.levels
+        f_sup, f_lip = _sup_and_lip(cfg.germ, span)
+        b_sup, b_lip = map(max, zip(*(_sup_and_lip(lv.base, span) for lv in levels)))
+        a_sup, a_lip = map(max, zip(*(_sup_and_lip(a, span)
+                                      for lv in levels for a in lv.scalings)))
+        u = np.finfo(float).eps / 2
+        X = max(abs(knots[0]), abs(knots[-1]))
+        a_min = min(cfg.maps.a)
+        delta = (engine._closure_tol(cfg) + 5 * u * X
+                 + u * (4 * X + 6 * X * X / (span * a_min)))
+        M = (f_sup + b_sup) / (1.0 - a_sup)
+        lip, tol = f_lip, depth * 32 * u * (f_sup + M)
+        for j in range(depth, 0, -1):
+            c = a_lip * M + a_sup * (lip + b_lip)
+            tol += a_sup ** (j - 1) * c * delta
+            lip = f_lip + c / a_min
+        got = backward_trajectory(None, depth, cfg).values.ys
+        want = np.array([ref_series(x, depth, knots, [lv.scalings for lv in levels],
+                                    [lv.base for lv in levels], cfg.germ)
+                         for x in cfg.grid.tolist()])
+        assert np.max(np.abs(got - want)) <= tol
 
 
 def _grid_slope(vals, grid):
