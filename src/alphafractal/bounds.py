@@ -49,25 +49,6 @@ _OPERATOR_KINDS = ("endpoint-line", "knot-piecewise-linear", "blend")
 
 
 @dataclass(frozen=True)
-class BlendedFunction:
-    """lambda * f + (1 - lambda) * endpoint chord; linear in f and
-    endpoint-preserving for any lambda."""
-
-    fn: object
-    y_left: float
-    y_right: float
-    lam: float
-    domain: tuple[float, float]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.domain
-        chord = self.y_left + (self.y_right - self.y_left) * (x - lo) / (hi - lo)
-        out = self.lam * np.asarray(self.fn(x), dtype=float) + (1.0 - self.lam) * chord
-        return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
 class BaseOperatorSpec:
     """Per-level choice of the base-generating operator L_r (repeat-last tail).
 
@@ -104,17 +85,20 @@ class BaseOperatorSpec:
         return repeat_last(self.kinds, r)
 
     def apply(self, r: int, germ, partition):
-        """L_r f as an evaluable function."""
+        """L_r f as a FunctionSpec; a blend is a ``sum`` spec, so its germ must
+        be a FunctionSpec too."""
         kind = self.kind(r)
         if kind == "knot-piecewise-linear":
             return FunctionSpec.sampled(
                 evaluate(germ, partition.array()), partition.domain,
                 abscissas=partition.knots,
             )
-        y0, y1 = endpoint_values(germ, partition.domain)
+        chord = FunctionSpec.linear_endpoint(*endpoint_values(germ, partition.domain),
+                                             partition.domain)
         if kind == "endpoint-line":
-            return FunctionSpec.linear_endpoint(y0, y1, partition.domain)
-        return BlendedFunction(germ, y0, y1, repeat_last(self.lambdas, r), partition.domain)
+            return chord
+        lam = repeat_last(self.lambdas, r)
+        return FunctionSpec.weighted_sum((lam, 1.0 - lam), (germ, chord))
 
     def empirical_norm(self, cfg: ProblemConfig, rng, probes: int = 20) -> float:
         """Probe estimate of sup ||L_r p|| / ||p|| over random polynomials."""

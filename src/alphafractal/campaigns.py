@@ -9,10 +9,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from . import bounds, depend
-from .core import Level, LevelSequence, ProblemConfig, evaluate, matched_endpoint_polynomial
+from . import bounds
+from .core import (
+    FunctionSpec,
+    Level,
+    LevelSequence,
+    ProblemConfig,
+    endpoint_values,
+    matched_endpoint_polynomial,
+)
 from .errors import ConfigError
 from .ifs import PerturbationLevel, PerturbationSpec
 from .report import BoundReport
@@ -113,24 +118,15 @@ def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, Proble
     # germ shift delta, base shifts matching delta at the endpoints so the
     # perturbed bases still satisfy the base conditions for the new germ
     delta = random_polynomial_spec(rng, domain, POLY_DEGREE, scale=0.1)
-    d0 = float(evaluate(delta, domain[0]))
-    d1 = float(evaluate(delta, domain[1]))
-
-    def shifted_germ(x, _g=cfgA.germ, _d=delta):
-        return np.asarray(_g(x), dtype=float) + np.asarray(_d(x), dtype=float)
-
+    d0, d1 = endpoint_values(delta, domain)
     new_bases = []
     for lv in cfgA.levels.levels:
         bump = matched_endpoint_polynomial(
             rng.uniform(-0.1, 0.1, size=POLY_DEGREE + 1), domain, d0, d1
         )
-
-        def shifted_base(x, _b=lv.base, _p=bump):
-            return np.asarray(_b(x), dtype=float) + np.asarray(_p(x), dtype=float)
-
-        new_bases.append(shifted_base)
-    cfgB = cfgA.with_germ(shifted_germ).with_bases(tuple(new_bases))
-    return cfgA, cfgB
+        new_bases.append(FunctionSpec.weighted_sum((1.0, 1.0), (lv.base, bump)))
+    germ = FunctionSpec.weighted_sum((1.0, 1.0), (cfgA.germ, delta))
+    return cfgA, cfgA.with_germ(germ).with_bases(tuple(new_bases))
 
 
 def stability_suite(template: ProblemConfig, trials: int, seed) -> list[BoundReport]:
@@ -179,9 +175,11 @@ def run_suite(name: str, template: ProblemConfig, trials: int, seed,
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
-    for what, scale in (("t_scale", t_scale), ("s_scale", s_scale)):
-        if not 0.0 <= scale < np.inf:
-            raise ConfigError(f"{what} must be finite and >= 0, got {scale}")
+    # t and s are drawn uniformly from [-scale, scale), so a scale in [0, 1)
+    # is exactly what keeps every |t| and |s| below 1
+    for flag, scale in (("--t-scale", t_scale), ("--s-scale", s_scale)):
+        if not 0.0 <= scale < 1.0:
+            raise ConfigError(f"{flag} must lie in [0, 1), got {scale}")
     rng = rng_from(seed)
     if name == "error":
         return error_suite(template, trials, rng)
@@ -196,42 +194,3 @@ def run_suite(name: str, template: ProblemConfig, trials: int, seed,
         out.extend(run_suite(sub, template, trials, rng, t_scale, s_scale))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Dependence sweeps (module depend driven with random pairs)
-# ---------------------------------------------------------------------------
-
-
-def base_pair_suite(template: ProblemConfig, pairs: int, seed) -> list[BoundReport]:
-    rng = rng_from(seed)
-    out = []
-    domain = template.domain
-    for k in range(pairs):
-        n_levels = template.levels.prefix_len
-        bases_a = tuple(matched_base_spec(rng, template.germ, domain)
-                        for _ in range(n_levels))
-        bases_b = tuple(matched_base_spec(rng, template.germ, domain)
-                        for _ in range(n_levels))
-        rep = depend.base_dependence(template, bases_a, bases_b)
-        out.append(replace(rep, name=f"base-dependence[{k}]"))
-    return out
-
-
-def scaling_pair_suite(template: ProblemConfig, pairs: int, seed,
-                       s_cap: float = ALPHA_CAP) -> list[BoundReport]:
-    rng = rng_from(seed)
-    out = []
-    domain = template.domain
-    for k in range(pairs):
-        n_levels = template.levels.prefix_len
-        alphas_a = tuple(
-            random_alpha_vector(rng, template.n_intervals, domain, s_cap)
-            for _ in range(n_levels)
-        )
-        alphas_b = tuple(
-            random_alpha_vector(rng, template.n_intervals, domain, s_cap)
-            for _ in range(n_levels)
-        )
-        rep = depend.scaling_dependence(template, alphas_a, alphas_b, s_cap)
-        out.append(replace(rep, name=f"scaling-dependence[{k}]"))
-    return out

@@ -92,7 +92,7 @@ def in_domain(x, domain) -> np.ndarray:
 # Function specifications
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("constant", "linear-endpoint", "polynomial", "sinusoid", "sampled")
+_FAMILIES = ("constant", "linear-endpoint", "polynomial", "sinusoid", "sampled", "sum")
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,10 @@ class FunctionSpec:
     - ``sampled``:         (v_1, ..., v_M)           -> piecewise-linear through
                             the sample points; ``abscissas`` gives the sample
                             grid (defaults to a uniform grid over the domain)
+    - ``sum``:             (w_1, ..., w_k)           -> w_1 t_1(x) + ... + w_k t_k(x),
+                            summed in that order; ``terms`` gives the specs
+                            t_k, each on this spec's domain (library only:
+                            config files cannot name it)
 
     Instances are immutable and evaluate deterministically; the same spec at
     the same point always yields the identical double.
@@ -118,6 +122,7 @@ class FunctionSpec:
     params: tuple[float, ...]
     domain: tuple[float, float]
     abscissas: tuple[float, ...] | None = None
+    terms: tuple["FunctionSpec", ...] = ()
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -129,10 +134,23 @@ class FunctionSpec:
         object.__setattr__(self, "params", params)
         if not all(np.isfinite(self.params)):
             raise ConfigError(f"{self.family} spec parameters must be finite")
+        terms = tuple(self.terms)
+        if self.family == "sum":
+            if not terms:
+                raise ConfigError("sum spec needs at least one term")
+            if len(terms) != len(params):
+                raise ConfigError(f"sum spec has {len(params)} weights for {len(terms)} terms")
+            if not all(isinstance(t, FunctionSpec) for t in terms):
+                raise ConfigError("sum spec terms must be FunctionSpecs")
+        elif terms:
+            raise ConfigError("terms only apply to the sum family")
+        object.__setattr__(self, "terms", terms)
         lo, hi = (float(self.domain[0]), float(self.domain[1]))
         if not lo < hi:
             raise ConfigError("function domain must satisfy lo < hi")
         object.__setattr__(self, "domain", (lo, hi))
+        if any(t.domain != (lo, hi) for t in terms):
+            raise ConfigError("sum spec terms must share its domain")
         n_expected = {"constant": 1, "linear-endpoint": 2, "sinusoid": 4}
         if self.family in n_expected and len(self.params) != n_expected[self.family]:
             raise ConfigError(
@@ -182,6 +200,14 @@ class FunctionSpec:
                 abscissas: Sequence[float] | None = None) -> "FunctionSpec":
         return cls("sampled", values, tuple(domain), abscissas)
 
+    @classmethod
+    def weighted_sum(cls, weights: Sequence[float], terms: Sequence["FunctionSpec"]
+                     ) -> "FunctionSpec":
+        """w_1 t_1 + w_2 t_2 + ... on the terms' domain."""
+        terms = tuple(terms)
+        domain = getattr(terms[0], "domain", None) if terms else None
+        return cls("sum", weights, domain, terms=terms)
+
     # -- evaluation ---------------------------------------------------------
 
     def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +246,13 @@ class FunctionSpec:
             np.sin(out, out=out)
             out *= a
             out += offset
-        else:
+        elif self.family == "sampled":
             xs, ys = self._sample_arrays()
             out = np.interp(x, xs, ys)
+        else:
+            out = self.params[0] * np.asarray(self.terms[0](x), dtype=float)
+            for w, term in zip(self.params[1:], self.terms[1:]):
+                out += w * np.asarray(term(x), dtype=float)
         out = np.asarray(out, dtype=float)
         return out if out.shape else float(out)
 

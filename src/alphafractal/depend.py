@@ -226,7 +226,3 @@ def partition_continuity(cfg: ProblemConfig, other: Partition,
         knots = base + (target - base) / (2.0 ** k)
         out.append(partition_dependence(cfg, Partition(tuple(knots))))
     return out
-
-
-def is_strictly_decreasing(values) -> bool:
-    return all(b < a for a, b in zip(values, values[1:]))

@@ -320,9 +320,6 @@ class Interpolant:
         got = evaluate(self, knots)
         return np.abs(got - target)
 
-    def satisfies_interpolation(self, tol: float = INTERPOLATION_TOL) -> bool:
-        return bool(np.max(self.knot_residuals()) <= tol)
-
 
 def backward_trajectory(g: SampledFunction | None, depth: int,
                         cfg: ProblemConfig,

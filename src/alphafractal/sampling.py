@@ -1,23 +1,13 @@
 """Seeded random inputs for verification campaigns: polynomial germs with
 coefficients uniform in [-1, 1] (degree <= 5), endpoint-corrected bases,
-positive bounded scaling functions, and random partitions.
+and positive bounded scaling functions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DepthPolicy,
-    FunctionSpec,
-    Level,
-    LevelSequence,
-    Partition,
-    ProblemConfig,
-    build_partition,
-    endpoint_values,
-    matched_endpoint_polynomial,
-)
+from .core import FunctionSpec, endpoint_values, matched_endpoint_polynomial
 from .errors import ConfigError
 
 POLY_DEGREE = 5
@@ -80,53 +70,3 @@ def random_alpha_spec(rng, domain, cap: float, variable: bool = True) -> Functio
 def random_alpha_vector(rng, n_intervals: int, domain, cap: float,
                         variable: bool = True) -> tuple[FunctionSpec, ...]:
     return tuple(random_alpha_spec(rng, domain, cap, variable) for _ in range(n_intervals))
-
-
-def random_partition(rng, domain, n_intervals: int) -> Partition:
-    """Random strictly increasing knots with bounded mesh ratio."""
-    lo, hi = domain
-    gaps = rng.uniform(0.5, 1.5, size=n_intervals)
-    knots = lo + (hi - lo) * np.concatenate(([0.0], np.cumsum(gaps))) / np.sum(gaps)
-    knots[-1] = hi
-    return build_partition(knots)
-
-
-def random_level_sequence(rng, germ, n_intervals: int, domain,
-                          n_levels: int = 2, cap: float = 0.5,
-                          variable_alpha: bool = True) -> LevelSequence:
-    levels = tuple(
-        Level(
-            scalings=random_alpha_vector(rng, n_intervals, domain, cap, variable_alpha),
-            base=matched_base_spec(rng, germ, domain),
-        )
-        for _ in range(n_levels)
-    )
-    return LevelSequence(levels)
-
-
-def random_config(rng, *, domain=(0.0, 1.0), n_intervals: int | None = None,
-                  n_levels: int | None = None, cap: float = 0.5,
-                  grid_size: int = 1025, d: float = 1.0,
-                  mode: str = "continuous",
-                  depth_policy: DepthPolicy | None = None,
-                  variable_alpha: bool = True) -> ProblemConfig:
-    """A full random configuration for acceptance-style sweeps."""
-    rng = rng_from(rng)
-    if n_intervals is None:
-        n_intervals = int(rng.integers(2, 7))
-    if n_levels is None:
-        n_levels = int(rng.integers(1, 4))
-    partition = random_partition(rng, domain, n_intervals)
-    germ = random_germ_spec(rng, domain)
-    levels = random_level_sequence(rng, germ, n_intervals, domain,
-                                   n_levels=n_levels, cap=cap,
-                                   variable_alpha=variable_alpha)
-    return ProblemConfig(
-        partition=partition,
-        germ=germ,
-        levels=levels,
-        d=d,
-        grid_size=grid_size,
-        depth_policy=depth_policy if depth_policy is not None else DepthPolicy(),
-        mode=mode,
-    )

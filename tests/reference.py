@@ -76,6 +76,28 @@ def ref_rb_point(x, knots, grid, g_vals, germ, scalings, base, pert=None):
     return float(germ(x)) + scale * ((1.0 - w) * d0 + w * d1) + bump
 
 
+def ref_shifted(fn, shift):
+    """fn + shift, summed the way the stability campaign first wrapped its
+    shifted germ and bases."""
+    def shifted(x):
+        return np.asarray(fn(x), dtype=float) + np.asarray(shift(x), dtype=float)
+    return shifted
+
+
+def ref_blend(fn, lam, domain):
+    """lam * fn + (1 - lam) * chord through fn's values at the domain ends,
+    with the chord written out by hand."""
+    lo, hi = domain
+    y_left, y_right = float(fn(lo)), float(fn(hi))
+
+    def blended(x):
+        x = np.asarray(x, dtype=float)
+        chord = y_left + (y_right - y_left) * (x - lo) / (hi - lo)
+        out = lam * np.asarray(fn(x), dtype=float) + (1.0 - lam) * chord
+        return out if out.shape else float(out)
+    return blended
+
+
 def ref_lip(xs, ys, d):
     """Double-loop Holder quotient maximum."""
     worst = 0.0

@@ -23,15 +23,9 @@ from alphafractal import (
     stationary_fixed_point,
 )
 from alphafractal.bounds import VERIFY_TOL
-from alphafractal.campaigns import (
-    base_pair_suite,
-    error_suite,
-    scaling_pair_suite,
-    sensitivity_suite,
-    stability_suite,
-)
+from alphafractal.campaigns import error_suite, sensitivity_suite, stability_suite
 from alphafractal.core import Partition, SampledFunction, matched_endpoint_polynomial
-from alphafractal.depend import is_strictly_decreasing, partition_continuity
+from alphafractal.depend import partition_continuity
 from alphafractal.engine import (
     _level_terms,
     _rb_step,
@@ -41,13 +35,16 @@ from alphafractal.engine import (
     resolve_depth,
 )
 from alphafractal.norms import estimate_norms
-from alphafractal.sampling import (
-    random_config,
-    random_germ_spec,
-    random_partition,
-    rng_from,
-)
+from alphafractal.sampling import random_germ_spec, rng_from
 from alphafractal.cli import main as cli_main
+
+from helpers import (
+    base_pair_suite,
+    is_strictly_decreasing,
+    random_config,
+    random_partition,
+    scaling_pair_suite,
+)
 
 DOM = (0.0, 1.0)
 BATCH_SEED = 7  # seeds the 20-config batch shared by criteria 1 and 5

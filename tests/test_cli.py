@@ -19,7 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import alphafractal
-from alphafractal import FunctionSpec, bounds, configio, depend, engine
+from alphafractal import (
+    FunctionSpec,
+    PerturbationSpec,
+    ProblemConfig,
+    bounds,
+    configio,
+    depend,
+    engine,
+)
 from alphafractal.cli import main
 from test_span_sites import PERFBENCH, SMALL_RUNS
 
@@ -644,6 +652,8 @@ BAD_ARGUMENTS = [
     ["verify", "--config", "{cfg}", "--suite", "stability", "--trials", "-3"],
     ["verify", "--config", "{cfg}", "--trials", "2", "--out", "{file}"],
     ["sweep", "--manifest", "{manifest}", "--out", "{file}"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--t-scale", "5"],
+    ["verify", "--config", "{cfg}", "--trials", "2", "--s-scale", "1"],
 ]
 
 
@@ -771,6 +781,44 @@ def test_large_knots_still_build(tmp_path):
     rows = read_csv(tmp_path / "curve.csv")
     assert len(rows) == json.loads((tmp_path / "summary.json").read_text())["grid_points"]
     assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
+
+def test_sum_family_is_library_only(tmp_path, capsys):
+    term = {"family": "constant", "value": 0.0}
+    cfg = write_config(tmp_path, {**README_CONFIG, "germ": {
+        "family": "sum", "weights": [1.0], "terms": [term]}})
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert_one_diagnostic(capsys, "ConfigError")
+
+
+def test_verify_and_sweep_build_only_specs(tmp_path, monkeypatch):
+    """Every germ, base, scaling, theta and phi of every config and
+    perturbation that verify and sweep build is a FunctionSpec, sums of
+    specs (the stability shifts, blend bases) included."""
+    made = []
+    for cls in (ProblemConfig, PerturbationSpec):
+        def recorded(self, _check=cls.__post_init__):
+            _check(self)
+            made.append(self)
+        monkeypatch.setattr(cls, "__post_init__", recorded)
+    cfg = write_config(tmp_path, c11_config())
+    man = write_config(tmp_path, README_MANIFEST, "manifest.json")
+    assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "5",
+                 "--seed", "1", "--grid", "257", "--out", str(tmp_path / "v")]) == 0
+    assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path / "s")]) == 0
+    functions = []
+    for obj in made:
+        if isinstance(obj, ProblemConfig):
+            functions.append(obj.germ)
+            for lv in obj.levels.levels:
+                functions.extend([lv.base, *lv.scalings])
+        else:
+            for lv in obj.levels:
+                functions.extend([*lv.theta, *lv.phi])
+    assert {type(fn) for fn in functions} == {FunctionSpec}
+    sums = [fn for fn in functions if fn.family == "sum"]
+    assert {t.family for fn in sums for t in fn.terms} >= {"linear-endpoint", "polynomial"}
+    assert {type(obj) for obj in made} == {ProblemConfig, PerturbationSpec}
 
 
 @pytest.mark.parametrize("command", ["build", "verify", "sweep", "build-c11"])

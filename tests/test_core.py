@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from alphafractal import (
     AffineMapSet,
+    BaseOperatorSpec,
     DepthPolicy,
     FunctionSpec,
     Level,
@@ -14,7 +15,7 @@ from alphafractal import (
     trajectory_interpolant,
     validate_level_sequence,
 )
-from alphafractal.core import SampledFunction, sup_abs
+from alphafractal.core import SampledFunction, group_specs, sup_abs
 from alphafractal.ifs import locate_many
 from alphafractal.errors import (
     BadExponent,
@@ -27,6 +28,8 @@ from alphafractal.errors import (
     TooFewKnots,
 )
 from alphafractal.norms import lip_ratios
+
+from reference import ref_blend, ref_shifted
 
 DOM = (0.0, 1.0)
 
@@ -170,12 +173,17 @@ _PARAM = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 
 
 @st.composite
-def _spec_and_formula(draw):
-    """A FunctionSpec of any family and its textbook formula as a function
-    of the points."""
+def _domain(draw):
     lo = draw(st.floats(-10.0, 10.0))
-    hi = lo + draw(st.sampled_from([1e-3, 0.5, 1.0, 7.25, 20.0]))
-    domain = (lo, hi)
+    return (lo, lo + draw(st.sampled_from([1e-3, 0.5, 1.0, 7.25, 20.0])))
+
+
+@st.composite
+def _spec_and_formula(draw, domain=None):
+    """A FunctionSpec of any family (on ``domain``, or on a drawn one) and its
+    textbook formula as a function of the points."""
+    domain = domain or draw(_domain())
+    lo, hi = domain
     family = draw(st.sampled_from(["constant", "linear-endpoint", "polynomial",
                                    "sinusoid", "sampled"]))
     if family == "constant":
@@ -228,6 +236,84 @@ class TestFamilyFormulas:
                 assert type(out) is float
                 assert np.float64(out).tobytes() == np.asarray(
                     formula(np.asarray(scalar, dtype=float)), dtype=float).tobytes()
+
+
+def _points(data, domain):
+    """Drawn points of ``domain``, its ends and the zeros inside it."""
+    lo, hi = domain
+    points = data.draw(st.lists(st.floats(lo, hi), max_size=40))
+    return points + [lo, hi] + [z for z in (0.0, -0.0) if lo <= z <= hi]
+
+
+def _same_bytes(got, want, points):
+    """``got`` gives the bytes of ``want`` on the points as an array, and on
+    each of the last four as a Python float and as a 0-d array."""
+    x = np.array(points, dtype=float)
+    assert got(x).tobytes() == np.asarray(want(x), dtype=float).tobytes()
+    for v in points[-4:]:
+        for scalar in (v, np.asarray(v)):
+            out = got(scalar)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == np.asarray(
+                want(np.asarray(scalar, dtype=float)), dtype=float).tobytes()
+
+
+class TestWeightedSum:
+    """The sum family: w_1 t_1 + w_2 t_2 + ... over specs on one domain."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(domain=_domain(), data=st.data())
+    def test_unit_weights_give_the_shifted_bytes(self, domain, data):
+        fn, _ = data.draw(_spec_and_formula(domain))
+        shift, _ = data.draw(_spec_and_formula(domain))
+        _same_bytes(FunctionSpec.weighted_sum((1.0, 1.0), (fn, shift)),
+                    ref_shifted(fn, shift), _points(data, domain))
+
+    @settings(max_examples=150, deadline=None)
+    @given(domain=_domain(), lam=st.floats(0.0, 1.0), data=st.data())
+    def test_blend_gives_the_hand_chord_bytes(self, domain, lam, data):
+        fn, _ = data.draw(_spec_and_formula(domain))
+        lo, hi = domain
+        partition = build_partition([lo, lo + (hi - lo) / 3.0, hi])
+        blend = BaseOperatorSpec(("blend",), (lam,)).apply(1, fn, partition)
+        assert blend.family == "sum"
+        _same_bytes(blend, ref_blend(fn, lam, domain), _points(data, domain))
+
+    def test_weights_apply_in_order(self):
+        x = np.linspace(0.0, 1.0, 5)
+        terms = (FunctionSpec.polynomial([0.0, 1.0], DOM), FunctionSpec.constant(2.0, DOM))
+        assert np.array_equal(FunctionSpec.weighted_sum((3.0, -0.5), terms)(x), 3.0 * x - 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda a: FunctionSpec.weighted_sum((), ()),
+        lambda a: FunctionSpec("sum", (), DOM),
+        lambda a: FunctionSpec.weighted_sum((1.0,), (a, a)),
+        lambda a: FunctionSpec.weighted_sum((1.0, 1.0, 1.0), (a, a)),
+        lambda a: FunctionSpec.weighted_sum((1.0,), (lambda x: x,)),
+        lambda a: FunctionSpec.weighted_sum((1.0, 1.0), (a, lambda x: x)),
+        lambda a: FunctionSpec.weighted_sum((1.0, 1.0), (a, FunctionSpec.constant(1.0, (0.0, 2.0)))),
+        lambda a: FunctionSpec("constant", (1.0,), DOM, terms=(a,)),
+        lambda a: FunctionSpec.weighted_sum((float("nan"),), (a,)),
+    ], ids=["no-terms", "no-terms-raw", "fewer-weights", "more-weights", "callable-first",
+            "callable-term", "other-domain", "terms-on-constant", "nan-weight"])
+    def test_rejected(self, make):
+        with pytest.raises(ConfigError):
+            make(FunctionSpec.constant(0.5, DOM))
+
+    def test_blend_of_a_bare_callable_is_rejected(self):
+        op = BaseOperatorSpec(("blend",), (0.5,))
+        with pytest.raises(ConfigError):
+            op.apply(1, lambda x: x, build_partition([0.0, 0.5, 1.0]))
+
+    def test_equal_sums_form_one_group(self):
+        def make(weight):
+            return FunctionSpec.weighted_sum(
+                (weight, 1.0), (FunctionSpec.polynomial([0.0, 1.0], DOM),
+                                FunctionSpec.linear_endpoint(0.0, 1.0, DOM)))
+
+        first, second, other = make(0.25), make(0.25), make(0.5)
+        assert first is not second
+        assert group_specs([first, other, second]) == [(first, [0, 2]), (other, [1])]
 
 
 def _cfg(alpha_value, base, mode="continuous", d=1.0):

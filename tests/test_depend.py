@@ -15,11 +15,12 @@ from alphafractal import (
 from alphafractal.depend import (
     LIP_SLACK,
     admissible_theta_limit,
-    is_strictly_decreasing,
     theta_constants,
 )
 from alphafractal.errors import CapViolated, EndpointMismatch, KnotCountMismatch
 from alphafractal.norms import lip_seminorm
+
+from helpers import base_pair_suite, is_strictly_decreasing, scaling_pair_suite
 
 DOM = (0.0, 1.0)
 
@@ -53,8 +54,6 @@ class TestBaseDependence:
         assert trajectories == []
 
     def test_randomized_pairs(self, running_cfg):
-        from alphafractal.campaigns import base_pair_suite
-
         reports = base_pair_suite(running_cfg, pairs=15, seed=41)
         assert all(r.passed for r in reports)
 
@@ -80,8 +79,6 @@ class TestScalingDependence:
             scaling_dependence(running_cfg, ((a, a),), ((b, b),), 0.4)
 
     def test_randomized_pairs(self, running_cfg):
-        from alphafractal.campaigns import scaling_pair_suite
-
         reports = scaling_pair_suite(running_cfg, pairs=15, seed=43)
         assert all(r.passed for r in reports)
 

@@ -34,8 +34,8 @@ from alphafractal.errors import (
 )
 from alphafractal.ifs import PerturbationLevel, PerturbationSpec, locate_many
 from alphafractal.norms import lip_seminorm
-from alphafractal.sampling import random_partition
 
+from helpers import random_partition, satisfies_interpolation
 from reference import ref_coefficients, ref_rb_point, ref_required_depth, ref_series
 from test_cli import README_CONFIG, c11_config
 
@@ -451,7 +451,7 @@ class TestBackwardTrajectory:
 
     def test_interpolation_and_r_bound(self, running_cfg):
         out = backward_trajectory(None, 30, running_cfg)
-        assert out.satisfies_interpolation()
+        assert satisfies_interpolation(out)
         assert float(np.max(np.abs(out.values.ys))) <= out.r_bound + 1e-9
 
 
