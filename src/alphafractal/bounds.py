@@ -19,6 +19,7 @@ from .core import (
     ProblemConfig,
     endpoint_values,
     evaluate,
+    knot_values,
     repeat_last,
     specs_equal,
     sup_abs,
@@ -90,7 +91,7 @@ class BaseOperatorSpec:
         kind = self.kind(r)
         if kind == "knot-piecewise-linear":
             return FunctionSpec.sampled(
-                evaluate(germ, partition.array()), partition.domain,
+                knot_values(germ, partition), partition.domain,
                 abscissas=partition.knots,
             )
         chord = FunctionSpec.linear_endpoint(*endpoint_values(germ, partition.domain),

@@ -31,23 +31,27 @@ from .core import (
     Partition,
     ProblemConfig,
     build_partition,
-    evaluate,
+    knot_values,
 )
 from .errors import AlphaFractalError, ConfigError, EndpointMismatch, OutputError
 from .report import BoundReport
 
 FMT = "%.17g"
 CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
-# Rows formatted per string in write_curve_csv.  16,384 rows run within about
-# 10% of the speed of 65,536 and hold a quarter of the transient memory.
+# Rows stacked and written at a time in write_curve_csv, the unit its ranges
+# are cut in.  A block is formatted CURVE_PIECE_ROWS rows at a time: on a
+# 2-core x86-64 VM one process wrote a 1M-point curve in 0.64 s with pieces
+# of 4,096 rows, as with whole blocks, and the formatter's arrays peaked at
+# 3.6 MiB instead of 13.2 (tracemalloc).
 CURVE_BLOCK_ROWS = 16384
+CURVE_PIECE_ROWS = 4096
 # write_curve_csv forks at most one export worker per usable core, and at
 # most CURVE_MAX_WORKERS processes in all, the parent included.
 CURVE_MAX_WORKERS = 8
 # Each worker formats at least this many blocks, so curves of up to three
 # blocks (the default grid among them) are written by the parent alone.  In a
 # grid-1048577 build on a 2-core x86-64 VM, forking and reaping a worker took
-# 2-3 ms and appending its part about 0.7 ms a block, against 22-28 ms to
+# about 3 ms and appending its part about 0.9 ms a block, against 7-9 ms to
 # format a block.
 CURVE_WORKER_MIN_BLOCKS = 2
 
@@ -177,7 +181,7 @@ def _check_knot_data(germ, partition: Partition, source: str, values) -> None:
     if values.size != len(partition.knots):
         raise ConfigError(f"{source} must supply one value per knot "
                           f"({len(partition.knots)}), got {values.size}")
-    germ_values = evaluate(germ, partition.array())
+    germ_values = knot_values(germ, partition)
     bad = np.flatnonzero(~(np.abs(values - germ_values) <= ENDPOINT_TOL))
     if bad.size:
         k = int(bad[0])
@@ -368,11 +372,12 @@ def _curve_ranges(n: int) -> list[tuple[int, int]]:
 
 
 def _write_rows(fh, cols, start: int, stop: int) -> None:
-    """Rows start..stop-1 of the curve to a binary file, formatted a block at
-    a time."""
+    """Rows start..stop-1 of the curve to a binary file, a block at a time."""
+    from .curvetext import curve_text  # loaded with the first curve written
     for s in range(start, stop, CURVE_BLOCK_ROWS):
         block = np.column_stack([c[s:min(s + CURVE_BLOCK_ROWS, stop)] for c in cols])
-        fh.write((CURVE_ROW * block.shape[0] % tuple(block.ravel().tolist())).encode())
+        for k in range(0, block.shape[0], CURVE_PIECE_ROWS):
+            fh.write(curve_text(block[k:k + CURVE_PIECE_ROWS]))
 
 
 def _fork_part(part: Path, cols, start: int, stop: int) -> int:
@@ -381,8 +386,9 @@ def _fork_part(part: Path, cols, start: int, stop: int) -> int:
     with warnings.catch_warnings():
         # Python 3.12 warns when a process with threads forks, and numpy's
         # OpenBLAS has started its pool by now.  The worker is safe: it runs
-        # only numpy slicing, tolist, % formatting and writes to its own
-        # file, makes no BLAS call, and leaves through os._exit.
+        # only numpy element-wise arithmetic, slicing, tolist, % formatting
+        # and writes to its own file, makes no BLAS call, and leaves through
+        # os._exit.
         warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                 DeprecationWarning)
         pid = os.fork()
@@ -409,6 +415,7 @@ def write_curve_csv(path, xs, f_vals, fa_vals) -> None:
     order.  The bytes do not depend on the number of workers.  If anything
     fails, every worker is reaped and no part and no partial ``path`` is
     left; an OSError or a failed worker is raised as OutputError."""
+    from . import curvetext  # noqa: F401  (loaded before the workers fork, so each inherits it)
     path = Path(path)
     cols = [np.asarray(v, dtype=float) for v in (xs, f_vals, fa_vals)]
     (start, stop), *rest = _curve_ranges(cols[0].size)

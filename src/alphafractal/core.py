@@ -265,6 +265,27 @@ class FunctionSpec:
             object.__setattr__(self, "_endpoints", cached)
         return cached
 
+    def knot_values(self, partition: "Partition") -> np.ndarray:
+        """The spec at the knots of ``partition``, evaluated once per spec and
+        knot vector (signed zeros apart)."""
+        cache = self.__dict__.get("_knot_values")
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_knot_values", cache)
+        knots = partition.array()
+        key = knots.tobytes()
+        if key not in cache:
+            cache[key] = frozen(evaluate(self, knots))
+        return cache[key]
+
+
+def knot_values(fn: FunctionLike, partition: "Partition") -> np.ndarray:
+    """``fn`` at the knots of ``partition``: a spec reads its cached values,
+    anything else is evaluated."""
+    if isinstance(fn, FunctionSpec):
+        return fn.knot_values(partition)
+    return evaluate(fn, partition.array())
+
 
 def endpoint_values(fn: FunctionLike, domain) -> tuple[float, float]:
     """``fn`` at both ends of ``domain``: a spec on that very domain (signed
@@ -373,13 +394,31 @@ class Partition(_Cached):
     def span(self) -> float:
         return self.knots[-1] - self.knots[0]
 
+    @property
+    def node_rounding(self) -> float:
+        """nu = u (X + 2 span), with u the unit round-off and X = max(|x_0|,
+        |x_N|): how far a stored grid node may lie from the real point it
+        stands for.  np.linspace rounds its step, the step's product with k
+        and the sum with x_0; a knot is off by uX."""
+        return np.finfo(float).eps / 2 * (max(abs(self.lo), abs(self.hi)) + 2.0 * self.span)
+
     def array(self) -> np.ndarray:
         return self._cached("_array", lambda: frozen(np.asarray(self.knots, dtype=float)))
 
     def grid(self, size: int) -> np.ndarray:
-        """Uniform grid of ``size`` points with every knot inserted (cached per size)."""
-        return self._cached(f"_grid_{size}", lambda: frozen(
-            np.union1d(np.linspace(self.lo, self.hi, size), self.array())))
+        """Uniform grid of ``size`` points with every knot inserted (cached per
+        size).  A linspace node within ``node_rounding`` of a knot stands for
+        the knot itself and gives way to it, so a knot and its rounded twin
+        never make a cell of rounding width."""
+        def build():
+            lin = np.linspace(self.lo, self.hi, size)
+            scale, nu = (size - 1) / self.span, self.node_rounding
+            for x in self.knots:
+                k = min(round((x - self.lo) * scale), size - 1)  # the only node that can be a twin
+                if abs(lin[k] - x) <= nu:
+                    lin[k] = x  # which union1d then keeps once
+            return frozen(np.union1d(lin, self.array()))
+        return self._cached(f"_grid_{size}", build)
 
     def interval(self, i: int) -> tuple[float, float]:
         """Endpoints of I_i for i in 1..N."""

@@ -108,25 +108,23 @@ def _closure_tol(cfg: ProblemConfig) -> float:
     Let u be the unit round-off, X = max(|x_0|, |x_N|) and a_min the
     smallest ratio a_i.  The nodes of a closed grid stand for real points
     that Q_i maps onto one another exactly; each stored node is off by
-    nu = u (X + 2 span) at most (np.linspace rounds the step, its product
-    with k, and the sum with x_0; a knot is off by uX).  The computed
-    Q_i(x) then misses the real image of x by
+    nu = ``Partition.node_rounding`` at most.  The computed Q_i(x) then
+    misses the real image of x by
     - at most 5uX from the two-point form in ``AffineMapSet.inverse_many``,
     - plus nu / a_i from the node x, which Q_i stretches by 1 / a_i,
     - plus nu / a_i from the cell's two knots, whose sensitivities add up
       to 1 / a_i as well,
     and that image is a stored node up to a further nu.  The result
-    bounds the gap absolutely: dividing by a cell width would blow up at
-    grids such as 6^k + 1, where ``Partition.grid`` keeps knots and
-    linspace nodes that differ in the last bit.  A gap within it moves a
-    read by at most Lip(g) times the tolerance, the order of the rounding
-    that the Q point already carries, so even a grid wrongly called closed
-    is never read far off."""
+    bounds the gap absolutely, without dividing by a cell width, which
+    carries rounding of its own.  (``Partition.grid`` drops a linspace node
+    within nu of a knot, so grids such as 6^k + 1 hold no cells of 1e-17.)
+    A gap within the tolerance moves a read by at most Lip(g) times it,
+    the order of the rounding that the Q point already carries, so even a
+    grid wrongly called closed is never read far off."""
     u = np.finfo(float).eps / 2
     lo, hi = cfg.domain
-    big = max(abs(lo), abs(hi))
-    nu = u * (big + 2.0 * (hi - lo))
-    return 5.0 * u * big + nu * (1.0 + 2.0 / min(cfg.maps.a))
+    nu = cfg.partition.node_rounding
+    return 5.0 * u * max(abs(lo), abs(hi)) + nu * (1.0 + 2.0 / min(cfg.maps.a))
 
 
 def _node_read(grid: np.ndarray, q: np.ndarray, tol: float):

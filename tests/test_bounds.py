@@ -327,3 +327,32 @@ class TestComputedOnce:
         bare = []
         op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
         assert bare == [0.0, 1.0]
+
+    def test_germ_knot_values_evaluated_once(self, running_cfg, monkeypatch):
+        # every knot-piecewise-linear level reads the germ's cached values
+        # at the knots; another partition, or a bare callable, is evaluated
+        points = []
+        call = FunctionSpec.__call__
+
+        def counted(spec, x):
+            if spec == running_cfg.germ:
+                points.append(np.size(x))
+            return call(spec, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
+        germ, part = running_cfg.germ, running_cfg.partition
+        op = BaseOperatorSpec(("knot-piecewise-linear",))
+        bases = [op.apply(r, germ, part) for r in (1, 2, 3)]
+        assert points == [3]
+        assert bases[0] == FunctionSpec.sampled(call(germ, part.array()), DOM,
+                                                abscissas=part.knots)
+        assert bases[1] == bases[2] == bases[0]
+        other = build_partition([0.0, 0.25, 1.0])
+        op.apply(1, germ, other)
+        op.apply(2, germ, other)
+        assert points == [3, 3]
+
+        bare = []
+        op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
+        op.apply(2, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
+        assert len(bare) == 2

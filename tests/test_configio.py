@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from alphafractal import configio
 from alphafractal.configio import CURVE_BLOCK_ROWS, config_from_dict, write_curve_csv
+from alphafractal.core import build_partition
 from alphafractal.errors import ConfigError, EndpointMismatch, OutputError
 
 from reference import ref_write_curve_csv
@@ -39,6 +40,78 @@ def test_curve_bytes_match_loop_writer(n, pool, seed):
         write_curve_csv(got, *cols)
         ref_write_curve_csv(want, *cols)
         assert got.read_bytes() == want.read_bytes()
+
+
+# The export's integer formatter covers |v| in [1e-4, 1e7) and hands every
+# other value to %; these cases sit on both sides of that edge, on exact
+# ties of the 17th digit and next to every power of ten it meets.
+def _assert_bytes_match_reference(tmp_path, *cols):
+    write_curve_csv(tmp_path / "got.csv", *cols)
+    ref_write_curve_csv(tmp_path / "want.csv", *cols)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], size=values.shape)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_curve_bytes_log_uniform_across_the_fast_range(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    n = CURVE_BLOCK_ROWS + 5
+    cols = [_signed(rng, np.exp(rng.uniform(np.log(1e-6), np.log(1e8), n))) for _ in range(3)]
+    _assert_bytes_match_reference(tmp_path, *cols)
+
+
+def test_curve_bytes_dyadic_ties(tmp_path):
+    # k / 2^20 has 20 fraction digits, so from 10 up the 17th digit is
+    # often followed by exactly 5: a tie, rounded half to even
+    rng = np.random.default_rng(20)
+    k = rng.integers(1, 10**7 * 2**20, size=(3, 20000))
+    _assert_bytes_match_reference(tmp_path, *_signed(rng, k / 2.0**20))
+
+
+def _neighbours(x, steps=20):
+    """x and its `steps` nearest doubles on either side."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def test_curve_bytes_next_to_powers_of_ten_and_range_edges(tmp_path):
+    values = np.array([v for x in [10.0**k for k in range(-5, 9)] + [1e-4, 1e7]
+                       for v in _neighbours(x)])
+    values = np.concatenate([values, -values])
+    _assert_bytes_match_reference(tmp_path, values, values[::-1], np.roll(values, 7))
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.9e-5, 1e7, -3e15, 1.7976931348623157e308],
+    [0.0, 0.25, -1e-3, 5e-324, 123456.789, -1e300, 9999999.999999998, -0.0, 1e-4],
+    [np.nan, np.inf, -np.inf, 0.5, -0.5, np.nan],
+], ids=["all-fallback", "mixed", "nan-inf"])
+def test_curve_bytes_fallback_values(tmp_path, values):
+    rng = np.random.default_rng(len(values))
+    values = np.asarray(values)
+    cols = [values[rng.integers(values.size, size=3 * values.size)] for _ in range(3)]
+    _assert_bytes_match_reference(tmp_path, *cols)
+
+
+def test_curve_bytes_c11_grid_1m(tmp_path):
+    # the x column of a 1M-point criterion-11 build: 105 nodes below 1e-4
+    x = build_partition([0.0, 1 / 6, 1 / 3, 0.5, 2 / 3, 5 / 6, 1.0]).grid(1048577)
+    _assert_bytes_match_reference(tmp_path, x, -x, x[::-1] * 3.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(min_value=1e-4, max_value=1e7, exclude_max=True),
+                min_size=3, max_size=300))
+def test_curve_bytes_in_the_fast_range(values):
+    values = np.asarray(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_bytes_match_reference(Path(tmp), values, -values, values[::-1])
 
 
 # Part edges: with blocks of 4 rows and two workers, the parent takes the

@@ -73,6 +73,23 @@ class TestPartition:
             assert np.all(np.isfinite(maps.forward(i, grid)))
         assert np.all(np.isfinite(maps.inverse_many(locate_many(grid, p), grid)))
 
+    @pytest.mark.parametrize("size, near", [(7777, 3), (46657, 2), (279937, 1),
+                                            (1025, 0), (4097, 0), (65537, 0)])
+    def test_grid_drops_linspace_nodes_within_rounding_of_a_knot(self, size, near):
+        # On grids 6^j + 1 of [0, 1] every knot k/6 is a linspace node in
+        # exact arithmetic; np.linspace and the knots round apart, and at
+        # `near` of the knots by less than nu but not to 0.  The knot stays,
+        # its twin goes, and grids 2^j + 1 (no such twins) do not move.
+        p = build_partition([0.0, 1 / 6, 1 / 3, 0.5, 2 / 3, 5 / 6, 1.0])
+        lin = np.linspace(0.0, 1.0, size)
+        grid = p.grid(size)
+        assert np.all(np.isin(p.array(), grid))
+        assert grid.size == np.union1d(lin, p.array()).size - near
+        assert np.all(np.diff(grid) > p.node_rounding)
+        dropped = np.setdiff1d(lin, grid)
+        assert dropped.size == near
+        assert all(np.min(np.abs(p.array() - x)) <= p.node_rounding for x in dropped)
+
 
 def _offsets(m):
     """e_i = l_i(0), the offset of l_i(x) = a_i x + e_i."""

@@ -241,6 +241,13 @@ class TestGatherStep:
     def test_closure(self, data, grid, closed):
         assert _closed(config_from_dict(data, overrides={"grid": grid})) is closed
 
+    def test_grid_without_near_duplicate_nodes_stays_closed(self):
+        # grid 6^5 + 1 holds every knot of c11 up to rounding, so the knots
+        # add no node to it
+        cfg = config_from_dict(c11_config(), overrides={"grid": 7777})
+        assert cfg.grid.size == 7777
+        assert _closed(cfg)
+
     def test_gather_step_equals_interpolating_step(self):
         # every Q point of the README config is a node exactly, where
         # np.interp returns the node's own value
