@@ -30,6 +30,7 @@ from .core import (
     LevelSequence,
     Partition,
     ProblemConfig,
+    _usable_cores,
     build_partition,
     knot_values,
 )
@@ -354,19 +355,12 @@ def _writing(path):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot tell or cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _curve_ranges(n: int) -> list[tuple[int, int]]:
     """Contiguous row ranges of an n-row curve, cut at block edges, one per
     export worker; the first is the parent's."""
     blocks = -(-n // CURVE_BLOCK_ROWS)
-    workers = max(1, min(_usable_cores(), CURVE_MAX_WORKERS,
-                         blocks // CURVE_WORKER_MIN_BLOCKS))
+    cores = _usable_cores() if hasattr(os, "fork") else 1
+    workers = max(1, min(cores, CURVE_MAX_WORKERS, blocks // CURVE_WORKER_MIN_BLOCKS))
     edges = [min(n, k * blocks // workers * CURVE_BLOCK_ROWS) for k in range(workers + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -384,10 +378,16 @@ def _fork_part(part: Path, cols, start: int, stop: int) -> int:
     """Fork a worker that writes rows start..stop-1 to ``part``; its pid.
     The worker exits 0 once the part is complete and closed, else 1."""
     with warnings.catch_warnings():
-        # Python 3.12 warns when a process with threads forks, and numpy's
-        # OpenBLAS has started its pool by now.  The worker is safe: it runs
-        # only numpy element-wise arithmetic, slicing, tolist, % formatting
-        # and writes to its own file, makes no BLAS call, and leaves through
+        # Python 3.12 warns when a process with threads forks: numpy's
+        # OpenBLAS has started its pool by now, and a build above
+        # core.BLOCK_POINTS points has started the kernels' helper threads.
+        # The worker is safe.  No kernel block is in flight at fork time
+        # (core.run_blocks returns only once every block is done, and the
+        # helpers then wait on their queue, holding no lock that the worker
+        # needs); the child forgets the parent's helpers (core's at-fork
+        # hook), and it only formats: numpy element-wise arithmetic on
+        # pieces far below BLOCK_POINTS, slicing, tolist, % formatting and
+        # writes to its own file.  It makes no BLAS call and leaves through
         # os._exit.
         warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                 DeprecationWarning)

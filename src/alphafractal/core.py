@@ -12,6 +12,10 @@ prefix.
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -78,6 +82,134 @@ class _Cached:
             val = build()
             object.__setattr__(self, key, val)
         return val
+
+
+# ---------------------------------------------------------------------------
+# Block scheduler for the big-grid kernels
+# ---------------------------------------------------------------------------
+
+# Points per block of a big-grid kernel.  Arrays of at most this many points
+# (verify's grid of 4097 and sweep's 2049 among them) run as one block on the
+# calling thread.  On a 2-core x86-64 VM one gather RB step on 1,048,581
+# points took 7.6 ms whole, 5.7 ms in blocks of 2^16 on one core (a block's
+# few arrays stay in cache) and about 3 ms on two threads.
+BLOCK_POINTS = 1 << 15
+
+_helpers = None
+_helpers_lock = threading.Lock()
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where it cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Helpers:
+    """Daemon threads that each take one job per round, fed and answered
+    through two queues made once, so that a round makes no lock.  With
+    concurrent.futures, whose futures and waits make locks, repeated
+    1M-point builds peaked 9 MiB higher on glibc, even with helpers that
+    did nothing: each lock mallocs a small chunk, and such chunks amid the
+    grid-sized arrays split the main heap's free space until an 8 MiB
+    array no longer fit in it."""
+
+    def __init__(self, count: int):
+        import queue
+        self.count = count
+        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        # one round at a time, so that each round reads its own done messages
+        self.round, self.take = threading.Lock(), threading.Lock()
+        for k in range(count):
+            threading.Thread(target=self._serve, name=f"alphafractal-block-{k}",
+                             daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            job = self.jobs.get()
+            error = None
+            try:
+                job()
+            except BaseException as exc:  # handed to the calling thread
+                error = exc
+            # drop the job, and the arrays it holds, before reporting done
+            del job
+            self.done.put(error)
+
+    def run(self, block, slices: list) -> list:
+        """block(s) for every slice s, taken in turn by the calling thread
+        and the helpers, each helper under a copy of the caller's context
+        (numpy's error state lives there); the results in slice order."""
+        results = [None] * len(slices)
+        todo = iter(range(len(slices)))
+
+        def work():
+            while True:
+                with self.take:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                results[k] = block(slices[k])
+
+        with self.round:
+            for _ in range(self.count):
+                self.jobs.put(functools.partial(contextvars.copy_context().run, work))
+            try:
+                work()
+            finally:  # no block is still running when this returns or raises
+                errors = [self.done.get() for _ in range(self.count)]
+        for error in errors:
+            if error is not None:
+                raise error
+        return results
+
+
+def _forget_helpers() -> None:
+    # a forked child has none of its parent's threads, nor a lock to wait on
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _helper_threads(count: int) -> _Helpers:
+    """The kernels' helper threads, started on first use."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = _Helpers(count)
+        return _helpers
+
+
+def run_blocks(kernel, *arrays) -> list:
+    """kernel(*blocks) for each run of BLOCK_POINTS consecutive elements of
+    the equally long 1-d ``arrays`` (None stands for no array), and the
+    results in order.  The kernel fills its blocks of outputs its caller
+    allocated, so it allocates nothing larger than a block, and the blocks
+    do not depend on one another.  Kernels call numpy only: nothing they
+    call may run the scheduler again (a round holds the helpers), or any
+    function a tracer may have wrapped.
+
+    Arrays of at most BLOCK_POINTS elements go to the kernel whole, on the
+    calling thread.  Longer ones are cut into blocks, which run on the
+    calling thread where one core is usable, and otherwise are shared
+    between it and one helper thread per further usable core
+    (``_Helpers.run``)."""
+    n = len(arrays[0])
+    if n <= BLOCK_POINTS:
+        return [kernel(*arrays)]
+    slices = [slice(k, min(k + BLOCK_POINTS, n)) for k in range(0, n, BLOCK_POINTS)]
+
+    def block(s):
+        return kernel(*[a if a is None else a[s] for a in arrays])
+
+    helpers = min(_usable_cores(), len(slices)) - 1
+    if helpers == 0:
+        return [block(s) for s in slices]
+    return _helper_threads(helpers).run(block, slices)
 
 
 def in_domain(x, domain) -> np.ndarray:
@@ -416,8 +548,19 @@ class Partition(_Cached):
             for x in self.knots:
                 k = min(round((x - self.lo) * scale), size - 1)  # the only node that can be a twin
                 if abs(lin[k] - x) <= nu:
-                    lin[k] = x  # which union1d then keeps once
-            return frozen(np.union1d(lin, self.array()))
+                    lin[k] = x
+            knots = self.array()
+            # Each node lies within nu of its real point x_0 + k h, h the
+            # step, so where h > 3 nu the nodes, twins replaced, strictly
+            # increase, and a knot equal to a node is that node's twin, bit
+            # for bit.  The knots that are no node then go in at their
+            # sorted places: the sorted union of both, without union1d's
+            # sort and its copies.
+            if not 1.0 > 4.0 * nu * scale:
+                return frozen(np.union1d(lin, knots))  # nodes rounding can merge
+            at = np.searchsorted(lin, knots)
+            new = lin.take(at) != knots
+            return frozen(np.insert(lin, at[new], knots[new]))
         return self._cached(f"_grid_{size}", build)
 
     def interval(self, i: int) -> tuple[float, float]:
@@ -470,12 +613,29 @@ class AffineMapSet:
         the knots land on the domain ends bit-exactly, and the result is
         clipped into the domain."""
         k = self.partition.array()
+        k_left = np.roll(k, 1)  # k_left[i] = k[i - 1] for i >= 1
         lo, hi = self.partition.domain
-        xl = k.take(idx - 1)
-        xr = k.take(idx)
-        out = (lo * (xr - z) + hi * (z - xl)) / (xr - xl)
-        out = np.where(z == xl, lo, np.where(z == xr, hi, out))
-        return np.clip(out, lo, hi)
+        z = np.asarray(z, dtype=float)
+        out = np.empty(z.shape)
+
+        def fill(q, zs, i):
+            # (lo (xr - z) + hi (z - xl)) / (xr - xl), each product and sum
+            # as IEEE rounds it in either order, in two temporaries
+            xl, xr = k_left.take(i), k.take(i)
+            at_left, at_right = zs == xl, zs == xr
+            np.subtract(xr, zs, out=q)
+            q *= lo
+            xr -= xl
+            np.subtract(zs, xl, out=xl)
+            xl *= hi
+            q += xl
+            q /= xr
+            np.copyto(q, hi, where=at_right)
+            np.copyto(q, lo, where=at_left)
+            np.clip(q, lo, hi, out=q)
+
+        run_blocks(fill, out, z, idx)
+        return out
 
 
 # ---------------------------------------------------------------------------

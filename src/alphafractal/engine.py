@@ -22,6 +22,14 @@ partition and grid size, from one search of the Q points (``_stencil``):
   np.interp bit for bit without its per-point search.
 
 Both reads give the same doubles wherever a Q point is a node exactly.
+
+The grid-sized kernels here (the step, the nearest-node read, the stencil,
+the gather of b_r) each fill their blocks of arrays that the caller
+allocated, and ``core.run_blocks`` runs them: whole on the calling thread
+up to ``core.BLOCK_POINTS`` points, else in blocks of that size shared with
+helper threads.  A kernel calls numpy only; ``evaluate`` and
+``locate_many``, which a tracer may wrap, are called on the calling thread,
+once per array.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .core import (
     frozen,
     group_specs,
     in_domain,
+    run_blocks,
     specs_equal,
     sup_abs,
 )
@@ -65,34 +74,46 @@ def _grid_geometry(cfg: ProblemConfig):
     return cfg.partition._cached(f"_rb_geometry_{cfg.grid_size}", build)
 
 
+def _cells(grid: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.interp's cell of each q into ``out``: the j with grid[j] <= q, the
+    last node at the right end."""
+    np.subtract(np.searchsorted(grid, q, side="right"), 1, out=out)
+    return out
+
+
 def _interp_stencil(grid: np.ndarray, q: np.ndarray, j: np.ndarray | None = None):
     """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
-    with grid[j] <= q (searched for unless given), the offset q - grid[j],
-    the width of cell j (of the last cell where j is the right end), and the
+    (``_cells``, searched for unless given), the offset q - grid[j], the
+    width of cell j (of the last cell where j is the right end), and the
     exact node hits (off == 0, the right end among them).  j stays writable:
     np.take copies a read-only index array on every call."""
-    # Each grid-sized temporary is freed just before an array of its size is
-    # kept, which can take its place: a freed block left between kept ones
-    # stays resident (a 1M-point build's peak RSS rose by 7 MiB that way).
+    n = q.size
     if j is None:
-        j = np.searchsorted(grid, q, side="right")
-        j -= 1
-    dxj = grid[1:].take(j, mode="clip")
-    dxj -= grid[:-1].take(j, mode="clip")
-    off = grid.take(j)
-    np.subtract(q, off, out=off)
-    return j, frozen(off), frozen(dxj), frozen(off == 0.0)
+        j = np.empty(n, dtype=np.intp)
+        run_blocks(lambda js, qs: _cells(grid, qs, js), j, q)
+    off, dxj, hit = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+    def fill(js, qs, offset, width, hits):
+        grid[1:].take(js, out=width, mode="clip")
+        width -= grid[:-1].take(js, mode="clip")
+        grid.take(js, out=offset, mode="clip")
+        np.subtract(qs, offset, out=offset)
+        np.equal(offset, 0.0, out=hits)
+
+    run_blocks(fill, j, q, off, dxj, hit)
+    return j, frozen(off), frozen(dxj), frozen(hit)
 
 
-def _interp_read(stencil, dy: np.ndarray) -> np.ndarray:
-    """np.interp(q, grid, dy) bit for bit, for finite slopes: s * off + dy[j]
-    with the slope s = (dy[j+1] - dy[j]) / (grid[j+1] - grid[j]), and dy[j]
-    itself at node hits.  The slopes are taken at j only; at the right end j
-    is the last node, a hit, whose clipped slope is never read.  At most
-    three grid-sized arrays are alive at once, dy included."""
+def _interp_read(stencil, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.interp(q, grid, dy) bit for bit, for finite slopes, at the points
+    q of a stencil (or of a block of one), into ``out`` (a new array if
+    None): s * off + dy[j] with the slope s = (dy[j+1] - dy[j]) /
+    (grid[j+1] - grid[j]), and dy[j] itself at node hits.  The slopes are
+    taken at j only; at the right end j is the last node, a hit, whose
+    clipped slope is never read.  The one temporary is the size of q."""
     j, off, dxj, hit = stencil
-    at = dy.take(j)
-    out = dy[1:].take(j, mode="clip")
+    at = dy.take(j, mode="clip")
+    out = dy[1:].take(j, out=out, mode="clip")
     out -= at
     out /= dxj
     out *= off
@@ -131,20 +152,24 @@ def _node_read(grid: np.ndarray, q: np.ndarray, tol: float):
     """How the RB step reads a function on ``grid`` at the points q, from one
     search: the index of the nearest node of each q where every q lies
     within ``tol`` of a node (a closed grid), else np.interp's stencil."""
-    j = np.searchsorted(grid, q, side="right")
-    j -= 1
-    below = grid.take(j)
-    np.subtract(q, below, out=below)       # q - grid[j] >= 0
-    above = grid[1:].take(j, mode="clip")  # grid[j + 1]; q itself at the right end
-    above -= q
-    nearer_above = above < below
-    np.minimum(below, above, out=above)
-    closed = bool(np.max(above) <= tol)
-    del below, above
-    if not closed:
+    n = q.size
+    j, nearer_above = np.empty(n, dtype=np.intp), np.empty(n, dtype=bool)
+
+    def fill(js, qs, nearer):
+        _cells(grid, qs, js)
+        below = grid.take(js)
+        np.subtract(qs, below, out=below)       # q - grid[j] >= 0
+        above = grid[1:].take(js, mode="clip")  # grid[j + 1]; q itself at the right end
+        above -= qs
+        np.less(above, below, out=nearer)
+        np.minimum(below, above, out=above)
+        return np.max(above)
+
+    # a NaN gap (a NaN Q point) fails the test, as np.max over all would
+    if not all(gap <= tol for gap in run_blocks(fill, j, q, nearer_above)):
         del nearer_above
         return _interp_stencil(grid, q, j)
-    j += nearer_above
+    run_blocks(np.add, j, nearer_above, j)
     return j
 
 
@@ -182,8 +207,14 @@ def _base_read(cfg: ProblemConfig, r: int):
     base, j = cfg.base_values(r), _stencil(cfg)
     if isinstance(j, tuple):
         return base
+
+    def build():
+        out = np.empty(j.shape)
+        run_blocks(lambda o, js: base.take(js, out=o, mode="clip"), out, j)
+        return frozen(out)
+
     # the config keeps its base arrays, so their ids stay theirs
-    return cfg._cached(f"_rb_base_read_{id(base)}", lambda: frozen(base.take(j)))
+    return cfg._cached(f"_rb_base_read_{id(base)}", build)
 
 
 def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None):
@@ -210,17 +241,29 @@ def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray
     """One RB application to grid samples, given the config's ``_stencil``,
     its germ values and level r's ``_level_terms``."""
     base, scale, bump = terms
-    # The read returns a fresh array, so the step finishes in it.  IEEE
-    # products and sums commute: this is f + scale * diff (+ bump) bit for bit.
-    if isinstance(stencil, tuple):
-        out = _interp_read(stencil, values - base)
-    else:  # a closed grid: values[j] - b_r[j], as np.interp reads a node hit
-        out = values.take(stencil)
-        out -= base
-    out *= scale
-    out += germ
-    if bump is not None:
-        out += bump
+    closed = not isinstance(stencil, tuple)
+    out = np.empty(values.shape)
+    if not closed:
+        dy = np.empty(values.shape)
+        run_blocks(np.subtract, values, base, dy)
+
+    def fill(block, a, f, p, *read):
+        if closed:  # values[j] - b_r[j], as np.interp reads a node hit
+            j, b = read
+            # j is in range; with ``out``, the default mode="raise" would
+            # gather into a buffer and copy it
+            values.take(j, out=block, mode="clip")
+            block -= b
+        else:
+            _interp_read(read, dy, block)
+        # IEEE products and sums commute: this is f + scale * diff (+ bump)
+        # bit for bit.
+        block *= a
+        block += f
+        if p is not None:
+            block += p
+
+    run_blocks(fill, out, scale, germ, bump, *((stencil, base) if closed else stencil))
     return out
 
 

@@ -23,6 +23,7 @@ from .core import (
     group_specs,
     in_domain,
     repeat_last,
+    run_blocks,
     sup_abs,
 )
 from .errors import ConfigError, EndpointMismatch, PerturbationTooLarge
@@ -31,8 +32,11 @@ from .errors import ConfigError, EndpointMismatch, PerturbationTooLarge
 def locate_many(x: np.ndarray, p: Partition) -> np.ndarray:
     """1-based index i with x in [x_{i-1}, x_i) for each point; x_N belongs to
     interval N (inputs assumed inside the domain)."""
-    idx = np.searchsorted(p.array(), np.asarray(x, dtype=float), side="right")
-    return np.minimum(idx, p.n_intervals)
+    x, knots = np.asarray(x, dtype=float), p.array()
+    out = np.empty(x.shape, dtype=np.intp)
+    run_blocks(lambda o, xs: np.minimum(np.searchsorted(knots, xs, side="right"),
+                                        p.n_intervals, out=o), out, x)
+    return out
 
 
 # ---------------------------------------------------------------------------

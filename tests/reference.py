@@ -147,3 +147,16 @@ def ref_write_curve_csv(path, xs, f_vals, fa_vals):
         w.writerow(["x", "f", "falpha"])
         for x, fv, av in zip(xs, f_vals, fa_vals):
             w.writerow(["%.17g" % float(v) for v in (x, fv, av)])
+
+
+def ref_grid(partition, size):
+    """The grid as the sorted union of the linspace nodes and the knots
+    (np.union1d), after a node within ``node_rounding`` of a knot has given
+    way to it."""
+    lin = np.linspace(partition.lo, partition.hi, size)
+    scale, nu = (size - 1) / partition.span, partition.node_rounding
+    for x in partition.knots:
+        k = min(round((x - partition.lo) * scale), size - 1)
+        if abs(lin[k] - x) <= nu:
+            lin[k] = x
+    return np.union1d(lin, np.asarray(partition.knots, dtype=float))
