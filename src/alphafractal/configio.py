@@ -379,16 +379,12 @@ def _fork_part(part: Path, cols, start: int, stop: int) -> int:
     The worker exits 0 once the part is complete and closed, else 1."""
     with warnings.catch_warnings():
         # Python 3.12 warns when a process with threads forks: numpy's
-        # OpenBLAS has started its pool by now, and a build above
-        # core.BLOCK_POINTS points has started the kernels' helper threads.
-        # The worker is safe.  No kernel block is in flight at fork time
-        # (core.run_blocks returns only once every block is done, and the
-        # helpers then wait on their queue, holding no lock that the worker
-        # needs); the child forgets the parent's helpers (core's at-fork
-        # hook), and it only formats: numpy element-wise arithmetic on
-        # pieces far below BLOCK_POINTS, slicing, tolist, % formatting and
-        # writes to its own file.  It makes no BLAS call and leaves through
-        # os._exit.
+        # OpenBLAS has started its pool by now.  The worker is safe.  No
+        # kernel thread exists at fork time (core.run_blocks joins its
+        # helpers before it returns), and the worker only formats: numpy
+        # element-wise arithmetic on pieces far below core.BLOCK_POINTS,
+        # slicing, tolist, % formatting and writes to its own file.  It
+        # makes no BLAS call and leaves through os._exit.
         warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                 DeprecationWarning)
         pid = os.fork()

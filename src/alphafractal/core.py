@@ -13,7 +13,6 @@ prefix.
 from __future__ import annotations
 
 import contextvars
-import functools
 import os
 import threading
 import warnings
@@ -95,9 +94,6 @@ class _Cached:
 # few arrays stay in cache) and about 3 ms on two threads.
 BLOCK_POINTS = 1 << 15
 
-_helpers = None
-_helpers_lock = threading.Lock()
-
 
 def _usable_cores() -> int:
     """Cores this process may run on; 1 where it cannot tell."""
@@ -106,110 +102,57 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _Helpers:
-    """Daemon threads that each take one job per round, fed and answered
-    through two queues made once, so that a round makes no lock.  With
-    concurrent.futures, whose futures and waits make locks, repeated
-    1M-point builds peaked 9 MiB higher on glibc, even with helpers that
-    did nothing: each lock mallocs a small chunk, and such chunks amid the
-    grid-sized arrays split the main heap's free space until an 8 MiB
-    array no longer fit in it."""
-
-    def __init__(self, count: int):
-        import queue
-        self.count = count
-        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
-        # one round at a time, so that each round reads its own done messages
-        self.round, self.take = threading.Lock(), threading.Lock()
-        for k in range(count):
-            threading.Thread(target=self._serve, name=f"alphafractal-block-{k}",
-                             daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            job = self.jobs.get()
-            error = None
-            try:
-                job()
-            except BaseException as exc:  # handed to the calling thread
-                error = exc
-            # drop the job, and the arrays it holds, before reporting done
-            del job
-            self.done.put(error)
-
-    def run(self, block, slices: list) -> list:
-        """block(s) for every slice s, taken in turn by the calling thread
-        and the helpers, each helper under a copy of the caller's context
-        (numpy's error state lives there); the results in slice order."""
-        results = [None] * len(slices)
-        todo = iter(range(len(slices)))
-
-        def work():
-            while True:
-                with self.take:
-                    k = next(todo, None)
-                if k is None:
-                    return
-                results[k] = block(slices[k])
-
-        with self.round:
-            for _ in range(self.count):
-                self.jobs.put(functools.partial(contextvars.copy_context().run, work))
-            try:
-                work()
-            finally:  # no block is still running when this returns or raises
-                errors = [self.done.get() for _ in range(self.count)]
-        for error in errors:
-            if error is not None:
-                raise error
-        return results
-
-
-def _forget_helpers() -> None:
-    # a forked child has none of its parent's threads, nor a lock to wait on
-    global _helpers, _helpers_lock
-    _helpers, _helpers_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helpers)
-
-
-def _helper_threads(count: int) -> _Helpers:
-    """The kernels' helper threads, started on first use."""
-    global _helpers
-    with _helpers_lock:
-        if _helpers is None:
-            _helpers = _Helpers(count)
-        return _helpers
-
-
 def run_blocks(kernel, *arrays) -> list:
     """kernel(*blocks) for each run of BLOCK_POINTS consecutive elements of
     the equally long 1-d ``arrays`` (None stands for no array), and the
     results in order.  The kernel fills its blocks of outputs its caller
     allocated, so it allocates nothing larger than a block, and the blocks
-    do not depend on one another.  Kernels call numpy only: nothing they
-    call may run the scheduler again (a round holds the helpers), or any
-    function a tracer may have wrapped.
+    do not depend on one another.  Kernels call numpy only, never a
+    function that a tracer may have wrapped: its span stack belongs to the
+    calling thread.
 
     Arrays of at most BLOCK_POINTS elements go to the kernel whole, on the
-    calling thread.  Longer ones are cut into blocks, which run on the
-    calling thread where one core is usable, and otherwise are shared
-    between it and one helper thread per further usable core
-    (``_Helpers.run``)."""
+    calling thread.  Longer ones are cut into blocks, which the calling
+    thread shares with helper threads started for this call: one per
+    further usable core, but no more than leave each thread two blocks.
+    Starting and joining a thread took about 60 us on a 2-core VM, the
+    work of one RB-step block or of a few element-wise ones, so a call of
+    three blocks (grid 65537) was faster with no helper.  Each helper runs
+    under a copy of the caller's context, where numpy's error state lives.
+    Every helper is joined before this returns or raises, and the first
+    error a block raised is raised here."""
     n = len(arrays[0])
     if n <= BLOCK_POINTS:
         return [kernel(*arrays)]
     slices = [slice(k, min(k + BLOCK_POINTS, n)) for k in range(0, n, BLOCK_POINTS)]
+    results, errors = [None] * len(slices), []
+    todo, take = iter(range(len(slices))), threading.Lock()
 
-    def block(s):
-        return kernel(*[a if a is None else a[s] for a in arrays])
+    def work():
+        try:
+            while True:
+                with take:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                results[k] = kernel(*[a if a is None else a[slices[k]] for a in arrays])
+        except BaseException as exc:  # raised by the calling thread, below
+            errors.append(exc)
 
-    helpers = min(_usable_cores(), len(slices)) - 1
-    if helpers == 0:
-        return [block(s) for s in slices]
-    return _helper_threads(helpers).run(block, slices)
+    helpers = []
+    try:
+        for k in range(min(_usable_cores(), len(slices) // 2) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,),
+                                      name=f"alphafractal-block-{k}")
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def in_domain(x, domain) -> np.ndarray:
@@ -739,8 +682,9 @@ class SampledFunction:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if xs.size < 2:
             raise ValueError("a sampled function needs at least two points")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("sample grid must be strictly increasing")
+        # a NaN fails every comparison; between finite ends, all are finite
+        if not (np.all(xs[1:] > xs[:-1]) and np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+            raise ValueError("sample grid must be finite and strictly increasing")
         if not np.all(np.isfinite(ys)):
             raise ValueError("sample values must be finite")
         object.__setattr__(self, "xs", _shared(xs))

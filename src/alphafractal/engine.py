@@ -27,9 +27,9 @@ The grid-sized kernels here (the step, the nearest-node read, the stencil,
 the gather of b_r) each fill their blocks of arrays that the caller
 allocated, and ``core.run_blocks`` runs them: whole on the calling thread
 up to ``core.BLOCK_POINTS`` points, else in blocks of that size shared with
-helper threads.  A kernel calls numpy only; ``evaluate`` and
-``locate_many``, which a tracer may wrap, are called on the calling thread,
-once per array.
+helper threads that each call starts and joins.  A kernel calls numpy only;
+``evaluate`` and ``locate_many``, which a tracer may wrap, are called on the
+calling thread, once per array.
 """
 
 from __future__ import annotations

@@ -71,7 +71,8 @@ class PerturbationSpec:
     """Prefix of perturbation levels; repeat-last beyond, like LevelSequence.
 
     phi functions must vanish at both ends of their domain (the perturbed maps
-    must keep the interpolation data), checked here for FunctionSpec entries.
+    must keep the interpolation data), checked here for FunctionSpec entries
+    and by ``check_contractive`` for every entry, on the config's domain.
     """
 
     levels: tuple[PerturbationLevel, ...]
@@ -150,15 +151,23 @@ class PerturbationSpec:
                     thetas.append(sup_abs([th]))
                     level += [sup_abs([a + lv.t[ii[j]] * th]) for j in jj]
             rates.append(sup_abs([level]))
-        phis = [sup_abs(evaluate(phi, grid) for phi, _ in group_specs(lv.phi))
-                for lv in self.levels]
+
+        def phi_sups(v):  # sup |phi| on the grid, and at its ends (the domain's)
+            return sup_abs([v]), sup_abs([v[[0, -1]]])
+
+        per_level = [np.array([phi_sups(evaluate(phi, grid)) for phi, _ in group_specs(lv.phi)])
+                     for lv in self.levels]
+        phis = [sup_abs([level[:, 0]]) for level in per_level]
         cfg.scaling_cache._cached("alpha_sup", lambda: sup_abs([alphas]))
         return GridSups(theta_sup=sup_abs([thetas]), phi_sup=sup_abs([phis]),
                         rates=tuple(rates),
-                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis))
+                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis),
+                        phi_ends=tuple(sup_abs([level[:, 1]]) for level in per_level))
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
-        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level."""
+        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level,
+        and every phi to vanish at both ends of the config's domain, bare
+        callables included (EndpointMismatch)."""
         sups = self.grid_sups(cfg)
         for r, worst in enumerate(sups.rates, start=1):
             if not worst < 1.0:
@@ -167,6 +176,10 @@ class PerturbationSpec:
                 )
             if not repeat_last(sups.phi_finite, r):
                 raise PerturbationTooLarge(f"level {r}: phi takes non-finite values on the grid")
+            end = repeat_last(sups.phi_ends, r)
+            if end > ENDPOINT_TOL:
+                raise EndpointMismatch(
+                    f"level {r}: phi must vanish at both endpoints (|phi| {end:.3g} there)")
 
 
 @dataclass(frozen=True)
@@ -174,12 +187,13 @@ class GridSups:
     """A perturbation's grid estimates on one config: sup |theta| and
     sup |phi| over its levels, and per level r (up to the longer prefix)
     max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf; per perturbation level,
-    whether every phi is finite."""
+    whether every phi is finite, and the largest |phi| at the domain's ends."""
 
     theta_sup: float
     phi_sup: float
     rates: tuple[float, ...]
     phi_finite: tuple[bool, ...]
+    phi_ends: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------

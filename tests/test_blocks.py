@@ -110,26 +110,27 @@ class TestRunBlocks:
         with pytest.raises(ValueError, match="block 17"):
             self._slow_blocks(kernel)
         assert running == []
-        # the helpers still serve the next round
+        # the next call runs every block
         assert self._slow_blocks(lambda k: k) == list(range(32))
 
-    def test_rounds_under_frequent_thread_switches(self):
+    def test_rounds_under_frequent_thread_switches(self, cores):
         # three helpers and the calling thread, more threads than most
         # machines running this have cores; each block must run once
-        helpers = core._Helpers(3)
-        slices = [slice(k, k + 1) for k in range(40)]
+        cores(4)
+        index = np.arange(40 * BLOCK_POINTS, dtype=np.int32)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             rounds, deadline = 0, time.monotonic() + 5
             while rounds < 300 and time.monotonic() < deadline:
-                hits = np.zeros(len(slices), dtype=np.int64)
+                hits = np.zeros(40, dtype=np.int64)
 
-                def block(s):
-                    hits[s] += 1
-                    return s.start
+                def block(b):
+                    k = int(b[0]) // BLOCK_POINTS
+                    hits[k] += 1
+                    return k
 
-                assert helpers.run(block, slices) == list(range(len(slices)))
+                assert run_blocks(block, index) == list(range(40))
                 assert np.all(hits == 1)
                 rounds += 1
         finally:
@@ -137,18 +138,22 @@ class TestRunBlocks:
         assert rounds >= 20
 
     def test_a_forked_child_starts_its_own_helpers(self, cores):
-        # Without core's at-fork hook the child would queue its blocks for
-        # helper threads it does not have, and wait for ever.
+        # the parent's helpers ended with its call; the child starts its own
         cores(3)
         self._slow_blocks(lambda k: k)
-        assert core._helpers is not None
         with warnings.catch_warnings():  # Python 3.12 warns on fork with threads
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                ok = core._helpers is None and len(self._slow_blocks(lambda k: k)) == 32
+                threads = set()
+
+                def kernel(k):
+                    threads.add(threading.current_thread())
+                    return k
+
+                ok = self._slow_blocks(kernel) == list(range(32)) and len(threads) > 1
                 status = 0 if ok else 1
             finally:
                 os._exit(status)
@@ -160,6 +165,39 @@ class TestRunBlocks:
             os.waitpid(pid, 0)
         assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
+    def test_no_helper_outlives_its_call(self, cores):
+        cores(3)
+        before, threads = threading.active_count(), set()
+
+        def kernel(k, failing):
+            threads.add(threading.current_thread())
+            if k == failing:
+                raise ValueError(f"block {k}")
+            return k
+
+        assert self._slow_blocks(lambda k: kernel(k, None)) == list(range(32))
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="block 5"):
+            self._slow_blocks(lambda k: kernel(k, 5))
+        assert threading.active_count() == before
+        helpers = threads - {threading.current_thread()}
+        assert helpers and not any(thread.is_alive() for thread in helpers)
+
+    def test_concurrent_calls_keep_their_own_results(self, cores):
+        cores(3)
+        results = {}
+
+        def call(offset):
+            results[offset] = self._slow_blocks(lambda k: k + offset)
+
+        threads = [threading.Thread(target=call, args=(offset,)) for offset in (0, 100)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {offset: [k + offset for k in range(32)] for offset in (0, 100)}
+
 
 class TestKernelsOnAllCores:
     """Trajectories above BLOCK_POINTS equal their one-core values bit for
@@ -167,7 +205,8 @@ class TestKernelsOnAllCores:
 
     # in blocks of 2^15 points, grid 70001 leaves a last block of 4,469
     # points on c11 and of 4,465 on c11-nu, grid 2^17 + 1 one of five and
-    # of six points
+    # of six points; the calling thread runs 70001's three blocks alone,
+    # and shares the five of 2^17 + 1 with a helper
     @pytest.mark.parametrize("grid", [70001, 2 ** 17 + 1])
     @pytest.mark.parametrize("data, closed", [(c11_config(), True), (_c11_nu(), False)],
                              ids=["c11", "c11-nu"])
@@ -284,10 +323,10 @@ def test_no_traced_site_runs_off_the_main_thread(cores, monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans, workloads = importlib.import_module("spans"), importlib.import_module("workloads")
     cores(3)
-    calls, rounds = [], []
-    run = core._Helpers.run
-    monkeypatch.setattr(core._Helpers, "run",
-                        lambda self, *a: rounds.append(1) or run(self, *a))
+    calls, started = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or start(self))
 
     class MainThreadTracer(spans.Tracer):
         def _span_wrapper(self, site, fn):
@@ -309,12 +348,12 @@ def test_no_traced_site_runs_off_the_main_thread(cores, monkeypatch, tmp_path):
     tracer.install()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = cli.main(["build", "--config", str(wl.config), "--grid", "70001",
+            rc = cli.main(["build", "--config", str(wl.config), "--grid", "131073",
                            "--eps", "1e-10", "--out", str(tmp_path / "out")])
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert rounds  # helper threads ran kernel blocks
+    assert any(name.startswith("alphafractal-block-") for name in started)
     assert [site for site in wl.predicted_sites if tracer.fired[site] == 0] == []
     assert {site for site, _ in calls} >= set(wl.predicted_sites)
     assert {thread for _, thread in calls} == {threading.main_thread()}

@@ -509,6 +509,12 @@ class TestSupAbs:
 
 
 class TestSampledFunction:
+    @pytest.mark.parametrize("xs", [[0.0, np.nan, 1.0], [np.nan, np.nan], [0.0, 1.0, np.inf],
+                                    [-np.inf, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.5]])
+    def test_rejects_grids_that_are_not_finite_and_increasing(self, xs):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            SampledFunction(np.array(xs), np.zeros(len(xs)))
+
     def test_copies_what_a_caller_can_write(self):
         xs = np.linspace(0.0, 1.0, 5)
         ys = xs ** 2

@@ -207,6 +207,20 @@ class TestPerturbationSpec:
         with pytest.raises(EndpointMismatch):
             _pert(0.0, 0.1, phi_spec=bad)
 
+    def test_bare_callable_phi_must_vanish_at_ends(self, running_cfg):
+        # the constructor cannot tell a callable's domain; the check on the
+        # config can, before a trajectory leaves f(0) = 0 for 0.25
+        zero = FunctionSpec.constant(0.0, DOM)
+        phi = lambda x: 0.3 + 0 * x  # noqa: E731
+        pert = PerturbationSpec((PerturbationLevel(
+            t=(0.1, 0.1), s=(0.5, 0.5), theta=(zero, zero), phi=(phi, phi)),))
+        with pytest.raises(EndpointMismatch, match="level 1: phi"):
+            pert.check_contractive(running_cfg)
+        with pytest.raises(EndpointMismatch):
+            backward_trajectory(None, 20, running_cfg, pert)
+        with pytest.raises(EndpointMismatch):
+            sensitivity_bound(running_cfg, pert)
+
     def test_parameter_range(self):
         with pytest.raises(PerturbationTooLarge):
             _pert(1.0, 0.0)
