@@ -29,7 +29,6 @@ from .engine import (
     required_depth,
     resolve_depth,
     series_eval,
-    stationary_fixed_point,
     trajectory_interpolant,
 )
 from .ifs import PerturbationLevel, PerturbationSpec, apply_F
@@ -45,7 +44,6 @@ from .bounds import (
 )
 from .depend import (
     base_dependence,
-    compute_theta,
     partition_continuity,
     partition_dependence,
     scaling_dependence,
@@ -61,12 +59,12 @@ __all__ = [
     "NormEstimate", "Partition", "PerturbationLevel", "PerturbationSpec",
     "ProblemConfig", "SampledFunction", "ValidationReport",
     "apply_F", "apply_rb", "backward_trajectory", "base_dependence",
-    "build_partition", "check_lip_hypothesis", "compute_theta",
+    "build_partition", "check_lip_hypothesis",
     "corollary_bound", "error_bound", "errors", "estimate_norms",
     "eval_interpolant", "lip_seminorm", "matched_endpoint_polynomial",
     "operator_lipschitz_check", "partition_continuity", "partition_dependence",
     "relative_bound_check", "required_depth", "resolve_depth",
     "scaling_dependence", "sensitivity_bound", "series_eval",
-    "stability_bound", "stationary_fixed_point", "sup_norm",
-    "trajectory_interpolant", "validate_level_sequence",
+    "stability_bound", "sup_norm", "trajectory_interpolant",
+    "validate_level_sequence",
 ]

@@ -698,11 +698,6 @@ class SampledFunction:
     def with_values(self, ys: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.xs, ys)
 
-    def sup_diff(self, other: "SampledFunction") -> float:
-        if not np.array_equal(self.xs, other.xs):
-            raise ValueError("sup_diff requires a shared grid")
-        return sup_abs([self.ys - other.ys])
-
 
 # ---------------------------------------------------------------------------
 # Problem configuration

@@ -149,13 +149,9 @@ def theta_constants(cfg: ProblemConfig) -> dict:
 
 
 def _theta(theta_limit: float) -> float:
-    return 0.5 * theta_limit if np.isfinite(theta_limit) else 1.0
-
-
-def compute_theta(cfg: ProblemConfig) -> float:
     """Half the admissible theta limit (a valid metric weight); 1.0 when every
     estimated Lipschitz constant vanishes and the limit degenerates."""
-    return _theta(theta_constants(cfg)["theta_limit"])
+    return 0.5 * theta_limit if np.isfinite(theta_limit) else 1.0
 
 
 def require_same_interval(p: Partition, other: Partition) -> None:

@@ -1,9 +1,11 @@
-"""The two interchangeable evaluators of the non-stationary interpolant.
+"""The grid and point evaluators of the non-stationary interpolant.
 
-Backward trajectories compose the level operators innermost-first,
+The grid evaluator, a backward trajectory, composes the level operators
+innermost-first,
     T^{alpha_1} o T^{alpha_2} o ... o T^{alpha_R} applied to a seed,
-on sampled functions over the configured grid.  The series evaluator sums the
-self-referential expansion
+on sampled functions over the configured grid; ``trajectory_interpolant``
+caches it per config and depth.  The point evaluator, ``series_eval``, sums
+the self-referential expansion
     f(x) + sum_j alpha_{i,1}(z_1) ... alpha_{i,j}(z_j) (f - b_j)(z_j)
 along the address chain z_j of the evaluation point.  Both approximate the
 same limit; truncation error obeys the geometric tail bound
@@ -48,7 +50,6 @@ from .core import (
     group_specs,
     in_domain,
     run_blocks,
-    specs_equal,
     sup_abs,
 )
 from .errors import DepthZero, GridMismatch, EndpointMismatch, NotValidated
@@ -61,6 +62,12 @@ def require_valid(cfg: ProblemConfig) -> None:
     rep = cfg.validation()
     if not rep.ok:
         raise NotValidated(rep.summary())
+
+
+def _require_depth(depth: int) -> None:
+    """Both evaluators apply at least one level."""
+    if depth < 1:
+        raise DepthZero(f"evaluation depth must be >= 1, got {depth}")
 
 
 def _grid_geometry(cfg: ProblemConfig):
@@ -342,18 +349,15 @@ def pair_depth(a: ProblemConfig, b: ProblemConfig) -> tuple[int, float, float]:
 @dataclass(frozen=True)
 class Interpolant:
     """A backward trajectory's final sampled function, evaluated by linear
-    interpolation between grid points."""
+    interpolation between grid points of the domain (OutOfDomain elsewhere,
+    as ``series_eval``)."""
 
     cfg: ProblemConfig
     depth: int
     values: SampledFunction
 
     def __call__(self, x):
-        return self.values(x)
-
-    @property
-    def r_bound(self) -> float:
-        return self.cfg.r_bound
+        return self.values(in_domain(x, self.cfg.domain))
 
     def knot_residuals(self) -> np.ndarray:
         knots = self.cfg.partition.array()
@@ -370,8 +374,7 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
     Applications run innermost-first, so the level-depth operator hits the
     seed.  The result shares the grid and its own frozen values."""
     require_valid(cfg)
-    if depth < 1:
-        raise DepthZero("backward trajectory needs depth >= 1")
+    _require_depth(depth)
     if g is not None:
         _check_seed(g, cfg)
     if pert is not None:
@@ -420,51 +423,15 @@ def series_eval(x, depth: int, cfg: ProblemConfig):
     """Truncated self-referential series at x; truncation error is bounded by
     the geometric tail ||alpha||^{depth+1}/(1-||alpha||) sup_r||f - b_r||."""
     require_valid(cfg)
+    _require_depth(depth)
     xa = in_domain(x, cfg.domain)
     out = _series_values(np.atleast_1d(xa), depth, cfg)
     return float(out[0]) if xa.shape == () else out
 
 
 def eval_interpolant(x, cfg: ProblemConfig, strategy: str = "series"):
-    """Evaluate the interpolant under the configured depth policy."""
-    if strategy == "series":
-        return series_eval(x, resolve_depth(cfg), cfg)
-    if strategy == "trajectory":
-        return trajectory_interpolant(cfg)(x)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-# ---------------------------------------------------------------------------
-# Stationary cross-check
-# ---------------------------------------------------------------------------
-
-
-def _levels_constant(cfg: ProblemConfig) -> bool:
-    first = cfg.levels.levels[0]
-    for lv in cfg.levels.levels[1:]:
-        if not specs_equal(lv.base, first.base):
-            return False
-        if not all(specs_equal(a, b) for a, b in zip(lv.scalings, first.scalings)):
-            return False
-    return True
-
-
-def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
-                           max_iter: int = 10_000) -> Interpolant:
-    """Banach iteration of the single RB operator of a constant-in-r sequence,
-    from the germ seed, until the sup-difference drops below tol."""
-    require_valid(cfg)
-    if not _levels_constant(cfg):
-        raise NotValidated("stationary fixed point needs a constant-in-r level sequence")
-    stencil, germ = _stencil(cfg), cfg.germ_values
-    vals = germ.copy()
-    terms = _level_terms(cfg, 1)
-    for it in range(1, max_iter + 1):
-        new = _rb_step(vals, stencil, germ, terms)
-        delta = sup_abs([new - vals])
-        vals = new
-        if delta <= tol:
-            return Interpolant(cfg=cfg, depth=it, values=SampledFunction(cfg.grid, vals))
-    raise RuntimeError(
-        f"fixed-point iteration did not reach {tol} within {max_iter} steps"
-    )
+    """``series_eval`` at the configured policy depth; "series" is the one
+    strategy (the grid evaluator is ``trajectory_interpolant``)."""
+    if strategy != "series":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return series_eval(x, resolve_depth(cfg), cfg)

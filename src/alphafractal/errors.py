@@ -50,7 +50,7 @@ class NotValidated(AlphaFractalError):
 
 
 class DepthZero(AlphaFractalError):
-    """Backward trajectory requires depth >= 1."""
+    """An evaluator (backward trajectory or series) requires depth >= 1."""
 
 
 class EmptyGrid(AlphaFractalError):

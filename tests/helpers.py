@@ -15,9 +15,13 @@ from alphafractal.core import (
     LevelSequence,
     Partition,
     ProblemConfig,
+    SampledFunction,
     build_partition,
+    specs_equal,
+    sup_abs,
 )
-from alphafractal.engine import INTERPOLATION_TOL, Interpolant
+from alphafractal.engine import INTERPOLATION_TOL, Interpolant, apply_rb
+from alphafractal.errors import NotValidated
 from alphafractal.report import BoundReport
 from alphafractal.sampling import (
     matched_base_spec,
@@ -121,3 +125,28 @@ def is_strictly_decreasing(values) -> bool:
 def satisfies_interpolation(interp: Interpolant, tol: float = INTERPOLATION_TOL) -> bool:
     """Whether the interpolant meets the data at every knot within ``tol``."""
     return bool(np.max(interp.knot_residuals()) <= tol)
+
+
+def levels_constant(cfg: ProblemConfig) -> bool:
+    """Whether every level repeats the first one's base and scalings."""
+    first = cfg.levels.levels[0]
+    return all(specs_equal(lv.base, first.base)
+               and all(specs_equal(a, b) for a, b in zip(lv.scalings, first.scalings))
+               for lv in cfg.levels.levels[1:])
+
+
+def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
+                           max_iter: int = 10_000) -> Interpolant:
+    """Banach iteration of the single RB operator ``apply_rb`` of a
+    constant-in-r sequence, from the germ seed, until the sup-difference of
+    two iterates drops below tol: an oracle for the trajectory's limit."""
+    if not levels_constant(cfg):
+        raise NotValidated("stationary fixed point needs a constant-in-r level sequence")
+    g = SampledFunction(cfg.grid, cfg.germ_values)
+    for it in range(1, max_iter + 1):
+        new = apply_rb(g, 1, cfg)
+        delta = sup_abs([new.ys - g.ys])
+        g = new
+        if delta <= tol:
+            return Interpolant(cfg=cfg, depth=it, values=g)
+    raise RuntimeError(f"fixed-point iteration did not reach {tol} within {max_iter} steps")

@@ -20,11 +20,10 @@ from alphafractal import (
     check_lip_hypothesis,
     sensitivity_bound,
     series_eval,
-    stationary_fixed_point,
 )
 from alphafractal.bounds import VERIFY_TOL
 from alphafractal.campaigns import error_suite, sensitivity_suite, stability_suite
-from alphafractal.core import Partition, SampledFunction, matched_endpoint_polynomial
+from alphafractal.core import Partition, SampledFunction, matched_endpoint_polynomial, sup_abs
 from alphafractal.depend import partition_continuity
 from alphafractal.engine import (
     _level_terms,
@@ -44,6 +43,7 @@ from helpers import (
     random_config,
     random_partition,
     scaling_pair_suite,
+    stationary_fixed_point,
 )
 
 DOM = (0.0, 1.0)
@@ -123,7 +123,7 @@ def test_criterion_4_stationary_consistency():
         cfg = random_config(rng, n_levels=1)
         traj = backward_trajectory(None, 30, cfg)
         fix = stationary_fixed_point(cfg)
-        worst = max(worst, traj.values.sup_diff(fix.values))
+        worst = max(worst, sup_abs([traj.values.ys - fix.values.ys]))
     _report(4, worst <= 1e-8,
             f"max |trajectory(30) - fixed point| = {worst:.2e} (<= 1e-8) over 10 configs")
 

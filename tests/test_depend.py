@@ -5,7 +5,6 @@ from alphafractal import (
     FunctionSpec,
     base_dependence,
     build_partition,
-    compute_theta,
     depend,
     partition_continuity,
     partition_dependence,
@@ -163,6 +162,11 @@ def _raw_theta(cfg):
                                         cfg.alpha_sup, cfg.base_sup)
 
 
+def _theta(cfg):
+    """The metric weight theta that partition dependence reads on cfg."""
+    return partition_dependence(cfg, build_partition([0.0, 0.48, 1.0])).inputs["theta"]
+
+
 class TestComputeTheta:
     def test_worked_example_raw(self, running_cfg):
         # (1 - A) / (A k_f + ||alpha|| k_b) with k_f = 1, k_b ~ 2, A = 0.5
@@ -179,18 +183,19 @@ class TestComputeTheta:
         assert consts["R"] == pytest.approx(7.0 / 6.0, rel=1e-12)
 
     def test_default_slack_is_conservative(self, running_cfg):
-        assert compute_theta(running_cfg) < _raw_theta(running_cfg)
+        assert _theta(running_cfg) < _raw_theta(running_cfg)
 
     def test_inside_admissible_interval(self, running_cfg):
         consts = theta_constants(running_cfg)
-        theta = compute_theta(running_cfg)
+        theta = _theta(running_cfg)
         assert 0.0 < theta < consts["theta_limit"]
 
     def test_degenerate_constants_default(self, make_cfg):
         c = FunctionSpec.constant(1.0, DOM)
         a = FunctionSpec.constant(0.4, DOM)
-        cfg = make_cfg([0.0, 0.5, 1.0], c, [[a, a]], [c])
-        assert compute_theta(cfg) == 1.0
+        with pytest.warns(UserWarning):  # b = f: a degenerate interpolant
+            cfg = make_cfg([0.0, 0.5, 1.0], c, [[a, a]], [c])
+            assert _theta(cfg) == 1.0
 
     def test_limit_monotone_in_constants(self):
         base = dict(A=0.5, R=1.2, k_f=1.0, k_b=2.0, k_alpha=0.3,

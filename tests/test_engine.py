@@ -19,11 +19,10 @@ from alphafractal import (
     required_depth,
     resolve_depth,
     series_eval,
-    stationary_fixed_point,
     trajectory_interpolant,
 )
 from alphafractal.configio import config_from_dict
-from alphafractal.core import SampledFunction
+from alphafractal.core import SampledFunction, sup_abs
 from alphafractal import engine
 from alphafractal.errors import (
     DepthZero,
@@ -35,7 +34,7 @@ from alphafractal.errors import (
 from alphafractal.ifs import PerturbationLevel, PerturbationSpec, locate_many
 from alphafractal.norms import lip_seminorm
 
-from helpers import random_partition, satisfies_interpolation
+from helpers import random_partition, satisfies_interpolation, stationary_fixed_point
 from reference import ref_coefficients, ref_rb_point, ref_required_depth, ref_series
 from test_cli import README_CONFIG, c11_config
 
@@ -308,6 +307,29 @@ class TestGatherStep:
         assert np.max(np.abs(got - want)) <= tol
 
 
+def _three_levels(data):
+    """``data`` with a third level whose scaling and base differ from both of
+    c11's."""
+    left, right = (data["levels"][0]["base"][k] for k in ("left", "right"))
+    data["levels"].append({
+        "scaling": {"family": "constant", "value": 0.25},
+        "base": {"family": "polynomial", "coeffs": [left, 0.5, right - left - 0.5]}})
+    return data
+
+
+@pytest.mark.parametrize("data, closed", [(c11_config, True), (_c11_nu, False)],
+                         ids=["c11", "c11-nu"])
+def test_trajectory_is_apply_rb_from_the_deepest_level(data, closed):
+    # T_1 o T_2 o ... o T_k: level k acts on the germ first, then k-1, ..., 1
+    depth = 5
+    cfg = config_from_dict(_three_levels(data()), overrides={"grid": 4097})
+    assert cfg.levels.prefix_len == 3 and _closed(cfg) is closed
+    g = SampledFunction(cfg.grid, cfg.germ_values)
+    for r in range(depth, 0, -1):
+        g = apply_rb(g, r, cfg)
+    assert backward_trajectory(None, depth, cfg).values.ys.tobytes() == g.ys.tobytes()
+
+
 def _grid_slope(vals, grid):
     """Largest |difference quotient| between neighbouring grid nodes."""
     return float(np.max(np.abs(np.diff(vals)) / np.diff(grid)))
@@ -430,8 +452,12 @@ class TestBackwardTrajectory:
         assert out(0.75) == pytest.approx(0.85, abs=1e-6)
 
     def test_depth_zero_rejected(self, running_cfg):
-        with pytest.raises(DepthZero):
-            backward_trajectory(None, 0, running_cfg)
+        # one depth check for both evaluators
+        for depth in (0, -3):
+            with pytest.raises(DepthZero):
+                backward_trajectory(None, depth, running_cfg)
+            with pytest.raises(DepthZero):
+                series_eval(0.3, depth, running_cfg)
 
     def test_not_validated(self, make_cfg, germ_x):
         shifted = FunctionSpec.polynomial([0.1, 0.0, 1.0], DOM)
@@ -446,7 +472,7 @@ class TestBackwardTrajectory:
         other = SampledFunction(running_cfg.grid, running_cfg.grid ** 2)
         b = backward_trajectory(other, 30, running_cfg)
         # limit is seed-independent; depth-30 residual is ~alpha^30 * seed gap
-        assert a.values.sup_diff(b.values) < 1e-9
+        assert sup_abs([a.values.ys - b.values.ys]) < 1e-9
 
     def test_geometric_convergence(self, running_cfg):
         outs = [backward_trajectory(None, k, running_cfg).values.ys
@@ -459,7 +485,7 @@ class TestBackwardTrajectory:
     def test_interpolation_and_r_bound(self, running_cfg):
         out = backward_trajectory(None, 30, running_cfg)
         assert satisfies_interpolation(out)
-        assert float(np.max(np.abs(out.values.ys))) <= out.r_bound + 1e-9
+        assert float(np.max(np.abs(out.values.ys))) <= running_cfg.r_bound + 1e-9
 
 
 class TestSeries:
@@ -505,11 +531,16 @@ class TestSeries:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_out_of_domain(self, running_cfg):
-        for x in (1.5, float("nan"), np.array([0.25, np.nan])):
+        # every evaluator rejects the same points; none clamps to the end values
+        traj = trajectory_interpolant(running_cfg)
+        for x in (1.5, 2.0, -1.0, float("nan"), np.array([0.25, np.nan]),
+                  np.array([0.5, np.nan])):
             with pytest.raises(OutOfDomain):
                 series_eval(x, 3, running_cfg)
             with pytest.raises(OutOfDomain):
                 eval_interpolant(x, running_cfg)
+            with pytest.raises(OutOfDomain):
+                traj(x)
 
     def test_self_referential_residual(self, running_cfg):
         # f^alpha(x) = f(x) + alpha_{i,1}(Q_i x)(f^alpha - b_1)(Q_i x) within 2 eps
@@ -553,7 +584,11 @@ class TestEvalInterpolant:
 
     def test_hand_traced(self, running_cfg):
         assert eval_interpolant(0.75, running_cfg, "series") == pytest.approx(0.85, abs=1e-6)
-        assert eval_interpolant(0.75, running_cfg, "trajectory") == pytest.approx(0.85, abs=1e-6)
+        assert trajectory_interpolant(running_cfg)(0.75) == pytest.approx(0.85, abs=1e-6)
+
+    def test_series_is_the_one_strategy(self, running_cfg):
+        with pytest.raises(ValueError):
+            eval_interpolant(0.75, running_cfg, "trajectory")
 
     def test_strategy_agreement(self, running_cfg):
         rng = np.random.default_rng(23)
@@ -604,7 +639,7 @@ class TestStationary:
     def test_agrees_with_trajectory(self, running_cfg):
         fix = stationary_fixed_point(running_cfg)
         traj = backward_trajectory(None, 30, running_cfg)
-        assert fix.values.sup_diff(traj.values) < 1e-8
+        assert sup_abs([fix.values.ys - traj.values.ys]) < 1e-8
 
     def test_needs_constant_levels(self, make_cfg, germ_x, base_x2):
         a1 = FunctionSpec.constant(0.4, DOM)
