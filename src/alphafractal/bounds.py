@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEPTH_CAP,
     FunctionSpec,
     ProblemConfig,
     endpoint_values,
@@ -28,7 +27,6 @@ from .engine import (
     backward_trajectory,
     geometric_tail,
     pair_depth,
-    required_depth,
     resolve_depth,
     trajectory_interpolant,
     truncation_error,
@@ -296,7 +294,12 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     """Distance between the perturbed-map interpolant and the unperturbed one,
     against the closed-form bound in ||s|| and ||t||.  The formula's
     precondition, checked before any trajectory runs, keeps the tail rate
-    ||alpha|| + ||t|| ||theta|| below 1."""
+    ||alpha|| + ||t|| ||theta|| below 1.  Both trajectories run to
+    ``resolve_depth`` at the perturbed series' rate and term magnitude
+    sup_r ||f - b_r|| + ||phi||: the policy's fixed depth, or under the eps
+    policy a depth no smaller than the unperturbed one's, since the depth a
+    tail tolerance needs grows with both.  Each one's tail at that depth is
+    slack on their sup difference."""
     sups = pert.grid_sups(cfg)  # first, as it settles cfg.alpha_sup on its way
     a = cfg.alpha_sup
     t_sup = pert.t_sup()
@@ -305,10 +308,7 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     gap = cfg.base_gap_sup
     predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     rate = a + t_sup * theta_sup
-    depth = max(
-        resolve_depth(cfg),
-        required_depth(rate, gap + phi_sup, cfg.depth_policy.eps, DEPTH_CAP),
-    )
+    depth = resolve_depth(cfg, rate, gap + phi_sup)
     pert_vals = backward_trajectory(None, depth, cfg, pert).values.ys
     observed = sup_abs([pert_vals - trajectory_interpolant(cfg, depth).values.ys])
     trunc = truncation_error(cfg, depth) + geometric_tail(rate, gap + phi_sup, depth)

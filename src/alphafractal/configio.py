@@ -39,22 +39,20 @@ from .report import BoundReport
 
 FMT = "%.17g"
 CURVE_ROW = ",".join([FMT] * 3) + "\r\n"  # csv.writer's row terminator
-# Rows stacked and written at a time in write_curve_csv, the unit its ranges
-# are cut in.  A block is formatted CURVE_PIECE_ROWS rows at a time: on a
-# 2-core x86-64 VM one process wrote a 1M-point curve in 0.64 s with pieces
-# of 4,096 rows, as with whole blocks, and the formatter's arrays peaked at
-# 3.6 MiB instead of 13.2 (tracemalloc).
-CURVE_BLOCK_ROWS = 16384
+# Rows stacked, formatted and written at a time in write_curve_csv, the unit
+# its ranges are cut in.  On a 2-core x86-64 VM one process wrote a 1M-point
+# curve in 0.64 s with pieces of 4,096 rows, as with pieces of 16,384, and
+# the formatter's arrays peaked at 3.6 MiB instead of 13.2 (tracemalloc).
 CURVE_PIECE_ROWS = 4096
 # write_curve_csv forks at most one export worker per usable core, and at
 # most CURVE_MAX_WORKERS processes in all, the parent included.
 CURVE_MAX_WORKERS = 8
-# Each worker formats at least this many blocks, so curves of up to three
-# blocks (the default grid among them) are written by the parent alone.  In a
-# grid-1048577 build on a 2-core x86-64 VM, forking and reaping a worker took
-# about 3 ms and appending its part about 0.9 ms a block, against 7-9 ms to
-# format a block.
-CURVE_WORKER_MIN_BLOCKS = 2
+# Each worker formats at least this many pieces, so curves of up to fifteen
+# pieces (the default grid among them) are written by the parent alone.  In
+# a grid-1048577 build on a 2-core x86-64 VM, forking and reaping a worker
+# took about 3 ms and appending its part about 0.9 ms per 16,384 rows,
+# against 7-9 ms to format them.
+CURVE_WORKER_MIN_PIECES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +238,15 @@ def config_from_dict(d: dict, base_dir: Path | None = None,
     grid_size = _integer(d.get("grid", DEFAULT_GRID_SIZE) if grid is None else grid, "grid")
     mode = overrides.get("mode") or d.get("mode", "continuous")
     dep = d.get("depth")
-    policy = DepthPolicy()
     if isinstance(dep, dict):
-        if "k" in dep and "eps" in dep:
-            raise ConfigError("depth section takes 'k' or 'eps', not both")
-        if "k" in dep:
-            policy = DepthPolicy(depth=_integer(dep["k"], "depth k"))
-        elif "eps" in dep:
-            policy = DepthPolicy(eps=_number(dep["eps"], "depth eps"))
-        else:
+        if "k" not in dep and "eps" not in dep:
             raise ConfigError("depth section needs 'k' or 'eps'")
-    elif dep is not None:
-        policy = DepthPolicy(depth=_integer(dep, "depth"))
-    if overrides.get("depth") is not None and overrides.get("eps") is not None:
-        raise ConfigError("give a depth or an eps, not both")
-    if overrides.get("depth") is not None:
-        policy = DepthPolicy(depth=int(overrides["depth"]))
-    elif overrides.get("eps") is not None:
-        policy = DepthPolicy(eps=float(overrides["eps"]))
+        policy = DepthPolicy(depth=_integer(dep["k"], "depth k") if "k" in dep else None,
+                             eps=_number(dep["eps"], "depth eps") if "eps" in dep else None)
+    else:
+        policy = DepthPolicy(depth=None if dep is None else _integer(dep, "depth"))
+    if overrides.get("depth") is not None or overrides.get("eps") is not None:
+        policy = DepthPolicy(depth=overrides.get("depth"), eps=overrides.get("eps"))
 
     return ProblemConfig(
         partition=partition,
@@ -356,22 +345,21 @@ def _writing(path):
 
 
 def _curve_ranges(n: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges of an n-row curve, cut at block edges, one per
+    """Contiguous row ranges of an n-row curve, cut at piece edges, one per
     export worker; the first is the parent's."""
-    blocks = -(-n // CURVE_BLOCK_ROWS)
+    pieces = -(-n // CURVE_PIECE_ROWS)
     cores = _usable_cores() if hasattr(os, "fork") else 1
-    workers = max(1, min(cores, CURVE_MAX_WORKERS, blocks // CURVE_WORKER_MIN_BLOCKS))
-    edges = [min(n, k * blocks // workers * CURVE_BLOCK_ROWS) for k in range(workers + 1)]
+    workers = max(1, min(cores, CURVE_MAX_WORKERS, pieces // CURVE_WORKER_MIN_PIECES))
+    edges = [min(n, k * pieces // workers * CURVE_PIECE_ROWS) for k in range(workers + 1)]
     return list(zip(edges, edges[1:]))
 
 
 def _write_rows(fh, cols, start: int, stop: int) -> None:
-    """Rows start..stop-1 of the curve to a binary file, a block at a time."""
+    """Rows start..stop-1 of the curve to a binary file, a piece at a time."""
     from .curvetext import curve_text  # loaded with the first curve written
-    for s in range(start, stop, CURVE_BLOCK_ROWS):
-        block = np.column_stack([c[s:min(s + CURVE_BLOCK_ROWS, stop)] for c in cols])
-        for k in range(0, block.shape[0], CURVE_PIECE_ROWS):
-            fh.write(curve_text(block[k:k + CURVE_PIECE_ROWS]))
+    for s in range(start, stop, CURVE_PIECE_ROWS):
+        fh.write(curve_text(np.column_stack([c[s:min(s + CURVE_PIECE_ROWS, stop)]
+                                             for c in cols])))
 
 
 def _fork_part(part: Path, cols, start: int, stop: int) -> int:
@@ -402,10 +390,10 @@ def _fork_part(part: Path, cols, start: int, stop: int) -> int:
 def write_curve_csv(path, xs, f_vals, fa_vals) -> None:
     """Header ``x,f,falpha``, then one row per grid point, each value as %.17g
     and each row ended by CRLF, as csv.writer writes them.  Rows are
-    formatted a block at a time, so the full three-column table is never
+    formatted a piece at a time, so the full three-column table is never
     stacked in memory.
 
-    A long curve is cut into contiguous block ranges, one per usable core:
+    A long curve is cut into contiguous piece ranges, one per usable core:
     forked workers each write their range to ``<path>.part<k>`` while the
     parent writes the first range, then the parent appends the parts in
     order.  The bytes do not depend on the number of workers.  If anything

@@ -171,7 +171,7 @@ _FAMILIES = ("constant", "linear-endpoint", "polynomial", "sinusoid", "sampled",
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(_Cached):
     """Evaluable real function on an interval, drawn from a closed family.
 
     Families and their ``params`` layout:
@@ -286,17 +286,15 @@ class FunctionSpec:
     # -- evaluation ---------------------------------------------------------
 
     def _sample_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_samples")
-        if cached is None:
+        def build():
             lo, hi = self.domain
             if self.abscissas is None:
                 xs = np.linspace(lo, hi, len(self.params))
             else:
                 xs = np.asarray(self.abscissas, dtype=float)
-            ys = np.asarray(self.params, dtype=float)
-            cached = (xs, ys)
-            object.__setattr__(self, "_samples", cached)
-        return cached
+            return xs, np.asarray(self.params, dtype=float)
+
+        return self._cached("_samples", build)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -333,20 +331,13 @@ class FunctionSpec:
 
     def endpoint_values(self) -> tuple[float, float]:
         """The spec at both ends of its domain, evaluated once per spec."""
-        cached = self.__dict__.get("_endpoints")
-        if cached is None:
-            lo, hi = self.domain
-            cached = (float(self(lo)), float(self(hi)))
-            object.__setattr__(self, "_endpoints", cached)
-        return cached
+        lo, hi = self.domain
+        return self._cached("_endpoints", lambda: (float(self(lo)), float(self(hi))))
 
     def knot_values(self, partition: "Partition") -> np.ndarray:
         """The spec at the knots of ``partition``, evaluated once per spec and
         knot vector (signed zeros apart)."""
-        cache = self.__dict__.get("_knot_values")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_knot_values", cache)
+        cache = self._cached("_knot_values", dict)
         knots = partition.array()
         key = knots.tobytes()
         if key not in cache:
@@ -706,16 +697,25 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class DepthPolicy:
-    """Truncation policy: fixed depth, or smallest depth whose geometric tail
-    bound ||alpha||^{k+1}/(1-||alpha||) * sup_r||f - b_r|| drops below eps
-    (at most DEPTH_CAP)."""
+    """Truncation policy: a fixed depth in 1..DEPTH_CAP, or the smallest depth
+    whose geometric tail bound ||alpha||^{k+1}/(1-||alpha||) * sup_r||f - b_r||
+    drops below eps (at most DEPTH_CAP).  It holds exactly one of the two;
+    with neither given, eps is DEFAULT_EPS."""
 
     depth: int | None = None
-    eps: float = DEFAULT_EPS
+    eps: float | None = None
 
     def __post_init__(self):
-        if self.depth is not None and self.depth < 1:
-            raise DepthZero("fixed depth must be >= 1")
+        if self.depth is not None:
+            if self.eps is not None:
+                raise ConfigError("give a depth or an eps, not both")
+            if self.depth < 1:
+                raise DepthZero("fixed depth must be >= 1")
+            if self.depth > DEPTH_CAP:
+                raise ConfigError(f"fixed depth must be at most {DEPTH_CAP}, got {self.depth}")
+            return
+        if self.eps is None:
+            object.__setattr__(self, "eps", DEFAULT_EPS)
         if not 0.0 < self.eps < np.inf:
             raise ConfigError(f"tail tolerance eps must be finite and > 0, got {self.eps}")
 
@@ -783,10 +783,7 @@ class ProblemConfig(_Cached):
     @property
     def knot_ordinates(self) -> tuple[float, ...]:
         """The interpolation data f(x_i) at the knots."""
-        return self._cached(
-            "_knot_ordinates",
-            lambda: tuple(float(v) for v in evaluate(self.germ, self.partition.array())),
-        )
+        return tuple(float(v) for v in knot_values(self.germ, self.partition))
 
     @property
     def scaling_cache(self) -> _Cached:

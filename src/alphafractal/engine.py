@@ -52,16 +52,17 @@ from .core import (
     run_blocks,
     sup_abs,
 )
-from .errors import DepthZero, GridMismatch, EndpointMismatch, NotValidated
+from .errors import DepthZero, GridMismatch, EndpointMismatch
 from .ifs import PerturbationSpec, locate_many
 
 INTERPOLATION_TOL = 1e-8  # default |f^alpha(x_i) - y_i| tolerance at knots
 
 
 def require_valid(cfg: ProblemConfig) -> None:
-    rep = cfg.validation()
-    if not rep.ok:
-        raise NotValidated(rep.summary())
+    """The one validity gate: the config's first validation problem, raised
+    with every problem in its message, as ``build``, ``verify`` and ``sweep``
+    report it."""
+    cfg.validation().raise_if_failed()
 
 
 def _require_depth(depth: int) -> None:
@@ -317,12 +318,19 @@ def required_depth(rate: float, magnitude: float, eps: float, cap: int) -> int:
     return k
 
 
-def resolve_depth(cfg: ProblemConfig) -> int:
-    """Depth dictated by the configured policy (fixed, or tail tolerance)."""
+def resolve_depth(cfg: ProblemConfig, rate: float | None = None,
+                  magnitude: float | None = None) -> int:
+    """The one depth rule: the policy's fixed depth, or ``required_depth`` at
+    the policy's eps for a series with tail ``rate`` and term ``magnitude``,
+    by default ||alpha|| and sup_r ||f - b_r||.  A check whose series
+    converges more slowly (the sensitivity bound's perturbed one) passes
+    its own; a fixed depth holds for every check."""
     pol = cfg.depth_policy
     if pol.depth is not None:
         return pol.depth
-    return required_depth(cfg.alpha_sup, cfg.base_gap_sup, pol.eps, DEPTH_CAP)
+    return required_depth(cfg.alpha_sup if rate is None else rate,
+                          cfg.base_gap_sup if magnitude is None else magnitude,
+                          pol.eps, DEPTH_CAP)
 
 
 def truncation_error(cfg: ProblemConfig, depth: int) -> float:

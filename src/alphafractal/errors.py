@@ -45,10 +45,6 @@ class GridMismatch(AlphaFractalError):
     """Sampled-function grid differs from the expected evaluation grid."""
 
 
-class NotValidated(AlphaFractalError):
-    """Configuration failed validation; evaluator operations refuse to run."""
-
-
 class DepthZero(AlphaFractalError):
     """An evaluator (backward trajectory or series) requires depth >= 1."""
 

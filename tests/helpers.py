@@ -21,7 +21,7 @@ from alphafractal.core import (
     sup_abs,
 )
 from alphafractal.engine import INTERPOLATION_TOL, Interpolant, apply_rb
-from alphafractal.errors import NotValidated
+from alphafractal.errors import ConfigError
 from alphafractal.report import BoundReport
 from alphafractal.sampling import (
     matched_base_spec,
@@ -141,7 +141,7 @@ def stationary_fixed_point(cfg: ProblemConfig, tol: float = 1e-10,
     constant-in-r sequence, from the germ seed, until the sup-difference of
     two iterates drops below tol: an oracle for the trajectory's limit."""
     if not levels_constant(cfg):
-        raise NotValidated("stationary fixed point needs a constant-in-r level sequence")
+        raise ConfigError("stationary fixed point needs a constant-in-r level sequence")
     g = SampledFunction(cfg.grid, cfg.germ_values)
     for it in range(1, max_iter + 1):
         new = apply_rb(g, 1, cfg)

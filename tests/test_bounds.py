@@ -329,8 +329,9 @@ class TestComputedOnce:
         assert bare == [0.0, 1.0]
 
     def test_germ_knot_values_evaluated_once(self, running_cfg, monkeypatch):
-        # every knot-piecewise-linear level reads the germ's cached values
-        # at the knots; another partition, or a bare callable, is evaluated
+        # every knot-piecewise-linear level, and the config's interpolation
+        # data, read the germ's cached values at the knots; another
+        # partition, or a bare callable, is evaluated
         points = []
         call = FunctionSpec.__call__
 
@@ -343,6 +344,7 @@ class TestComputedOnce:
         germ, part = running_cfg.germ, running_cfg.partition
         op = BaseOperatorSpec(("knot-piecewise-linear",))
         bases = [op.apply(r, germ, part) for r in (1, 2, 3)]
+        assert running_cfg.knot_ordinates == bases[0].params
         assert points == [3]
         assert bases[0] == FunctionSpec.sampled(call(germ, part.array()), DOM,
                                                 abscissas=part.knots)

@@ -354,7 +354,7 @@ class TestBuild:
         assert os.listdir(out) == ["summary.json"]
 
     def test_failing_export_worker_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(configio, "CURVE_BLOCK_ROWS", 64)
+        monkeypatch.setattr(configio, "CURVE_PIECE_ROWS", 64)
         monkeypatch.setattr(configio, "_usable_cores", lambda: 2)
         write_rows = configio._write_rows
 
@@ -381,6 +381,15 @@ class TestVerify:
         assert all(r["pass"] == "true" for r in rows)
         detail = json.loads((tmp_path / "report.json").read_text())
         assert len(detail) == len(rows)
+
+    def test_depth_flag_holds_for_every_suite(self, tmp_path):
+        cfg = write_config(tmp_path, README_CONFIG)
+        assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "1",
+                     "--depth", "2", "--out", str(tmp_path)]) == 0
+        depths = {r["bound"]: r["inputs"]["depth"]
+                  for r in json.loads((tmp_path / "report.json").read_text())
+                  if "depth" in r["inputs"]}
+        assert "sensitivity[0]" in depths and set(depths.values()) == {2}
 
     def test_bound_violation_exits_1(self, tmp_path, capsys, monkeypatch):
         # the first stability report fails; both reports are still written
@@ -519,7 +528,7 @@ class TestSweep:
         }, "experiments": [{"kind": "partition", "knots": [0.0, 0.5, 1.0], "halvings": 1}]},
             "manifest.json")
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path / "out")]) == 2
-        assert_one_diagnostic(capsys, "NotValidated")
+        assert_one_diagnostic(capsys, "ScalingNotContractive")
         assert trajectories == []
 
     def test_config_path_is_read_beside_the_manifest(self, tmp_path):
@@ -684,6 +693,25 @@ def test_bad_arguments_exit_2_as_a_process(tmp_path, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "alphafractal.cli"] + _bad_argv(tmp_path, argv),
                           capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("flags, changes", [
+    (["--depth", "65"], {}),
+    ([], {"depth": 65}),
+    (["--depth", "99999999999999999999999"], {}),
+], ids=["flag", "config", "flag-huge"])
+def test_depth_above_the_cap_exits_2(tmp_path, flags, changes):
+    """A fixed depth lies in 1..DEPTH_CAP = 64, as the eps policy's does.  Run
+    as a process under a timeout: an unbounded depth would never end."""
+    cfg = write_config(tmp_path, {**README_CONFIG, **changes})
+    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli", "build", "--config",
+                           str(cfg), "--out", str(tmp_path / "out")] + flags,
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
     err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1

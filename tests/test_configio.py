@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from alphafractal import configio
-from alphafractal.configio import CURVE_BLOCK_ROWS, config_from_dict, write_curve_csv
+from alphafractal.configio import CURVE_PIECE_ROWS, config_from_dict, write_curve_csv
 from alphafractal.core import build_partition
 from alphafractal.errors import ConfigError, EndpointMismatch, OutputError
 
@@ -19,7 +19,8 @@ from reference import ref_write_curve_csv
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
            2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
            0.1, 1.0 / 3.0, -2.5]
-LENGTHS = [1, 2, CURVE_BLOCK_ROWS - 1, CURVE_BLOCK_ROWS, CURVE_BLOCK_ROWS + 1]
+LENGTHS = [1, 2, CURVE_PIECE_ROWS - 1, CURVE_PIECE_ROWS, CURVE_PIECE_ROWS + 1,
+           4 * CURVE_PIECE_ROWS + 1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -30,7 +31,7 @@ LENGTHS = [1, 2, CURVE_BLOCK_ROWS - 1, CURVE_BLOCK_ROWS, CURVE_BLOCK_ROWS + 1]
                   min_size=1, max_size=64),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=CURVE_BLOCK_ROWS + 1, pool=SPECIAL, seed=0)
+@example(n=4 * CURVE_PIECE_ROWS + 1, pool=SPECIAL, seed=0)
 def test_curve_bytes_match_loop_writer(n, pool, seed):
     rng = np.random.default_rng(seed)
     values = np.asarray(pool, dtype=float)
@@ -58,7 +59,7 @@ def _signed(rng, values):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_curve_bytes_log_uniform_across_the_fast_range(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    n = CURVE_BLOCK_ROWS + 5
+    n = 4 * CURVE_PIECE_ROWS + 5
     cols = [_signed(rng, np.exp(rng.uniform(np.log(1e-6), np.log(1e8), n))) for _ in range(3)]
     _assert_bytes_match_reference(tmp_path, *cols)
 
@@ -114,17 +115,20 @@ def test_curve_bytes_in_the_fast_range(values):
         _assert_bytes_match_reference(Path(tmp), values, -values, values[::-1])
 
 
-# Part edges: with blocks of 4 rows and two workers, the parent takes the
-# first half of the blocks (rounded down) and the worker the rest.  The
-# lengths fall on and off block edges, split into equal and unequal parts,
-# and stay under the serial threshold (8 and 12 rows: 2 and 3 blocks).
+# Part edges: with pieces of 4 rows, at least 2 per worker, and two workers,
+# the parent takes the first half of the pieces (rounded down) and the
+# worker the rest.  The lengths fall on and off piece edges, split into
+# equal and unequal parts, and stay under the serial threshold (8 and 12
+# rows: 2 and 3 pieces).
 PART_LENGTHS = [(8, 1), (12, 1), (15, 2), (16, 2), (17, 2), (20, 2), (24, 2), (37, 2)]
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    """Blocks of 4 rows and a chosen number of usable cores."""
-    monkeypatch.setattr(configio, "CURVE_BLOCK_ROWS", 4)
+def small_pieces(monkeypatch):
+    """Pieces of 4 rows, at least 2 per worker, and a chosen number of
+    usable cores."""
+    monkeypatch.setattr(configio, "CURVE_PIECE_ROWS", 4)
+    monkeypatch.setattr(configio, "CURVE_WORKER_MIN_PIECES", 2)
 
     def cores(n):
         monkeypatch.setattr(configio, "_usable_cores", lambda: n)
@@ -133,8 +137,8 @@ def small_blocks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n, ranges", PART_LENGTHS)
-def test_curve_bytes_at_part_edges(tmp_path, small_blocks, workers, n, ranges):
-    small_blocks(workers)
+def test_curve_bytes_at_part_edges(tmp_path, small_pieces, workers, n, ranges):
+    small_pieces(workers)
     assert len(configio._curve_ranges(n)) == min(workers, ranges)
     rng = np.random.default_rng(n)
     values = np.concatenate([SPECIAL, rng.standard_normal(16) * 1e10])
@@ -147,15 +151,16 @@ def test_curve_bytes_at_part_edges(tmp_path, small_blocks, workers, n, ranges):
 
 def test_small_curves_stay_serial_and_workers_are_capped(monkeypatch):
     monkeypatch.setattr(configio, "_usable_cores", lambda: 2)
-    for rows in (4097, 2 * CURVE_BLOCK_ROWS + 1, 3 * CURVE_BLOCK_ROWS):
+    for rows in (4097, 8 * CURVE_PIECE_ROWS + 1, 15 * CURVE_PIECE_ROWS):
         assert configio._curve_ranges(rows) == [(0, rows)]
-    assert configio._curve_ranges(65537) == [(0, 2 * CURVE_BLOCK_ROWS),
-                                             (2 * CURVE_BLOCK_ROWS, 65537)]
+    for rows in (15 * CURVE_PIECE_ROWS + 1, 65537):
+        assert configio._curve_ranges(rows) == [(0, 8 * CURVE_PIECE_ROWS),
+                                                (8 * CURVE_PIECE_ROWS, rows)]
     monkeypatch.setattr(configio, "_usable_cores", lambda: 64)  # counted, not started
     ranges = configio._curve_ranges(1048577)
     assert len(ranges) == configio.CURVE_MAX_WORKERS
     assert ranges[0][0] == 0 and ranges[-1][1] == 1048577
-    assert all(a[1] == b[0] and a[1] % CURVE_BLOCK_ROWS == 0 for a, b in zip(ranges, ranges[1:]))
+    assert all(a[1] == b[0] and a[1] % CURVE_PIECE_ROWS == 0 for a, b in zip(ranges, ranges[1:]))
 
 
 def _fail_rows(monkeypatch, fails, exc):
@@ -174,8 +179,8 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_failing_worker_raises_in_the_parent(tmp_path, small_blocks, monkeypatch):
-    small_blocks(2)
+def test_failing_worker_raises_in_the_parent(tmp_path, small_pieces, monkeypatch):
+    small_pieces(2)
     _fail_rows(monkeypatch, lambda start: start != 0, RuntimeError("worker fails"))
     parent = os.getpid()
     try:
@@ -195,8 +200,8 @@ def test_failing_worker_raises_in_the_parent(tmp_path, small_blocks, monkeypatch
     _assert_no_children()
 
 
-def test_parent_failing_mid_write_reaps_and_cleans(tmp_path, small_blocks, monkeypatch):
-    small_blocks(2)
+def test_parent_failing_mid_write_reaps_and_cleans(tmp_path, small_pieces, monkeypatch):
+    small_pieces(2)
     _fail_rows(monkeypatch, lambda start: start == 0, OSError(errno.ENOSPC, "No space left"))
     with pytest.raises(OutputError, match="No space left"):
         write_curve_csv(tmp_path / "curve.csv", *[np.arange(20.0)] * 3)

@@ -15,7 +15,7 @@ from alphafractal import (
     trajectory_interpolant,
     validate_level_sequence,
 )
-from alphafractal.core import SampledFunction, group_specs, sup_abs
+from alphafractal.core import DEFAULT_EPS, DEPTH_CAP, SampledFunction, group_specs, sup_abs
 from alphafractal.ifs import locate_many
 from alphafractal.errors import (
     BadExponent,
@@ -23,7 +23,6 @@ from alphafractal.errors import (
     EndpointMismatch,
     LipConditionViolated,
     NonMonotoneKnots,
-    NotValidated,
     ScalingNotContractive,
     TooFewKnots,
 )
@@ -434,7 +433,7 @@ class TestLevelSequence:
         assert not rep.ok
         assert error in [cls for cls, _ in rep.problems]
         assert np.isnan(cfg.base_gap_sup) and np.isnan(cfg.base_sup)
-        with pytest.raises(NotValidated):
+        with pytest.raises(ConfigError):  # the first problem: non-finite base values
             trajectory_interpolant(cfg)
 
 
@@ -469,6 +468,15 @@ class TestProblemConfig:
         for eps in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 DepthPolicy(eps=eps)
+
+    def test_depth_policy_holds_one_rule(self):
+        # a fixed depth in 1..DEPTH_CAP, or an eps (DEFAULT_EPS when neither is given)
+        with pytest.raises(ConfigError, match="not both"):
+            DepthPolicy(depth=3, eps=1e-3)
+        with pytest.raises(ConfigError):
+            DepthPolicy(depth=DEPTH_CAP + 1)
+        assert DepthPolicy(depth=DEPTH_CAP).eps is None
+        assert DepthPolicy().eps == DEFAULT_EPS and DepthPolicy().depth is None
 
     def test_base_distance_propagates_nan(self, germ_x, base_x2):
         # the second of two levels has a base that is NaN right of 0.5

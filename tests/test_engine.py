@@ -25,10 +25,10 @@ from alphafractal.configio import config_from_dict
 from alphafractal.core import SampledFunction, sup_abs
 from alphafractal import engine
 from alphafractal.errors import (
+    ConfigError,
     DepthZero,
     EndpointMismatch,
     GridMismatch,
-    NotValidated,
     OutOfDomain,
 )
 from alphafractal.ifs import PerturbationLevel, PerturbationSpec, locate_many
@@ -463,7 +463,7 @@ class TestBackwardTrajectory:
         shifted = FunctionSpec.polynomial([0.1, 0.0, 1.0], DOM)
         a = FunctionSpec.constant(0.4, DOM)
         cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a, a]], [shifted])
-        with pytest.raises(NotValidated):
+        with pytest.raises(EndpointMismatch):
             backward_trajectory(None, 5, cfg)
 
     def test_seed_independence(self, running_cfg):
@@ -577,6 +577,16 @@ class TestDepthPolicy:
         assert required_depth(0.0, 1.0, 1e-8, 64) == 1
         assert required_depth(0.5, 0.0, 1e-8, 64) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(rates=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+           magnitudes=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2),
+           eps=st.floats(1e-15, 1.0))
+    def test_monotone_in_rate_and_magnitude(self, rates, magnitudes, eps):
+        # why the sensitivity bound's depth, taken at its own larger rate and
+        # magnitude, is never below the unperturbed policy depth
+        (r1, r2), (m1, m2) = sorted(rates), sorted(magnitudes)
+        assert required_depth(r2, m2, eps, 64) >= required_depth(r1, m1, eps, 64)
+
 
 class TestEvalInterpolant:
     def test_left_endpoint(self, running_cfg):
@@ -646,7 +656,7 @@ class TestStationary:
         a2 = FunctionSpec.constant(0.3, DOM)
         cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a1, a1], [a2, a2]],
                        [base_x2, base_x2])
-        with pytest.raises(NotValidated):
+        with pytest.raises(ConfigError):
             stationary_fixed_point(cfg)
 
 
