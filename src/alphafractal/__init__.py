@@ -8,7 +8,6 @@ empirically.
 """
 
 from .core import (
-    AffineMapSet,
     DepthPolicy,
     FunctionSpec,
     Level,
@@ -54,7 +53,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMapSet", "BaseOperatorSpec", "BoundReport",
+    "BaseOperatorSpec", "BoundReport",
     "DepthPolicy", "FunctionSpec", "Interpolant", "Level", "LevelSequence",
     "NormEstimate", "Partition", "PerturbationLevel", "PerturbationSpec",
     "ProblemConfig", "SampledFunction", "ValidationReport",

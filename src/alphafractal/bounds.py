@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEGENERATE_TOL,
     FunctionSpec,
     ProblemConfig,
     endpoint_values,
@@ -44,7 +45,7 @@ from .sampling import POLY_DEGREE, random_polynomial_spec, rng_from
 
 VERIFY_TOL = 1e-6  # absolute budget on top of truncation slack
 
-_OPERATOR_KINDS = ("endpoint-line", "knot-piecewise-linear", "blend")
+OPERATOR_KINDS = ("endpoint-line", "knot-piecewise-linear", "blend")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class BaseOperatorSpec:
         if not kinds:
             raise ConfigError("operator spec needs at least one level")
         for k in kinds:
-            if k not in _OPERATOR_KINDS:
+            if k not in OPERATOR_KINDS:
                 raise ConfigError(f"unknown operator kind {k!r}")
         lams = tuple(float(v) for v in self.lambdas)
         if any(k == "blend" for k in kinds) and len(lams) != len(kinds):
@@ -107,7 +108,7 @@ class BaseOperatorSpec:
 
         def ratio(p):
             p_sup = sup_abs([evaluate(p, grid)])
-            if p_sup < 1e-12:
+            if p_sup < DEGENERATE_TOL:
                 return 0.0
             return sup_abs(evaluate(self.apply(r, p, cfg.partition), grid)
                            for r in range(1, depth + 1)) / p_sup
@@ -178,7 +179,7 @@ def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
         cfg1 = config_with_operator_bases(cfg.with_germ(f1), op)
         cfg2 = config_with_operator_bases(cfg.with_germ(f2), op)
         denom = sup_abs([cfg1.germ_values - cfg2.germ_values])
-        if denom < 1e-12:
+        if denom < DEGENERATE_TOL:
             skipped += 1
             continue
         depth, tail1, tail2 = pair_depth(cfg1, cfg2)

@@ -37,7 +37,7 @@ ALPHA_CAP = 0.5
 
 def _random_operator(rng, n_levels: int) -> bounds.BaseOperatorSpec:
     kinds = tuple(
-        ("endpoint-line", "knot-piecewise-linear", "blend")[int(rng.integers(0, 3))]
+        bounds.OPERATOR_KINDS[int(rng.integers(0, len(bounds.OPERATOR_KINDS)))]
         for _ in range(n_levels)
     )
     lams = tuple(float(rng.uniform(0.0, 1.0)) for _ in range(n_levels))
@@ -53,7 +53,7 @@ def _random_scalings(rng, template: ProblemConfig):
         return tuple(
             random_alpha_vector(rng, 1, domain, 0.9 * a_i ** template.d / 2.0,
                                 variable=False)[0]
-            for a_i in template.maps.a
+            for a_i in template.partition.ratios
         )
     return random_alpha_vector(rng, template.n_intervals, domain, ALPHA_CAP)
 

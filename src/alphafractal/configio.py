@@ -298,8 +298,7 @@ def experiment_from_dict(d: dict, cfg: ProblemConfig,
             return lambda: [depend.scaling_dependence(cfg, a, b, s_cap)]
         other = build_partition(_list(d["knots"], "knots"))
         halvings = _integer(d.get("halvings", 3), "halvings")
-        depend.require_halvings(halvings)
-        depend.require_same_interval(partition, other)
+        depend.require_halvings(partition, other, halvings)
         return lambda: depend.partition_continuity(cfg, other, halvings=halvings)
     except KeyError as exc:
         raise ConfigError(f"{kind} experiment missing field {exc}") from None

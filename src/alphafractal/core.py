@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -409,12 +408,21 @@ def matched_endpoint_polynomial(coeffs: Sequence[float], domain,
 
 @dataclass(frozen=True)
 class Partition(_Cached):
-    """Strictly increasing knot vector x_0 < x_1 < ... < x_N with N >= 2.
+    """Strictly increasing knot vector x_0 < x_1 < ... < x_N with N >= 2, and
+    the contractive maps l_i : I -> I_i and their inverses Q_i = l_i^{-1}.
 
-    N = 1 is rejected: it would force a_1 = 1, so the affine map l_1 would
-    not contract.  Everything derived from the knots and a grid size alone
-    (the grid, and the RB step's geometry in ``engine``) is cached here, so
-    every config derived from one partition shares it.
+    l_i(x) = a_i x + e_i with the closed-form coefficients
+        a_i = (x_i - x_{i-1}) / (x_N - x_0)
+        e_i = (x_N x_{i-1} - x_0 x_i) / (x_N - x_0)
+    so l_i(x_0) = x_{i-1} and l_i(x_N) = x_i.  Evaluation uses the equivalent
+    two-point form, which maps the interval endpoints onto the knots exactly
+    in floating point (no residual at the joins); only the ratios a_i are
+    stored.
+
+    N = 1 is rejected: it would force a_1 = 1, so l_1 would not contract.
+    Everything derived from the knots and a grid size alone (the ratios, the
+    grid, and the RB step's geometry in ``engine``) is cached here, so every
+    config derived from one partition shares it.
     """
 
     knots: tuple[float, ...]
@@ -429,12 +437,12 @@ class Partition(_Cached):
             raise NonMonotoneKnots("knots must be finite")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise NonMonotoneKnots(f"knots must be strictly increasing, got {knots}")
-        # The maps' two-point forms (AffineMapSet.forward, inverse_many) sum
-        # two products of a knot or an end, at most M = max(|x_0|, |x_N|) in
-        # size, with a distance between points of [x_0, x_N], at most
-        # x_N - x_0.  Both sums are thus at most 2 M (x_N - x_0) (up to
-        # rounding); where that overflows, inf - inf would give NaN, and where
-        # the span itself does, the grid's step is already infinite.
+        # The maps' two-point forms (forward, inverse_many) sum two products
+        # of a knot or an end, at most M = max(|x_0|, |x_N|) in size, with a
+        # distance between points of [x_0, x_N], at most x_N - x_0.  Both
+        # sums are thus at most 2 M (x_N - x_0) (up to rounding); where that
+        # overflows, inf - inf would give NaN, and where the span itself
+        # does, the grid's step is already infinite.
         if not np.isfinite(2.0 * max(abs(knots[0]), abs(knots[-1])) * (knots[-1] - knots[0])):
             raise ConfigError(f"knots {knots[0]} .. {knots[-1]} are too large: "
                               "2 max(|x_0|, |x_N|) (x_N - x_0) overflows")
@@ -501,43 +509,19 @@ class Partition(_Cached):
         """Endpoints of I_i for i in 1..N."""
         return (self.knots[i - 1], self.knots[i])
 
-
-def build_partition(knots: Sequence[float]) -> Partition:
-    """Build a partition from a knot vector (>= 3 strictly increasing values)."""
-    return Partition(tuple(knots))
-
-
-@dataclass(frozen=True)
-class AffineMapSet:
-    """The contractive maps l_i : I -> I_i and their inverses Q_i = l_i^{-1}.
-
-    l_i(x) = a_i x + e_i with the closed-form coefficients
-        a_i = (x_i - x_{i-1}) / (x_N - x_0)
-        e_i = (x_N x_{i-1} - x_0 x_i) / (x_N - x_0)
-    so l_i(x_0) = x_{i-1} and l_i(x_N) = x_i.  Evaluation uses the equivalent
-    two-point form, which maps the interval endpoints onto the knots exactly
-    in floating point (no residual at the joins); only the ratios a_i are
-    stored.
-    """
-
-    partition: Partition
-    a: tuple[float, ...]
-
-    @classmethod
-    def from_partition(cls, p: Partition) -> "AffineMapSet":
-        k = p.array()
-        return cls(p, tuple(float(v) for v in (k[1:] - k[:-1]) / p.span))
-
     @property
-    def A(self) -> float:
-        """Largest contraction ratio max_i a_i."""
-        return max(self.a)
+    def ratios(self) -> tuple[float, ...]:
+        """The contraction ratios a_1, ..., a_N."""
+        def build():
+            k = self.array()
+            return tuple(float(v) for v in (k[1:] - k[:-1]) / self.span)
+        return self._cached("_ratios", build)
 
     def forward(self, i: int, x):
         """l_i(x) for x in I (two-point form; the interval endpoints land on
         the knots bit-exactly)."""
-        lo, hi = self.partition.domain
-        xl, xr = self.partition.interval(i)
+        lo, hi = self.domain
+        xl, xr = self.interval(i)
         x = np.asarray(x, dtype=float)
         out = (xl * (hi - x) + xr * (x - lo)) / (hi - lo)
         return np.where(x == lo, xl, np.where(x == hi, xr, out))
@@ -546,9 +530,9 @@ class AffineMapSet:
         """Q_i(z) = l_i^{-1}(z) per point, i taken from the 1-based indices idx;
         the knots land on the domain ends bit-exactly, and the result is
         clipped into the domain."""
-        k = self.partition.array()
+        k = self.array()
         k_left = np.roll(k, 1)  # k_left[i] = k[i - 1] for i >= 1
-        lo, hi = self.partition.domain
+        lo, hi = self.domain
         z = np.asarray(z, dtype=float)
         out = np.empty(z.shape)
 
@@ -570,6 +554,11 @@ class AffineMapSet:
 
         run_blocks(fill, out, z, idx)
         return out
+
+
+def build_partition(knots: Sequence[float]) -> Partition:
+    """Build a partition from a knot vector (>= 3 strictly increasing values)."""
+    return Partition(tuple(knots))
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +762,6 @@ class ProblemConfig(_Cached):
         return self.partition.grid(self.grid_size)
 
     @property
-    def maps(self) -> AffineMapSet:
-        return self._cached("_maps", lambda: AffineMapSet.from_partition(self.partition))
-
-    @property
     def germ_values(self) -> np.ndarray:
         return self._cached("_germ_values", lambda: frozen(evaluate(self.germ, self.grid)))
 
@@ -820,12 +805,18 @@ class ProblemConfig(_Cached):
         return repeat_last(self._cached("_base_values", build), r)
 
     @property
+    def base_gaps(self) -> tuple[float, ...]:
+        """Grid estimate of ||f - b_r||_inf per prefix level r; NaN where a
+        germ or base value is NaN."""
+        return self._cached("_base_gaps", lambda: tuple(
+            sup_abs([self.germ_values - self.base_values(r)])
+            for r in range(1, self.levels.prefix_len + 1)))
+
+    @property
     def base_gap_sup(self) -> float:
         """Grid estimate of sup_r ||f - b_r||_inf (finite max over the prefix);
         NaN when any base value is NaN."""
-        return self._cached("_base_gap_sup", lambda: sup_abs(
-            self.germ_values - self.base_values(r)
-            for r in range(1, self.levels.prefix_len + 1)))
+        return self._cached("_base_gap_sup", lambda: sup_abs(self.base_gaps))
 
     @property
     def base_sup(self) -> float:
@@ -917,8 +908,8 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     Continuous mode needs ||alpha||_inf < 1 and endpoint-matched bases; the
     Lipschitz mode additionally needs max_i ||alpha_{i,r}||_d / a_i^d < 1/2
     on every level.  Norms are grid estimates.  A base equal to the germ is
-    legal but degenerate (the interpolant collapses to the germ), so it is
-    warned about, not rejected.
+    legal but degenerate (the interpolant collapses to the germ), so its
+    level is reported in ``degenerate_levels``, not rejected.
     """
     from . import norms  # local import: norms imports core.evaluate at module level
 
@@ -948,14 +939,8 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
                 EndpointMismatch,
                 f"base b_{r} endpoint residuals {res[0]:.3g}, {res[1]:.3g} exceed {ENDPOINT_TOL}",
             ))
-        if sup_abs([b_vals - f_vals]) < DEGENERATE_TOL:
+        if cfg.base_gaps[r - 1] < DEGENERATE_TOL:
             degenerate.append(r)
-    if degenerate:
-        warnings.warn(
-            f"base function equals the germ on levels {degenerate}; "
-            "the interpolant degenerates to the germ",
-            stacklevel=2,
-        )
 
     if cfg.mode == "lipschitz":
         worst = float(np.max(norms.lip_ratios(cfg)))

@@ -11,12 +11,14 @@ witnessed by shrinking knot perturbations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bounds import VERIFY_TOL
-from .core import Partition, ProblemConfig, evaluate, sup_abs
+from .core import DEGENERATE_TOL, Partition, ProblemConfig, evaluate, sup_abs
 from .engine import backward_trajectory, pair_depth, trajectory_interpolant
-from .errors import CapViolated, EndpointMismatch, KnotCountMismatch
+from .errors import CapViolated, ConfigError, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
 from .report import BoundReport
 
@@ -52,7 +54,7 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
     a = cfg.alpha_sup
     predicted = a / (1.0 - a)
     denom = cfgA.base_distance(cfgB)
-    if denom < 1e-12:
+    if denom < DEGENERATE_TOL:
         observed, depth = 0.0, 0
         trunc = 0.0
     else:
@@ -138,7 +140,7 @@ def theta_constants(cfg: ProblemConfig) -> dict:
         k_alpha = inflate * sup_abs(
             lip_seminorm(spec, 1.0, grid) for lv in cfg.levels.levels for spec in lv.scalings
         )
-        A = cfg.maps.A
+        A = max(cfg.partition.ratios)
         R = cfg.r_bound
         limit = admissible_theta_limit(A, R, k_f, k_b, k_alpha,
                                        cfg.alpha_sup, cfg.base_sup)
@@ -181,8 +183,8 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     predicted = 2.0 * (1.0 + theta * k_f) * l2
 
     def shift(i):
-        la = cfg.maps.forward(i, cfg.grid)
-        lb = cfgB.maps.forward(i, cfg.grid)
+        la = p.forward(i, cfg.grid)
+        lb = other.forward(i, cfg.grid)
         return np.abs(la - lb) + theta * np.abs(evaluate(cfg.germ, la) - evaluate(cfg.germ, lb))
 
     observed = sup_abs(shift(i) for i in range(1, p.n_intervals + 1))
@@ -203,9 +205,26 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     )
 
 
-def require_halvings(halvings: int) -> None:
+def _halving(base: tuple, target: tuple, k: int) -> tuple[float, ...]:
+    """Knots Delta + (Delta~ - Delta)/2^k, the division exact as a power of 2."""
+    return tuple(b + math.ldexp(t - b, -k) for b, t in zip(base, target))
+
+
+def require_halvings(p: Partition, other: Partition, halvings: int) -> None:
+    """The checks ``partition_continuity`` makes before it runs: at least one
+    magnitude, partitions of one interval, and no halving whose knots equal
+    the previous halving's (every later row would repeat one comparison)."""
     if halvings < 1:
         raise KnotCountMismatch("need at least one magnitude")
+    require_same_interval(p, other)
+    # a finite shift halves to zero within 2,100 steps (2^1024 to 2^-1075),
+    # so k stays a small int32 exponent whatever halvings asks for
+    k, prev = 1, _halving(p.knots, other.knots, 0)
+    while k < halvings and (knots := _halving(p.knots, other.knots, k)) != prev:
+        k, prev = k + 1, knots
+    if k < halvings:
+        raise ConfigError(f"halvings {halvings} reaches halving {k}, whose knots equal "
+                          f"halving {k - 1}'s; ask for at most {k}")
 
 
 def partition_continuity(cfg: ProblemConfig, other: Partition,
@@ -213,12 +232,6 @@ def partition_continuity(cfg: ProblemConfig, other: Partition,
     """Reports along knot perturbations of geometrically shrinking magnitude:
     Delta + (Delta~ - Delta)/2^k for k = 0..halvings-1.  A continuity witness
     requires the interpolant sup-differences to decrease strictly."""
-    require_halvings(halvings)
-    require_same_interval(cfg.partition, other)
-    base = cfg.partition.array()
-    target = other.array()
-    out = []
-    for k in range(halvings):
-        knots = base + (target - base) / (2.0 ** k)
-        out.append(partition_dependence(cfg, Partition(tuple(knots))))
-    return out
+    require_halvings(cfg.partition, other, halvings)
+    return [partition_dependence(cfg, Partition(_halving(cfg.partition.knots, other.knots, k)))
+            for k in range(halvings)]

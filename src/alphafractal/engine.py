@@ -77,7 +77,7 @@ def _grid_geometry(cfg: ProblemConfig):
 
     def build():
         idx = locate_many(cfg.grid, cfg.partition)
-        return frozen(idx), frozen(cfg.maps.inverse_many(idx, cfg.grid))
+        return frozen(idx), frozen(cfg.partition.inverse_many(idx, cfg.grid))
 
     return cfg.partition._cached(f"_rb_geometry_{cfg.grid_size}", build)
 
@@ -139,7 +139,7 @@ def _closure_tol(cfg: ProblemConfig) -> float:
     that Q_i maps onto one another exactly; each stored node is off by
     nu = ``Partition.node_rounding`` at most.  The computed Q_i(x) then
     misses the real image of x by
-    - at most 5uX from the two-point form in ``AffineMapSet.inverse_many``,
+    - at most 5uX from the two-point form in ``Partition.inverse_many``,
     - plus nu / a_i from the node x, which Q_i stretches by 1 / a_i,
     - plus nu / a_i from the cell's two knots, whose sensitivities add up
       to 1 / a_i as well,
@@ -153,7 +153,7 @@ def _closure_tol(cfg: ProblemConfig) -> float:
     u = np.finfo(float).eps / 2
     lo, hi = cfg.domain
     nu = cfg.partition.node_rounding
-    return 5.0 * u * max(abs(lo), abs(hi)) + nu * (1.0 + 2.0 / min(cfg.maps.a))
+    return 5.0 * u * max(abs(lo), abs(hi)) + nu * (1.0 + 2.0 / min(cfg.partition.ratios))
 
 
 def _node_read(grid: np.ndarray, q: np.ndarray, tol: float):
@@ -420,7 +420,7 @@ def _series_values(xs: np.ndarray, depth: int, cfg: ProblemConfig) -> np.ndarray
     prod = np.ones_like(z)
     for j in range(1, depth + 1):
         idx = locate_many(z, cfg.partition)
-        z = cfg.maps.inverse_many(idx, z)
+        z = cfg.partition.inverse_many(idx, z)
         lv = cfg.levels.level(j)
         prod = prod * _per_interval(lv.scalings, idx, z)
         total = total + prod * (evaluate(cfg.germ, z) - evaluate(lv.base, z))

@@ -207,7 +207,7 @@ def apply_F(i: int, r: int, x, y, cfg: ProblemConfig):
     if not 1 <= i <= cfg.n_intervals:
         raise ConfigError(f"interval index {i} outside 1..{cfg.n_intervals}")
     alpha = evaluate(cfg.levels.scaling(i, r), xa)
-    f_at = evaluate(cfg.germ, cfg.maps.forward(i, xa))
+    f_at = evaluate(cfg.germ, cfg.partition.forward(i, xa))
     b_at = evaluate(cfg.levels.base(r), xa)
     out = alpha * np.asarray(y, dtype=float) + f_at - alpha * b_at
     return out if out.shape else float(out)

@@ -96,7 +96,7 @@ def lip_ratios(cfg: ProblemConfig) -> tuple[float, ...]:
     (computed once per config)."""
 
     def build():
-        a = cfg.maps.a
+        a = cfg.partition.ratios
         return tuple(
             float(np.max([estimate_norms(spec, cfg.d, cfg.grid).norm_d / a_i ** cfg.d
                           for spec, a_i in zip(lv.scalings, a)]))

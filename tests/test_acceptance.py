@@ -95,9 +95,9 @@ def test_criterion_2_degenerate_identities(running_cfg_module):
     vals0 = backward_trajectory(None, 10, cfg0).values.ys
     gap0 = float(np.max(np.abs(vals0 - cfg0.germ_values)))
 
-    with pytest.warns(UserWarning, match="degenerates"):
-        cfg_bf = running_cfg_module.with_bases((running_cfg_module.germ,))
-        vals_bf = backward_trajectory(None, 10, cfg_bf).values.ys
+    cfg_bf = running_cfg_module.with_bases((running_cfg_module.germ,))
+    assert cfg_bf.validation().degenerate_levels == (1,)
+    vals_bf = backward_trajectory(None, 10, cfg_bf).values.ys
     gap_bf = float(np.max(np.abs(vals_bf - cfg_bf.germ_values)))
 
     ok = gap0 == 0.0 and gap_bf == 0.0

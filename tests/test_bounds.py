@@ -41,7 +41,6 @@ def _with_alpha(cfg, value):
 
 
 class TestErrorBound:
-    @pytest.mark.filterwarnings("ignore:base function equals the germ")
     def test_zero_scaling(self, running_cfg):
         op = BaseOperatorSpec(("endpoint-line",))
         rep = error_bound(_with_alpha(running_cfg, 0.0), op)
@@ -49,7 +48,6 @@ class TestErrorBound:
         assert rep.observed == 0.0
         assert rep.passed
 
-    @pytest.mark.filterwarnings("ignore:base function equals the germ")
     def test_linear_germ_is_its_own_chord(self, running_cfg):
         # f(x) = x equals the endpoint line, so the gap and the bound vanish
         op = BaseOperatorSpec(("endpoint-line",))
@@ -79,7 +77,6 @@ class TestErrorBound:
 
 
 class TestCorollaryBound:
-    @pytest.mark.filterwarnings("ignore:base function equals the germ")
     def test_identity_operator_blend(self, running_cfg):
         # lambda = 1 blend keeps L f = f: corollary reduces to the error bound
         op = BaseOperatorSpec(("blend",), lambdas=(1.0,))
@@ -98,7 +95,6 @@ class TestCorollaryBound:
         assert observed == pytest.approx(RUNNING_COROLLARY_SUP, abs=1e-7)
         assert observed <= predicted + 1e-6
 
-    @pytest.mark.filterwarnings("ignore:base function equals the germ")
     def test_zero_scaling(self, running_cfg):
         op = BaseOperatorSpec(("knot-piecewise-linear",))
         cfg = _with_alpha(running_cfg, 0.0)
@@ -134,8 +130,8 @@ class TestOperatorChecks:
             running_cfg.with_germ(FunctionSpec.constant(0.0, DOM)), op)
         from alphafractal.engine import backward_trajectory
 
-        with pytest.warns(UserWarning):  # L f = 0 = f is degenerate
-            vals = backward_trajectory(None, 5, cfg).values.ys
+        assert cfg.validation().degenerate_levels == (1,)  # L f = 0 = f is degenerate
+        vals = backward_trajectory(None, 5, cfg).values.ys
         assert np.array_equal(vals, np.zeros_like(vals))
 
     def test_operator_levels_indexed_from_one(self, running_cfg):

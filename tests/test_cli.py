@@ -624,6 +624,9 @@ class TestSweep:
               "alphas_b": [[CONST_035, CONST_035]], "s_cap": 0.3}, "CapViolated"),
             (dict(first, knots=[0.0, 0.3, 0.6, 1.0]), "KnotCountMismatch"),
             (dict(first, knots=[0.0, 0.5, 2.0]), "EndpointMismatch"),
+            # knots moved to 0.45 equal the previous halving's from halving 52 on
+            (dict(first, knots=[0.0, 0.45, 1.0], halvings=1025), "ConfigError"),
+            (dict(first, knots=[0.0, 0.45, 1.0], halvings=10 ** 9), "ConfigError"),
         ]
         for bad, error in cases:
             man = self._manifest(tmp_path, [first, bad])
@@ -688,11 +691,18 @@ def test_bad_arguments_exit_2(tmp_path, capsys, trajectories, argv):
     assert trajectories == []
 
 
+def _cli_process(*argv):
+    """The CLI run as its own process, with the interpreter's default warning
+    filters, so stderr holds all that it prints."""
+    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "alphafractal.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [BAD_ARGUMENTS[0], BAD_ARGUMENTS[3]])
 def test_bad_arguments_exit_2_as_a_process(tmp_path, argv):
-    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli"] + _bad_argv(tmp_path, argv),
-                          capture_output=True, text=True, env=env)
+    proc = _cli_process(*_bad_argv(tmp_path, argv))
     assert proc.returncode == 2
     err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1
@@ -708,14 +718,32 @@ def test_depth_above_the_cap_exits_2(tmp_path, flags, changes):
     """A fixed depth lies in 1..DEPTH_CAP = 64, as the eps policy's does.  Run
     as a process under a timeout: an unbounded depth would never end."""
     cfg = write_config(tmp_path, {**README_CONFIG, **changes})
-    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli", "build", "--config",
-                           str(cfg), "--out", str(tmp_path / "out")] + flags,
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"), *flags)
     assert proc.returncode == 2
     err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == "ConfigError"
+
+
+def test_degenerate_invalid_config_prints_one_line(tmp_path):
+    """b = f is reported, not warned about: an invalid config with it
+    prints the one JSON line and nothing else."""
+    invalid = copy.deepcopy(DEGENERATE_CONFIG)
+    invalid["levels"][0]["scaling"]["value"] = 1.5
+    cfg = write_config(tmp_path, invalid)
+    proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "ScalingNotContractive"
+
+
+def test_degenerate_valid_config_is_reported_in_the_summary(tmp_path):
+    cfg = write_config(tmp_path, DEGENERATE_CONFIG)
+    proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["validation"]["degenerate_levels"] == [1]
 
 
 def test_help_still_exits_0(capsys):
@@ -733,6 +761,11 @@ README_MANIFEST = {"config": README_CONFIG, "experiments": [
      "alphas_b": [[CONST_035, CONST_035]], "s_cap": 0.4},
     {"kind": "partition", "knots": [0.0, 0.48, 1.0], "halvings": 3},
 ]}
+
+# The README config with b = f: legal, but the interpolant is the germ.
+DEGENERATE_CONFIG = {**README_CONFIG, "levels": [{
+    "scaling": {"family": "constant", "value": 0.4},
+    "base": {"family": "polynomial", "coeffs": [0.0, 1.0]}}]}
 
 MATCHING_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
 # Changes to the README config, the partition CSV beside it, and the error.
@@ -862,12 +895,9 @@ def test_success_is_quiet_on_stderr(tmp_path, command):
         "build-c11": ["build", "--config", str(write_config(tmp_path, c11_config(), "c11.json")),
                       "--grid", "4097"],
     }[command]
-    env = {**os.environ, "PYTHONPATH": str(Path(alphafractal.__file__).parents[1])}
-    env.pop("PYTHONWARNINGS", None)
-    proc = subprocess.run([sys.executable, "-m", "alphafractal.cli", *argv,
-                           "--out", str(tmp_path / "out")], capture_output=True, env=env)
+    proc = _cli_process(*argv, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0
-    assert proc.stderr == b""
+    assert proc.stderr == ""
 
 # Small magnitudes keep every drawn grid, depth and halving count cheap.
 SCALARS = st.one_of(

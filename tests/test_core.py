@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphafractal import (
-    AffineMapSet,
     BaseOperatorSpec,
     DepthPolicy,
     FunctionSpec,
@@ -65,12 +64,11 @@ class TestPartition:
     @pytest.mark.parametrize("knots", [[-6e153, 0.0, 6e153], [1e150, 2e150, 3e150]])
     def test_large_knots_give_finite_maps(self, knots):
         p = build_partition(knots)
-        maps = AffineMapSet.from_partition(p)
         grid = p.grid(65)
         assert np.all(np.isfinite(grid))
         for i in (1, 2):
-            assert np.all(np.isfinite(maps.forward(i, grid)))
-        assert np.all(np.isfinite(maps.inverse_many(locate_many(grid, p), grid)))
+            assert np.all(np.isfinite(p.forward(i, grid)))
+        assert np.all(np.isfinite(p.inverse_many(locate_many(grid, p), grid)))
 
     @pytest.mark.parametrize("size, near", [(7777, 3), (46657, 2), (279937, 1),
                                             (1025, 0), (4097, 0), (65537, 0)])
@@ -90,26 +88,26 @@ class TestPartition:
         assert all(np.min(np.abs(p.array() - x)) <= p.node_rounding for x in dropped)
 
 
-def _offsets(m):
+def _offsets(p):
     """e_i = l_i(0), the offset of l_i(x) = a_i x + e_i."""
-    return tuple(float(m.forward(i, 0.0)) for i in range(1, len(m.a) + 1))
+    return tuple(float(p.forward(i, 0.0)) for i in range(1, len(p.ratios) + 1))
 
 
 class TestAffineMaps:
     def test_uniform(self):
-        m = AffineMapSet.from_partition(build_partition([0.0, 0.5, 1.0]))
-        assert m.a == (0.5, 0.5)
-        assert _offsets(m) == (0.0, 0.5)
+        p = build_partition([0.0, 0.5, 1.0])
+        assert p.ratios == (0.5, 0.5)
+        assert _offsets(p) == (0.0, 0.5)
 
     def test_nonuniform(self):
-        m = AffineMapSet.from_partition(build_partition([0.0, 0.25, 1.0]))
-        assert m.a == (0.25, 0.75)
-        assert _offsets(m) == (0.0, 0.25)
+        p = build_partition([0.0, 0.25, 1.0])
+        assert p.ratios == (0.25, 0.75)
+        assert _offsets(p) == (0.0, 0.25)
 
     def test_shifted(self):
-        m = AffineMapSet.from_partition(build_partition([-1.0, 0.0, 1.0]))
-        assert m.a == (0.5, 0.5)
-        assert _offsets(m) == (-0.5, 0.5)
+        p = build_partition([-1.0, 0.0, 1.0])
+        assert p.ratios == (0.5, 0.5)
+        assert _offsets(p) == (-0.5, 0.5)
 
     def test_endpoints_map_to_knots_exactly(self):
         rng = np.random.default_rng(3)
@@ -117,11 +115,10 @@ class TestAffineMaps:
             knots = np.sort(rng.uniform(-2.0, 3.0, size=5))
             knots += np.arange(5) * 1e-3  # enforce strict increase
             p = build_partition(knots)
-            m = AffineMapSet.from_partition(p)
             for i in range(1, p.n_intervals + 1):
-                assert float(m.forward(i, p.lo)) == p.knots[i - 1]
-                assert float(m.forward(i, p.hi)) == p.knots[i]
-                ends = m.inverse_many(np.array([i, i]), np.array(p.interval(i)))
+                assert float(p.forward(i, p.lo)) == p.knots[i - 1]
+                assert float(p.forward(i, p.hi)) == p.knots[i]
+                ends = p.inverse_many(np.array([i, i]), np.array(p.interval(i)))
                 assert ends.tolist() == [p.lo, p.hi]
 
     def test_coefficient_sum_and_range(self):
@@ -129,21 +126,19 @@ class TestAffineMaps:
         for _ in range(20):
             knots = np.cumsum(rng.uniform(0.1, 1.0, size=6))
             p = build_partition(knots)
-            m = AffineMapSet.from_partition(p)
-            assert all(0.0 < a < 1.0 for a in m.a)
-            assert sum(m.a) == pytest.approx(1.0, abs=1e-12)
+            assert all(0.0 < a < 1.0 for a in p.ratios)
+            assert sum(p.ratios) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         p = build_partition([0.0, 0.3, 0.45, 0.9, 1.0])
-        m = AffineMapSet.from_partition(p)
         xs = rng.uniform(0.0, 1.0, size=200)
         for i in range(1, p.n_intervals + 1):
-            back = m.inverse_many(np.full(xs.size, i), m.forward(i, xs))
+            back = p.inverse_many(np.full(xs.size, i), p.forward(i, xs))
             assert np.max(np.abs(back - xs)) < 1e-12
         # forward o inverse on points of I_i
         zs = rng.uniform(0.3, 0.45, size=100)
-        fwd = m.forward(2, m.inverse_many(np.full(zs.size, 2), zs))
+        fwd = p.forward(2, p.inverse_many(np.full(zs.size, 2), zs))
         assert np.max(np.abs(fwd - zs)) < 1e-12
 
 
@@ -375,10 +370,9 @@ class TestValidation:
         with pytest.raises(ScalingNotContractive):
             rep.raise_if_failed()
 
-    def test_degenerate_base_warns(self, germ_x):
+    def test_degenerate_base_reported(self, germ_x):
         cfg = _cfg(0.4, germ_x)
-        with pytest.warns(UserWarning, match="degenerates"):
-            rep = validate_level_sequence(cfg)
+        rep = validate_level_sequence(cfg)
         assert rep.ok
         assert rep.degenerate_levels == (1,)
 

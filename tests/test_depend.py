@@ -16,7 +16,7 @@ from alphafractal.depend import (
     admissible_theta_limit,
     theta_constants,
 )
-from alphafractal.errors import CapViolated, EndpointMismatch, KnotCountMismatch
+from alphafractal.errors import CapViolated, ConfigError, EndpointMismatch, KnotCountMismatch
 from alphafractal.norms import lip_seminorm
 
 from helpers import base_pair_suite, is_strictly_decreasing, scaling_pair_suite
@@ -114,6 +114,30 @@ class TestPartitionDependence:
         assert is_strictly_decreasing(diffs)
         assert all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("target, last", [(0.45, 52), (0.48, 49), (0.5, 1)])
+    def test_halvings_end_where_the_knots_stop_moving(self, running_cfg, target, last):
+        # halving `last` is the first whose knots equal the previous one's
+        p, other = running_cfg.partition, build_partition([0.0, target, 1.0])
+        knots = [depend._halving(p.knots, other.knots, k) for k in range(last + 1)]
+        repeats = [np.array_equal(a, b) for a, b in zip(knots, knots[1:])]
+        assert repeats == [False] * (last - 1) + [True]
+        depend.require_halvings(p, other, last)
+        for halvings in (last + 1, 10 ** 30):
+            with pytest.raises(ConfigError, match=f"reaches halving {last},"):
+                partition_continuity(running_cfg, other, halvings=halvings)
+
+
+@pytest.mark.parametrize("knots, moved", [([0.0, 0.5, 1.0], [0.0, 0.45, 1.0]),
+                                          ([0.0, 0.5, 1.0], [0.0, 1e-300, 1.0]),
+                                          ([-1.0, 0.0, 1.0], [-1.0, 0.5, 1.0])])
+def test_halving_shift_is_the_division(knots, moved):
+    # ldexp scales by 2^-k exactly as numpy's division by 2.0 ** k rounds it,
+    # into the subnormals too, and needs no 2.0 ** k, which overflows at 1024
+    base, target = np.array(knots), np.array(moved)
+    for k in range(1024):
+        assert np.array_equal(depend._halving(tuple(knots), tuple(moved), k),
+                              base + (target - base) / 2.0 ** k), k
+
 
 def test_theta_constants_computed_once(make_cfg, monkeypatch):
     # P = 2 prefix levels, N = 3 intervals: the germ, each base and each
@@ -158,8 +182,8 @@ def _raw_theta(cfg):
     k_b = max(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
     k_alpha = max(lip_seminorm(spec, 1.0, grid)
                   for lv in cfg.levels.levels for spec in lv.scalings)
-    return 0.5 * admissible_theta_limit(cfg.maps.A, cfg.r_bound, k_f, k_b, k_alpha,
-                                        cfg.alpha_sup, cfg.base_sup)
+    return 0.5 * admissible_theta_limit(max(cfg.partition.ratios), cfg.r_bound, k_f, k_b,
+                                        k_alpha, cfg.alpha_sup, cfg.base_sup)
 
 
 def _theta(cfg):
@@ -193,9 +217,9 @@ class TestComputeTheta:
     def test_degenerate_constants_default(self, make_cfg):
         c = FunctionSpec.constant(1.0, DOM)
         a = FunctionSpec.constant(0.4, DOM)
-        with pytest.warns(UserWarning):  # b = f: a degenerate interpolant
-            cfg = make_cfg([0.0, 0.5, 1.0], c, [[a, a]], [c])
-            assert _theta(cfg) == 1.0
+        cfg = make_cfg([0.0, 0.5, 1.0], c, [[a, a]], [c])
+        assert cfg.validation().degenerate_levels == (1,)  # b = f: a degenerate interpolant
+        assert _theta(cfg) == 1.0
 
     def test_limit_monotone_in_constants(self):
         base = dict(A=0.5, R=1.2, k_f=1.0, k_b=2.0, k_alpha=0.3,

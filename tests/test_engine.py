@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from alphafractal import (
-    AffineMapSet,
     DepthPolicy,
     FunctionSpec,
     Level,
@@ -155,7 +154,7 @@ class TestInterpStencil:
         rng = np.random.default_rng(seed)
         p = random_partition(rng, DOM, n)
         grid = p.grid(size)
-        q = AffineMapSet.from_partition(p).inverse_many(locate_many(grid, p), grid)
+        q = p.inverse_many(locate_many(grid, p), grid)
         # Q points as the RB step sees them, plus grid nodes and both ends
         q = np.concatenate([q, rng.choice(grid, 40), grid[[0, -1]], rng.uniform(0, 1, 40)])
         dy = rng.normal(size=grid.size) * 10.0 ** rng.uniform(-8, 8)
@@ -291,7 +290,7 @@ class TestGatherStep:
                                       for lv in levels for a in lv.scalings)))
         u = np.finfo(float).eps / 2
         X = max(abs(knots[0]), abs(knots[-1]))
-        a_min = min(cfg.maps.a)
+        a_min = min(cfg.partition.ratios)
         delta = (engine._closure_tol(cfg) + 5 * u * X
                  + u * (4 * X + 6 * X * X / (span * a_min)))
         M = (f_sup + b_sup) / (1.0 - a_sup)
@@ -441,9 +440,9 @@ class TestBackwardTrajectory:
 
     def test_base_equals_germ_is_fixed(self, make_cfg, germ_x):
         a = FunctionSpec.constant(0.4, DOM)
-        with pytest.warns(UserWarning):
-            cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a, a]], [germ_x])
-            out = backward_trajectory(None, 25, cfg)
+        cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a, a]], [germ_x])
+        assert cfg.validation().degenerate_levels == (1,)
+        out = backward_trajectory(None, 25, cfg)
         assert np.array_equal(out.values.ys, cfg.germ_values)
 
     def test_hand_traced_values(self, running_cfg):
@@ -549,7 +548,7 @@ class TestSeries:
         rng = np.random.default_rng(13)
         xs = rng.uniform(0, 1, size=40)
         idx = locate_many(xs, running_cfg.partition)
-        for x, i, q in zip(xs, idx, running_cfg.maps.inverse_many(idx, xs)):
+        for x, i, q in zip(xs, idx, running_cfg.partition.inverse_many(idx, xs)):
             lhs = series_eval(float(x), depth, running_cfg)
             rhs = (float(running_cfg.germ(x))
                    + float(running_cfg.levels.scaling(i, 1)(q))
@@ -641,9 +640,9 @@ class TestStationary:
 
     def test_base_equals_germ(self, make_cfg, germ_x):
         a = FunctionSpec.constant(0.4, DOM)
-        with pytest.warns(UserWarning):
-            cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a, a]], [germ_x])
-            out = stationary_fixed_point(cfg)
+        cfg = make_cfg([0.0, 0.5, 1.0], germ_x, [[a, a]], [germ_x])
+        assert cfg.validation().degenerate_levels == (1,)
+        out = stationary_fixed_point(cfg)
         assert np.array_equal(out.values.ys, cfg.germ_values)
 
     def test_agrees_with_trajectory(self, running_cfg):

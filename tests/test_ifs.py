@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from alphafractal import (
-    AffineMapSet,
     FunctionSpec,
     PerturbationLevel,
     PerturbationSpec,
@@ -25,12 +24,11 @@ def _address(xs, p, depth):
     """Backward address of each point through locate_many and inverse_many:
     z_0 = x, i_j = interval of z_{j-1}, z_j = Q_{i_j}(z_{j-1}).  Returns the
     indices, shape (depth, n), and the points z_0 .. z_depth, (depth + 1, n)."""
-    maps = AffineMapSet.from_partition(p)
     z = np.atleast_1d(np.asarray(xs, dtype=float))
     indices, points = [], [z]
     for _ in range(depth):
         idx = locate_many(z, p)
-        z = maps.inverse_many(idx, z)
+        z = p.inverse_many(idx, z)
         indices.append(idx)
         points.append(z)
     return np.array(indices), np.array(points)
@@ -83,7 +81,6 @@ class TestAddress:
         rng = np.random.default_rng(11)
         knots = [0.0, 0.2, 0.55, 0.8, 1.0]
         p = build_partition(knots)
-        maps = AffineMapSet.from_partition(p)
         xs = rng.uniform(0.0, 1.0, size=50)
         idx, z = _address(xs, p, 6)
         # the raw inverse (z - e_i) / a_i of the closed-form coefficients
@@ -94,7 +91,7 @@ class TestAddress:
         # l_{i_1}(l_{i_2}(... l_{i_6}(z_6))) returns to x
         back = z[-1]
         for j in reversed(range(6)):
-            back = np.array([maps.forward(int(i), zz) for i, zz in zip(idx[j], back)])
+            back = np.array([p.forward(int(i), zz) for i, zz in zip(idx[j], back)])
         assert np.max(np.abs(back - xs)) < 1e-12
 
     def test_knots_reach_the_ends_within_n_steps(self):
@@ -116,13 +113,13 @@ class TestApplyF:
         zero = FunctionSpec.constant(0.0, DOM)
         c = make_cfg([0.0, 0.5, 1.0], germ_x, [[zero, zero]], [base_x2])
         for x, y in [(0.0, 3.0), (0.5, -1.0), (1.0, 0.2)]:
-            assert apply_F(1, 1, x, y, c) == float(germ_x(c.maps.forward(1, x)))
+            assert apply_F(1, 1, x, y, c) == float(germ_x(c.partition.forward(1, x)))
 
     def test_y_equals_base_kills_scaling_term(self, cfg):
         for x in (0.0, 0.3, 0.9):
             y = float(cfg.levels.base(1)(x))
             got = apply_F(2, 1, x, y, cfg)
-            assert got == pytest.approx(float(cfg.germ(cfg.maps.forward(2, x))), abs=1e-15)
+            assert got == pytest.approx(float(cfg.germ(cfg.partition.forward(2, x))), abs=1e-15)
 
     def test_hand_substitution(self, cfg):
         # alpha*y + f(l_1(x)) - alpha*b(x) at x = 0.5, y = 0.5
