@@ -17,11 +17,9 @@ from .core import (
     DEGENERATE_TOL,
     FunctionSpec,
     ProblemConfig,
-    endpoint_values,
     evaluate,
-    knot_values,
     repeat_last,
-    specs_equal,
+    require_specs,
     sup_abs,
 )
 from .engine import (
@@ -84,17 +82,16 @@ class BaseOperatorSpec:
     def kind(self, r: int) -> str:
         return repeat_last(self.kinds, r)
 
-    def apply(self, r: int, germ, partition):
-        """L_r f as a FunctionSpec; a blend is a ``sum`` spec, so its germ must
-        be a FunctionSpec too."""
+    def apply(self, r: int, germ: FunctionSpec, partition):
+        """L_r f as a FunctionSpec on the partition's domain, the germ's."""
         kind = self.kind(r)
+        require_specs([germ], "a base operator's germ", partition.domain)
         if kind == "knot-piecewise-linear":
             return FunctionSpec.sampled(
-                knot_values(germ, partition), partition.domain,
+                germ.knot_values(partition), partition.domain,
                 abscissas=partition.knots,
             )
-        chord = FunctionSpec.linear_endpoint(*endpoint_values(germ, partition.domain),
-                                             partition.domain)
+        chord = FunctionSpec.linear_endpoint(*germ.endpoint_values(), partition.domain)
         if kind == "endpoint-line":
             return chord
         lam = repeat_last(self.lambdas, r)
@@ -249,7 +246,7 @@ def _require_shared_system(cfgA: ProblemConfig, cfgB: ProblemConfig) -> None:
     for r in range(1, depth + 1):
         sa = cfgA.levels.level(r).scalings
         sb = cfgB.levels.level(r).scalings
-        if len(sa) != len(sb) or not all(specs_equal(x, y) for x, y in zip(sa, sb)):
+        if sa != sb:
             raise ScalingMismatch(f"scaling vectors differ at level {r}")
 
 

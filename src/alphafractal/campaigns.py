@@ -15,7 +15,6 @@ from .core import (
     Level,
     LevelSequence,
     ProblemConfig,
-    endpoint_values,
     matched_endpoint_polynomial,
 )
 from .errors import ConfigError
@@ -118,7 +117,7 @@ def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, Proble
     # germ shift delta, base shifts matching delta at the endpoints so the
     # perturbed bases still satisfy the base conditions for the new germ
     delta = random_polynomial_spec(rng, domain, POLY_DEGREE, scale=0.1)
-    d0, d1 = endpoint_values(delta, domain)
+    d0, d1 = delta.endpoint_values()
     new_bases = []
     for lv in cfgA.levels.levels:
         bump = matched_endpoint_polynomial(

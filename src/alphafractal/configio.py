@@ -32,7 +32,6 @@ from .core import (
     ProblemConfig,
     _usable_cores,
     build_partition,
-    knot_values,
 )
 from .errors import AlphaFractalError, ConfigError, EndpointMismatch, OutputError
 from .report import BoundReport
@@ -180,7 +179,7 @@ def _check_knot_data(germ, partition: Partition, source: str, values) -> None:
     if values.size != len(partition.knots):
         raise ConfigError(f"{source} must supply one value per knot "
                           f"({len(partition.knots)}), got {values.size}")
-    germ_values = knot_values(germ, partition)
+    germ_values = germ.knot_values(partition)
     bad = np.flatnonzero(~(np.abs(values - germ_values) <= ENDPOINT_TOL))
     if bad.size:
         k = int(bad[0])

@@ -16,7 +16,7 @@ import contextvars
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,8 +40,6 @@ DEFAULT_EPS = 1e-8        # default tail tolerance for the truncation depth
 DEPTH_CAP = 64            # hard cap guarding pathological near-1 scaling norms
 GRID_LIMIT = 2 ** 24 + 1  # largest grid_size: 16x the 1,048,577 points of a 1M build
 
-FunctionLike = Callable[[np.ndarray], np.ndarray]
-
 
 def repeat_last(seq: Sequence, r: int):
     """Entry r >= 1 of a finite prefix whose tail repeats its last entry."""
@@ -50,7 +48,7 @@ def repeat_last(seq: Sequence, r: int):
     return seq[min(r, len(seq)) - 1]
 
 
-def evaluate(fn: FunctionLike, x) -> np.ndarray:
+def evaluate(fn, x) -> np.ndarray:
     """Evaluate ``fn`` at ``x`` (scalar or array), broadcasting scalar results."""
     x = np.asarray(x, dtype=float)
     out = np.asarray(fn(x), dtype=float)
@@ -61,8 +59,8 @@ def evaluate(fn: FunctionLike, x) -> np.ndarray:
 
 def sup_abs(arrays) -> float:
     """Largest |value| over a family of arrays: NaN when any value is NaN,
-    0.0 for an empty family."""
-    return float(np.max([np.max(np.abs(a), initial=0.0) for a in arrays], initial=0.0))
+    0.0 for an empty family (``ndarray.max``: np.max's dispatch costs more)."""
+    return float(np.array([np.abs(a).max(initial=0.0) for a in arrays]).max(initial=0.0))
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -189,7 +187,8 @@ class FunctionSpec(_Cached):
                             config files cannot name it)
 
     Instances are immutable and evaluate deterministically; the same spec at
-    the same point always yields the identical double.
+    the same point always yields the identical double.  ``domain_key``, the
+    domain's repr, is how domains compare, so signed zeros count.
     """
 
     family: str
@@ -223,7 +222,8 @@ class FunctionSpec(_Cached):
         if not lo < hi:
             raise ConfigError("function domain must satisfy lo < hi")
         object.__setattr__(self, "domain", (lo, hi))
-        if any(t.domain != (lo, hi) for t in terms):
+        object.__setattr__(self, "domain_key", repr((lo, hi)))  # signed zeros count
+        if any(t.domain_key != self.domain_key for t in terms):
             raise ConfigError("sum spec terms must share its domain")
         n_expected = {"constant": 1, "linear-endpoint": 2, "sinusoid": 4}
         if self.family in n_expected and len(self.params) != n_expected[self.family]:
@@ -328,6 +328,13 @@ class FunctionSpec(_Cached):
         out = np.asarray(out, dtype=float)
         return out if out.shape else float(out)
 
+    def _memo(self, key, build):
+        """build(), kept per key: what the spec gives on a knot vector or grid."""
+        cache = self._cached("_memos", dict)
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def endpoint_values(self) -> tuple[float, float]:
         """The spec at both ends of its domain, evaluated once per spec."""
         lo, hi = self.domain
@@ -336,54 +343,44 @@ class FunctionSpec(_Cached):
     def knot_values(self, partition: "Partition") -> np.ndarray:
         """The spec at the knots of ``partition``, evaluated once per spec and
         knot vector (signed zeros apart)."""
-        cache = self._cached("_knot_values", dict)
         knots = partition.array()
-        key = knots.tobytes()
-        if key not in cache:
-            cache[key] = frozen(evaluate(self, knots))
-        return cache[key]
+        return self._memo(knots.tobytes(), lambda: frozen(evaluate(self, knots)))
+
+    def grid_estimate(self, what, partition: "Partition", size: int, measure) -> float:
+        """measure(partition.grid(size)), a scalar such as a norm estimate,
+        taken once per ``what``, knot vector (signed zeros apart) and size."""
+        return self._memo((what, partition.array().tobytes(), size),
+                          lambda: measure(partition.grid(size)))
+
+    def grid_sup(self, partition: "Partition", size: int, values=None) -> float:
+        """sup |spec| on that grid (``grid_estimate``); ``values`` are the
+        spec there, when the caller already holds them."""
+        return self.grid_estimate("sup", partition, size, lambda grid: sup_abs(
+            [evaluate(self, grid) if values is None else values]))
 
 
-def knot_values(fn: FunctionLike, partition: "Partition") -> np.ndarray:
-    """``fn`` at the knots of ``partition``: a spec reads its cached values,
-    anything else is evaluated."""
-    if isinstance(fn, FunctionSpec):
-        return fn.knot_values(partition)
-    return evaluate(fn, partition.array())
+def require_specs(fns, what: str, domain=None) -> None:
+    """ConfigError unless ``fns`` are FunctionSpecs on one domain (by
+    ``domain_key``), which is ``domain`` when given."""
+    fns = tuple(fns)
+    if not all(isinstance(fn, FunctionSpec) for fn in fns):
+        raise ConfigError(f"{what} must be FunctionSpecs, got {[type(fn).__name__ for fn in fns]}")
+    want = fns[0].domain_key if domain is None else repr(tuple(domain))
+    if any(fn.domain_key != want for fn in fns):
+        raise ConfigError(f"{what} must lie on the domain {want}, got {[fn.domain for fn in fns]}")
 
 
-def endpoint_values(fn: FunctionLike, domain) -> tuple[float, float]:
-    """``fn`` at both ends of ``domain``: a spec on that very domain (signed
-    zeros included) reads its cached pair, anything else is evaluated."""
-    lo, hi = float(domain[0]), float(domain[1])
-    if isinstance(fn, FunctionSpec) and repr(fn.domain) == repr((lo, hi)):
-        return fn.endpoint_values()
-    return float(evaluate(fn, lo)), float(evaluate(fn, hi))
-
-
-def group_specs(fns) -> list[tuple[object, list[int]]]:
-    """Each distinct function of ``fns`` with the 0-based positions it takes,
-    in first-seen order: FunctionSpecs grouped by equality, any other
-    callable (hashable or not) by identity."""
+def group_specs(fns) -> list[tuple[FunctionSpec, list[int]]]:
+    """Each distinct spec of ``fns`` with the 0-based positions it takes, in
+    first-seen order.  Specs group by equality, and apart when their reprs
+    differ: equal specs where a number is a zero of the other sign
+    (0.0 == -0.0), which can flip the sign of a zero value."""
     groups: dict = {}
     for k, fn in enumerate(fns):
-        key = fn if isinstance(fn, FunctionSpec) else id(fn)
-        first = groups.get(key, (fn,))[0]
-        if first is not fn and repr(first) != repr(fn):
-            # equal, but a number is a zero of the other sign (0.0 == -0.0),
-            # which can flip the sign of a zero value: evaluated apart
-            key = (key, k)
+        first = groups.get(fn, (fn,))[0]
+        key = fn if first is fn or repr(first) == repr(fn) else (fn, repr(fn))
         groups.setdefault(key, (fn, []))[1].append(k)
     return list(groups.values())
-
-
-def specs_equal(a, b) -> bool:
-    """Equality usable for both FunctionSpec instances and plain callables."""
-    if a is b:
-        return True
-    if isinstance(a, FunctionSpec) and isinstance(b, FunctionSpec):
-        return a == b
-    return False
 
 
 def matched_endpoint_polynomial(coeffs: Sequence[float], domain,
@@ -568,24 +565,25 @@ def build_partition(knots: Sequence[float]) -> Partition:
 
 @dataclass(frozen=True)
 class Level:
-    """One level of the sequence: per-interval scaling functions + base function."""
+    """One level of the sequence: per-interval scaling specs and a base spec."""
 
-    scalings: tuple
-    base: object
+    scalings: tuple[FunctionSpec, ...]
+    base: FunctionSpec
 
     def __post_init__(self):
         object.__setattr__(self, "scalings", tuple(self.scalings))
         if not self.scalings:
             raise ConfigError("a level needs one scaling function per interval")
+        require_specs(self.scalings + (self.base,), "a level's scalings and base")
 
 
 @dataclass(frozen=True)
 class LevelSequence:
     """Explicit prefix of levels r = 1..R; levels beyond the prefix repeat the last.
 
-    Construction checks only the shape.  The contraction hypothesis
-    ||alpha||_inf < 1 needs a grid, so ``validate_level_sequence`` checks it
-    once per config, for FunctionSpec scalings and plain callables alike.
+    Construction checks the shape and that all levels share one domain, which
+    ``ProblemConfig`` compares with its partition's.  The contraction
+    hypothesis ||alpha||_inf < 1 needs a grid: ``validate_level_sequence``.
     """
 
     levels: tuple[Level, ...]
@@ -598,6 +596,7 @@ class LevelSequence:
         if any(len(lv.scalings) != n for lv in levels):
             raise ConfigError("all levels must carry the same number of scaling functions")
         object.__setattr__(self, "levels", levels)
+        require_specs([lv.base for lv in levels], "the levels' functions")
 
     @property
     def prefix_len(self) -> int:
@@ -618,13 +617,6 @@ class LevelSequence:
     def base(self, r: int):
         """b_r."""
         return self.level(r).base
-
-    def alpha_sup(self, grid: np.ndarray) -> float:
-        """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over the
-        prefix, each distinct scaling evaluated once); NaN when any scaling
-        value is NaN."""
-        return sup_abs(evaluate(spec, grid) for spec, _ in
-                       group_specs([spec for lv in self.levels for spec in lv.scalings]))
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +709,12 @@ _MODES = {"continuous": "continuous", "cont": "continuous",
 class ProblemConfig(_Cached):
     """Everything needed to build and evaluate the interpolant.
 
-    ``germ`` may be a FunctionSpec or any vectorized callable on I.  The
-    interpolation data are (x_i, f(x_i)).
+    The germ and every level's functions are FunctionSpecs on the partition's
+    domain.  The interpolation data are (x_i, f(x_i)).
     """
 
     partition: Partition
-    germ: FunctionLike
+    germ: FunctionSpec
     levels: LevelSequence
     d: float = 1.0
     grid_size: int = DEFAULT_GRID_SIZE
@@ -745,6 +737,8 @@ class ProblemConfig(_Cached):
             raise ConfigError("grid_size must be at least the knot count")
         if self.grid_size > GRID_LIMIT:
             raise ConfigError(f"grid_size must be at most {GRID_LIMIT}, got {self.grid_size}")
+        require_specs((self.germ, self.levels.levels[0].base),
+                      "the germ and the levels' functions", self.partition.domain)
 
     # -- cached derived data ------------------------------------------------
 
@@ -768,22 +762,25 @@ class ProblemConfig(_Cached):
     @property
     def knot_ordinates(self) -> tuple[float, ...]:
         """The interpolation data f(x_i) at the knots."""
-        return tuple(float(v) for v in knot_values(self.germ, self.partition))
+        return tuple(float(v) for v in self.germ.knot_values(self.partition))
 
     @property
     def scaling_cache(self) -> _Cached:
-        """Holder of what the scalings give on the grid: ``alpha_sup`` (key
-        "alpha_sup") and the RB step's alphas at the Q points (``engine``).
-        Configs made with ``with_germ`` or ``with_bases`` keep the scalings,
-        partition and grid size, so they share this one object; every other
-        config starts its own."""
+        """Holder of what the scalings give on the grid: ``alpha_sup``, the
+        RB step's alphas at the Q points (``engine``) and the perturbations'
+        grid sups (``ifs``).  Configs made with ``with_germ`` or
+        ``with_bases`` keep the scalings, partition and grid size, so they
+        share this one object; every other config starts its own."""
         return self._cached("_scaling_cache", _Cached)
 
     @property
     def alpha_sup(self) -> float:
-        """Grid estimate of ||alpha||_inf."""
-        return self.scaling_cache._cached("alpha_sup",
-                                          lambda: self.levels.alpha_sup(self.grid))
+        """Grid estimate of sup_r max_i ||alpha_{i,r}||_inf (finite max over
+        the prefix), from each distinct scaling's sup kept on the spec
+        (``FunctionSpec.grid_sup``); NaN when any scaling value is NaN."""
+        return self.scaling_cache._cached("alpha_sup", lambda: sup_abs([[
+            spec.grid_sup(self.partition, self.grid_size) for spec, _ in
+            group_specs([spec for lv in self.levels.levels for spec in lv.scalings])]]))
 
     @property
     def germ_sup(self) -> float:
@@ -804,13 +801,24 @@ class ProblemConfig(_Cached):
 
         return repeat_last(self._cached("_base_values", build), r)
 
+    def _prefix_bases(self) -> list[np.ndarray]:
+        return [self.base_values(r) for r in range(1, self.levels.prefix_len + 1)]
+
+    def _distinct_bases(self) -> dict:
+        """The prefix's base arrays by id: one entry per distinct base."""
+        return {id(b): b for b in self._prefix_bases()}
+
     @property
     def base_gaps(self) -> tuple[float, ...]:
-        """Grid estimate of ||f - b_r||_inf per prefix level r; NaN where a
-        germ or base value is NaN."""
-        return self._cached("_base_gaps", lambda: tuple(
-            sup_abs([self.germ_values - self.base_values(r)])
-            for r in range(1, self.levels.prefix_len + 1)))
+        """Grid estimate of ||f - b_r||_inf per prefix level r, reduced once
+        per distinct base; NaN where a germ or base value is NaN, inf where
+        the difference overflows."""
+        def build():
+            with np.errstate(over="ignore"):
+                gap = {k: sup_abs([self.germ_values - b])
+                       for k, b in self._distinct_bases().items()}
+            return tuple(gap[id(b)] for b in self._prefix_bases())
+        return self._cached("_base_gaps", build)
 
     @property
     def base_gap_sup(self) -> float:
@@ -821,8 +829,7 @@ class ProblemConfig(_Cached):
     @property
     def base_sup(self) -> float:
         """Grid estimate of sup_r ||b_r||_inf; NaN when any base value is NaN."""
-        return self._cached("_base_sup", lambda: sup_abs(
-            self.base_values(r) for r in range(1, self.levels.prefix_len + 1)))
+        return self._cached("_base_sup", lambda: sup_abs(self._distinct_bases().values()))
 
     def base_distance(self, other: "ProblemConfig") -> float:
         """sup_r ||b_r - bhat_r||_inf on a shared grid, over the longer prefix;
@@ -863,7 +870,7 @@ class ProblemConfig(_Cached):
         )
         return replace(self, levels=LevelSequence(new))
 
-    def with_germ(self, germ: FunctionLike) -> "ProblemConfig":
+    def with_germ(self, germ: FunctionSpec) -> "ProblemConfig":
         return self._sharing_scalings(replace(self, germ=germ))
 
     def _sharing_scalings(self, other: "ProblemConfig") -> "ProblemConfig":
@@ -916,7 +923,8 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     f_vals = cfg.germ_values
     f0, fN = float(f_vals[0]), float(f_vals[-1])
     problems: list[tuple[type[AlphaFractalError], str]] = []
-    if not np.all(np.isfinite(f_vals)):
+    finite = bool(np.all(np.isfinite(f_vals)))
+    if not finite:
         problems.append((ConfigError, "germ takes non-finite values on the grid"))
 
     alpha_sup = cfg.alpha_sup
@@ -931,6 +939,7 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     for r in range(1, cfg.levels.prefix_len + 1):
         b_vals = cfg.base_values(r)
         if not np.all(np.isfinite(b_vals)):
+            finite = False
             problems.append((ConfigError, f"base b_{r} takes non-finite values on the grid"))
         res = (abs(float(b_vals[0]) - f0), abs(float(b_vals[-1]) - fN))
         residuals.append(res)
@@ -941,6 +950,8 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
             ))
         if cfg.base_gaps[r - 1] < DEGENERATE_TOL:
             degenerate.append(r)
+    if alpha_sup < 1.0 and finite and not np.isfinite(cfg.r_bound):  # R divides by 1 - ||alpha||
+        problems.append((ConfigError, f"the uniform bound R on f^alpha is {cfg.r_bound}"))
 
     if cfg.mode == "lipschitz":
         worst = float(np.max(norms.lip_ratios(cfg)))

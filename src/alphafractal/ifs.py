@@ -23,6 +23,7 @@ from .core import (
     group_specs,
     in_domain,
     repeat_last,
+    require_specs,
     run_blocks,
     sup_abs,
 )
@@ -47,7 +48,7 @@ def locate_many(x: np.ndarray, p: Partition) -> np.ndarray:
 @dataclass(frozen=True)
 class PerturbationLevel:
     """Per-interval perturbation data for one level: scalars t_i, s_i and
-    functions theta_i, phi_i."""
+    specs theta_i, phi_i, all on one domain."""
 
     t: tuple[float, ...]
     s: tuple[float, ...]
@@ -64,15 +65,16 @@ class PerturbationLevel:
             raise ConfigError("perturbation level needs t, s, theta, phi per interval")
         if not all(abs(v) < 1.0 for v in self.t + self.s):
             raise PerturbationTooLarge("perturbation parameters must satisfy |t|, |s| < 1")
+        require_specs(self.theta + self.phi, "a perturbation level's theta and phi")
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Prefix of perturbation levels; repeat-last beyond, like LevelSequence.
 
-    phi functions must vanish at both ends of their domain (the perturbed maps
-    must keep the interpolation data), checked here for FunctionSpec entries
-    and by ``check_contractive`` for every entry, on the config's domain.
+    Every level lies on one domain, and each phi vanishes at both ends of it
+    (the perturbed maps must keep the interpolation data); ``grid_sups``
+    checks once per config that the domain is the config's.
     """
 
     levels: tuple[PerturbationLevel, ...]
@@ -85,15 +87,13 @@ class PerturbationSpec:
         if any(len(lv.t) != n for lv in levels):
             raise ConfigError("all perturbation levels must cover the same intervals")
         object.__setattr__(self, "levels", levels)
+        require_specs([lv.phi[0] for lv in levels], "the perturbation levels' functions")
         for r, lv in enumerate(levels, start=1):
             for i, phi in enumerate(lv.phi, start=1):
-                if isinstance(phi, FunctionSpec):
-                    v0, v1 = phi.endpoint_values()
-                    if abs(v0) > ENDPOINT_TOL or abs(v1) > ENDPOINT_TOL:
-                        raise EndpointMismatch(
-                            f"phi_{i},{r} must vanish at both endpoints "
-                            f"(values {v0:.3g}, {v1:.3g})"
-                        )
+                v0, v1 = phi.endpoint_values()
+                if abs(v0) > ENDPOINT_TOL or abs(v1) > ENDPOINT_TOL:
+                    raise EndpointMismatch(f"phi_{i},{r} must vanish at both endpoints "
+                                           f"(values {v0:.3g}, {v1:.3g})")
 
     @classmethod
     def zeros(cls, n_intervals: int, domain) -> "PerturbationSpec":
@@ -126,48 +126,42 @@ class PerturbationSpec:
 
     def grid_sups(self, cfg: ProblemConfig) -> GridSups:
         """This perturbation's scalars on the config's grid, computed once per
-        config scalings and grid (``cfg.scaling_cache``).  Only the scalars
-        are kept, never the grid values."""
+        config scalings and grid (``cfg.scaling_cache``), after checking that
+        it lies on the config's domain.  Only the scalars are kept, never the
+        grid values."""
         held = self.__dict__.get("_grid_sups")
         if held is None or held[0] is not cfg.scaling_cache:
+            require_specs(self.levels[0].phi, "the perturbation's functions", cfg.domain)
             held = (cfg.scaling_cache, self._measure(cfg))
             object.__setattr__(self, "_grid_sups", held)
         return held[1]
 
     def _measure(self, cfg: ProblemConfig) -> GridSups:
-        """One pass over the grid that evaluates each distinct alpha, theta
-        and phi of a level once.  It sees every scaling of the prefix, so it
-        also settles ``cfg.alpha_sup`` when that is not yet known."""
-        grid = cfg.grid
-        alphas, thetas, rates = [], [], []
+        """One pass over the grid that evaluates each distinct alpha and
+        theta of a level once, for the rates.  It records their sups on the
+        specs (``FunctionSpec.grid_sup``), which settles ``cfg.alpha_sup``
+        when that is not yet known; phi's sups are read from there."""
+        p, size, grid = cfg.partition, cfg.grid_size, cfg.grid
+        thetas, rates = [], []
         for r in range(1, max(self.prefix_len, cfg.levels.prefix_len) + 1):
             lv = self.level(r)
             level = []
             for alpha, ii in group_specs(cfg.levels.level(r).scalings):
                 a = evaluate(alpha, grid)
-                alphas.append(sup_abs([a]))
+                alpha.grid_sup(p, size, a)
                 for theta, jj in group_specs([lv.theta[i] for i in ii]):
                     th = evaluate(theta, grid)
-                    thetas.append(sup_abs([th]))
+                    thetas.append(theta.grid_sup(p, size, th))
                     level += [sup_abs([a + lv.t[ii[j]] * th]) for j in jj]
             rates.append(sup_abs([level]))
-
-        def phi_sups(v):  # sup |phi| on the grid, and at its ends (the domain's)
-            return sup_abs([v]), sup_abs([v[[0, -1]]])
-
-        per_level = [np.array([phi_sups(evaluate(phi, grid)) for phi, _ in group_specs(lv.phi)])
-                     for lv in self.levels]
-        phis = [sup_abs([level[:, 0]]) for level in per_level]
-        cfg.scaling_cache._cached("alpha_sup", lambda: sup_abs([alphas]))
+        phis = [sup_abs([[phi.grid_sup(p, size) for phi, _ in group_specs(lv.phi)]])
+                for lv in self.levels]
         return GridSups(theta_sup=sup_abs([thetas]), phi_sup=sup_abs([phis]),
                         rates=tuple(rates),
-                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis),
-                        phi_ends=tuple(sup_abs([level[:, 1]]) for level in per_level))
+                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis))
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
-        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level,
-        and every phi to vanish at both ends of the config's domain, bare
-        callables included (EndpointMismatch)."""
+        """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level."""
         sups = self.grid_sups(cfg)
         for r, worst in enumerate(sups.rates, start=1):
             if not worst < 1.0:
@@ -176,10 +170,6 @@ class PerturbationSpec:
                 )
             if not repeat_last(sups.phi_finite, r):
                 raise PerturbationTooLarge(f"level {r}: phi takes non-finite values on the grid")
-            end = repeat_last(sups.phi_ends, r)
-            if end > ENDPOINT_TOL:
-                raise EndpointMismatch(
-                    f"level {r}: phi must vanish at both endpoints (|phi| {end:.3g} there)")
 
 
 @dataclass(frozen=True)
@@ -187,13 +177,12 @@ class GridSups:
     """A perturbation's grid estimates on one config: sup |theta| and
     sup |phi| over its levels, and per level r (up to the longer prefix)
     max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf; per perturbation level,
-    whether every phi is finite, and the largest |phi| at the domain's ends."""
+    whether every phi is finite."""
 
     theta_sup: float
     phi_sup: float
     rates: tuple[float, ...]
     phi_finite: tuple[bool, ...]
-    phi_ends: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------

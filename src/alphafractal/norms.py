@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemConfig, evaluate, sup_abs
+from .core import ProblemConfig, evaluate, group_specs, sup_abs
 from .errors import BadExponent, EmptyGrid
 from .report import BoundReport
 
@@ -93,15 +93,19 @@ def estimate_norms(g, d: float, grid) -> NormEstimate:
 
 def lip_ratios(cfg: ProblemConfig) -> tuple[float, ...]:
     """Per prefix level r, max_i ||alpha_{i,r}||_d / a_i^d on the config grid
-    (computed once per config)."""
+    (computed once per config).  Each distinct scaling's sup and Lip_d are
+    estimated once per grid and d, and kept on the spec
+    (``FunctionSpec.grid_estimate``), so configs that share scalings share
+    them."""
 
     def build():
-        a = cfg.partition.ratios
-        return tuple(
-            float(np.max([estimate_norms(spec, cfg.d, cfg.grid).norm_d / a_i ** cfg.d
-                          for spec, a_i in zip(lv.scalings, a)]))
-            for lv in cfg.levels.levels
-        )
+        p, size, d, n = cfg.partition, cfg.grid_size, cfg.d, cfg.n_intervals
+        norm_d = {}  # per position in the flattened prefix
+        for spec, ks in group_specs([spec for lv in cfg.levels.levels for spec in lv.scalings]):
+            lip = spec.grid_estimate(("lip", d), p, size, lambda grid: lip_seminorm(spec, d, grid))
+            norm_d.update(dict.fromkeys(ks, float(np.max([spec.grid_sup(p, size), lip]))))
+        return tuple(float(np.max([norm_d[r * n + i] / p.ratios[i] ** d for i in range(n)]))
+                     for r in range(cfg.levels.prefix_len))
 
     return cfg._cached("_lip_ratios", build)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FunctionSpec, endpoint_values, matched_endpoint_polynomial
+from .core import FunctionSpec, matched_endpoint_polynomial
 from .errors import ConfigError
 
 POLY_DEGREE = 5
@@ -43,8 +43,8 @@ def random_germ_spec(rng, domain) -> FunctionSpec:
 
 
 def matched_base_spec(rng, germ, domain, scale: float = 1.0) -> FunctionSpec:
-    """Random polynomial shifted to agree with the germ at both endpoints."""
-    y0, y1 = endpoint_values(germ, domain)
+    """Random polynomial shifted to agree with the germ at both ends of ``domain``, its own."""
+    y0, y1 = germ.endpoint_values()
     coeffs = rng.uniform(-scale, scale, size=POLY_DEGREE + 1)
     return matched_endpoint_polynomial(coeffs, domain, y0, y1)
 

@@ -11,13 +11,13 @@ from alphafractal import depend
 from alphafractal.campaigns import ALPHA_CAP
 from alphafractal.core import (
     DepthPolicy,
+    FunctionSpec,
     Level,
     LevelSequence,
     Partition,
     ProblemConfig,
     SampledFunction,
     build_partition,
-    specs_equal,
     sup_abs,
 )
 from alphafractal.engine import INTERPOLATION_TOL, Interpolant, apply_rb
@@ -118,6 +118,15 @@ def scaling_pair_suite(template: ProblemConfig, pairs: int, seed,
     return out
 
 
+def nan_where(spec: FunctionSpec, abscissas, marks) -> FunctionSpec:
+    """``spec`` plus 1e308 m - 1e308 m, with m the piecewise-linear marks at
+    ``abscissas``: exactly ``spec`` where m = 0, and NaN where m > 1.8, as
+    1e308 m overflows to inf there and inf - inf is NaN.  numpy flags both,
+    so evaluate it under np.errstate(over="ignore", invalid="ignore")."""
+    m = FunctionSpec.sampled(marks, spec.domain, abscissas=abscissas)
+    return FunctionSpec.weighted_sum((1.0, 1e308, -1e308), (spec, m, m))
+
+
 def is_strictly_decreasing(values) -> bool:
     return all(b < a for a, b in zip(values, values[1:]))
 
@@ -130,8 +139,7 @@ def satisfies_interpolation(interp: Interpolant, tol: float = INTERPOLATION_TOL)
 def levels_constant(cfg: ProblemConfig) -> bool:
     """Whether every level repeats the first one's base and scalings."""
     first = cfg.levels.levels[0]
-    return all(specs_equal(lv.base, first.base)
-               and all(specs_equal(a, b) for a, b in zip(lv.scalings, first.scalings))
+    return all(lv.base == first.base and lv.scalings == first.scalings
                for lv in cfg.levels.levels[1:])
 
 

@@ -151,32 +151,21 @@ class TestStability:
 
     def test_germ_shift(self, running_cfg):
         delta = FunctionSpec.polynomial([0.0, 0.01, -0.01], DOM)  # 0.01 x(1-x)
-
-        def shifted(x, _f=running_cfg.germ, _d=delta):
-            return np.asarray(_f(x), dtype=float) + np.asarray(_d(x), dtype=float)
-
+        shifted = FunctionSpec.weighted_sum((1.0, 1.0), (running_cfg.germ, delta))
         rep = stability_bound(running_cfg, running_cfg.with_germ(shifted))
         assert rep.predicted == pytest.approx(0.01 * 0.25 / 0.6, rel=1e-9)
         assert rep.passed
 
     def test_base_shift(self, running_cfg):
         bump = FunctionSpec.polynomial([0.0, 0.02, -0.02], DOM)  # 0.02 x(1-x)
-        b = running_cfg.levels.base(1)
-
-        def shifted(x, _b=b, _p=bump):
-            return np.asarray(_b(x), dtype=float) + np.asarray(_p(x), dtype=float)
-
+        shifted = FunctionSpec.weighted_sum((1.0, 1.0), (running_cfg.levels.base(1), bump))
         rep = stability_bound(running_cfg, running_cfg.with_bases((shifted,)))
         assert rep.predicted == pytest.approx(0.4 * 0.02 * 0.25 / 0.6, rel=1e-9)
         assert rep.passed
 
     def test_symmetry(self, running_cfg):
         bump = FunctionSpec.polynomial([0.0, 0.05, -0.05], DOM)
-        b = running_cfg.levels.base(1)
-
-        def shifted(x, _b=b, _p=bump):
-            return np.asarray(_b(x), dtype=float) + np.asarray(_p(x), dtype=float)
-
+        shifted = FunctionSpec.weighted_sum((1.0, 1.0), (running_cfg.levels.base(1), bump))
         other = running_cfg.with_bases((shifted,))
         ab = stability_bound(running_cfg, other)
         ba = stability_bound(other, running_cfg)
@@ -298,8 +287,7 @@ class TestComputedOnce:
 
     def test_germ_endpoints_evaluated_once(self, running_cfg, monkeypatch):
         # every level of L_r f and every matched random base reads the
-        # germ's cached endpoint pair; a bare callable is evaluated there
-        # each time
+        # germ's cached endpoint pair; a bare callable is rejected unread
         points = []
         call = FunctionSpec.__call__
 
@@ -321,13 +309,14 @@ class TestComputedOnce:
         assert bases[0] == FunctionSpec.linear_endpoint(*germ.endpoint_values(), DOM)
 
         bare = []
-        op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
-        assert bare == [0.0, 1.0]
+        with pytest.raises(ConfigError):
+            op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
+        assert bare == []
 
     def test_germ_knot_values_evaluated_once(self, running_cfg, monkeypatch):
         # every knot-piecewise-linear level, and the config's interpolation
         # data, read the germ's cached values at the knots; another
-        # partition, or a bare callable, is evaluated
+        # partition is evaluated, and a bare callable is rejected unread
         points = []
         call = FunctionSpec.__call__
 
@@ -351,6 +340,7 @@ class TestComputedOnce:
         assert points == [3, 3]
 
         bare = []
-        op.apply(1, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
-        op.apply(2, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
-        assert len(bare) == 2
+        for r in (1, 2):
+            with pytest.raises(ConfigError):
+                op.apply(r, lambda x: bare.append(x) or np.asarray(x) * 2.0, part)
+        assert bare == []

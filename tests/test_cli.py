@@ -27,6 +27,7 @@ from alphafractal import (
     configio,
     depend,
     engine,
+    norms,
 )
 from alphafractal.cli import main
 from test_span_sites import PERFBENCH, SMALL_RUNS
@@ -76,6 +77,16 @@ def c11_config():
                          "phase": 0.0, "offset": 0.3}, "base": base},
         ],
     }
+
+
+def c11_lip_config():
+    """c11 at grid 4097 and eps 1e-10 in the Lipschitz space, d = 1/2, with
+    scalings small enough for max_i ||alpha_{i,r}||_d / a_i^d < 1/2."""
+    data = {**c11_config(), "grid": 4097, "depth": {"eps": 1e-10}, "mode": "lip", "d": 0.5}
+    data["levels"][0]["scaling"] = {"family": "constant", "value": 0.03}
+    data["levels"][1]["scaling"] = {"family": "sinusoid", "amplitude": 0.005, "omega": 3.0,
+                                    "phase": 0.0, "offset": 0.02}
+    return data
 
 
 @pytest.fixture
@@ -433,6 +444,23 @@ class TestVerify:
         assert [callers & watched for repeat, callers in evaluations
                 if repeat and callers & watched] == []
 
+    def test_lip_norms_estimated_once_per_spec(self, tmp_path, monkeypatch):
+        # c11-lip's six intervals per level share one scaling spec, and every
+        # config the operator suite validates shares the scalings it drew:
+        # each Lip_d estimate runs once per distinct spec, grid and d
+        estimates = []
+        lip = norms.lip_seminorm
+
+        def counted(g, d, grid):
+            estimates.append((g, d, hashlib.sha256(np.asarray(grid).tobytes()).digest()))
+            return lip(g, d, grid)
+
+        monkeypatch.setattr(norms, "lip_seminorm", counted)
+        cfg = write_config(tmp_path, c11_lip_config())
+        assert main(["verify", "--config", str(cfg), "--suite", "operator", "--trials", "5",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert estimates and len(estimates) == len(set(estimates))
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         data = json.loads(json.dumps(RUNNING_CONFIG))
         data["levels"][0]["base"] = {"family": "polynomial", "coeffs": [0.1, 0.0, 1.0]}
@@ -738,6 +766,27 @@ def test_degenerate_invalid_config_prints_one_line(tmp_path):
     assert json.loads(err_lines[0])["error"] == "ScalingNotContractive"
 
 
+@pytest.mark.parametrize("base, error", [
+    (None, "ConfigError"),
+    ({"family": "sinusoid", "amplitude": -1.5e308, "omega": 2 * math.pi}, "EndpointMismatch"),
+], ids=["bound", "gap"])
+def test_overflowing_uniform_bound_prints_one_line(tmp_path, base, error):
+    """Finite data whose uniform bound R = ||f|| + ||alpha||/(1 - ||alpha||)
+    sup_r ||f - b_r|| overflows (0.9 / 0.1 times a gap near 1.6e308, or a
+    gap f - b_r that overflows itself, here beside an endpoint mismatch) are
+    invalid input, reported before a trajectory overflows."""
+    data = copy.deepcopy(OVERFLOW_CONFIG)
+    if base:
+        data["germ"]["omega"] = 2 * math.pi
+        data["levels"][0]["base"] = base
+    cfg = write_config(tmp_path, data)
+    proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == error
+
+
 def test_degenerate_valid_config_is_reported_in_the_summary(tmp_path):
     cfg = write_config(tmp_path, DEGENERATE_CONFIG)
     proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"))
@@ -766,6 +815,16 @@ README_MANIFEST = {"config": README_CONFIG, "experiments": [
 DEGENERATE_CONFIG = {**README_CONFIG, "levels": [{
     "scaling": {"family": "constant", "value": 0.4},
     "base": {"family": "polynomial", "coeffs": [0.0, 1.0]}}]}
+
+OVERFLOW_CONFIG = {
+    "partition": {"knots": [0.0, 0.5, 1.0]},
+    "germ": {"family": "sinusoid", "amplitude": 1.5e308, "omega": 6.0, "phase": 0.0,
+             "offset": 0.0},
+    "levels": [{"scaling": {"family": "constant", "value": 0.9},
+                "base": {"family": "linear-endpoint", "left": 0.0,
+                         "right": -4.191232472983888e+307}}],
+    "grid": 65,
+}
 
 MATCHING_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
 # Changes to the README config, the partition CSV beside it, and the error.

@@ -14,6 +14,7 @@ from alphafractal import (
     trajectory_interpolant,
     validate_level_sequence,
 )
+from alphafractal import core
 from alphafractal.core import DEFAULT_EPS, DEPTH_CAP, SampledFunction, group_specs, sup_abs
 from alphafractal.ifs import locate_many
 from alphafractal.errors import (
@@ -27,6 +28,7 @@ from alphafractal.errors import (
 )
 from alphafractal.norms import lip_ratios
 
+from helpers import nan_where
 from reference import ref_blend, ref_shifted
 
 DOM = (0.0, 1.0)
@@ -326,6 +328,14 @@ class TestWeightedSum:
         assert first is not second
         assert group_specs([first, other, second]) == [(first, [0, 2]), (other, [1])]
 
+    def test_signed_zero_twins_group_by_repr(self):
+        # equal specs whose zeros differ in sign are evaluated apart, and
+        # each sign's specs together
+        plus, minus, minus_too = (FunctionSpec.constant(z, DOM) for z in (0.0, -0.0, -0.0))
+        groups = group_specs([plus, minus, minus_too, plus])
+        assert [(repr(spec), ks) for spec, ks in groups] == [(repr(plus), [0, 3]),
+                                                            (repr(minus), [1, 2])]
+
 
 def _cfg(alpha_value, base, mode="continuous", d=1.0):
     p = build_partition([0.0, 0.5, 1.0])
@@ -390,48 +400,122 @@ class TestLevelSequence:
         assert seq.level(7).scalings[0] is a2
         assert seq.base(7) is germ_x
 
-    def test_alpha_sup_over_prefix(self, base_x2):
+    def test_alpha_sup_over_prefix(self, base_x2, germ_x):
         a1 = FunctionSpec.constant(0.3, DOM)
         a2 = FunctionSpec.constant(-0.45, DOM)
         seq = LevelSequence((Level((a1, a1), base_x2), Level((a2, a2), base_x2)))
-        grid = np.linspace(0, 1, 100)
-        assert seq.alpha_sup(grid) == pytest.approx(0.45)
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq, grid_size=100)
+        assert cfg.alpha_sup == pytest.approx(0.45)
 
     def test_nan_scaling_propagates_and_fails_validation(self, base_x2, germ_x):
         a = FunctionSpec.constant(0.3, DOM)
-
-        def nan_scaling(x):
-            return np.full(np.shape(x), np.nan)
-
+        nan_scaling = nan_where(FunctionSpec.constant(0.0, DOM), DOM, (2.0, 2.0))
         seq = LevelSequence((Level((a, nan_scaling), base_x2),))
-        assert np.isnan(seq.alpha_sup(np.linspace(0, 1, 9)))
-        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq)
-        rep = validate_level_sequence(cfg)
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, seq, grid_size=9)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(cfg.alpha_sup)
+            rep = validate_level_sequence(cfg)
         assert rep.problems[0][0] is ScalingNotContractive
 
 
-    @pytest.mark.parametrize("where, error", [
-        (lambda x: (x > 0.4) & (x < 0.6), ConfigError),
-        (lambda x: x == 1.0, EndpointMismatch),
+    @pytest.mark.parametrize("abscissas, marks, error", [
+        ((0.0, 0.4, 0.4 + 1e-6, 0.6 - 1e-6, 0.6, 1.0), (0, 0, 2, 2, 0, 0), ConfigError),
+        ((0.0, 1.0 - 1e-6, 1.0), (0, 0, 2), EndpointMismatch),
     ], ids=["interior", "right-end"])
-    def test_nan_base_fails_validation(self, germ_x, where, error):
-        # Knots 0, 1/2, 1 on a 65-point grid; b = x^2 except for NaN at `where`.
-        def nan_base(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(where(x), np.nan, x * x)
-
+    def test_nan_base_fails_validation(self, germ_x, base_x2, abscissas, marks, error):
+        # Knots 0, 1/2, 1 on a 65-point grid; b = x^2 except for NaN at the
+        # grid points inside (0.4, 0.6), or at x = 1.
+        nan_base = nan_where(base_x2, abscissas, marks)
         a = FunctionSpec.constant(0.4, DOM)
         cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x,
                             LevelSequence((Level((a, a), nan_base),)), grid_size=65)
-        rep = validate_level_sequence(cfg)
-        assert not rep.ok
-        assert error in [cls for cls, _ in rep.problems]
-        assert np.isnan(cfg.base_gap_sup) and np.isnan(cfg.base_sup)
-        with pytest.raises(ConfigError):  # the first problem: non-finite base values
-            trajectory_interpolant(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = validate_level_sequence(cfg)
+            assert not rep.ok
+            assert error in [cls for cls, _ in rep.problems]
+            assert np.isnan(cfg.base_gap_sup) and np.isnan(cfg.base_sup)
+            with pytest.raises(ConfigError):  # the first problem: non-finite base values
+                trajectory_interpolant(cfg)
+
+
+class TestOneFunctionType:
+    """A config holds FunctionSpecs on the partition's domain (compared by
+    repr, so a signed zero counts), and nothing else; test_ifs checks the
+    perturbations."""
+
+    @staticmethod
+    def _config(germ, scaling, base, other=None):
+        a = FunctionSpec.constant(0.4, DOM)
+        levels = (Level((a, scaling), base),) + ((other,) if other else ())
+        return ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ, LevelSequence(levels))
+
+    @pytest.mark.parametrize("role", ["germ", "scaling", "base"])
+    def test_bare_callable_is_rejected(self, germ_x, base_x2, role):
+        specs = {"germ": germ_x, "scaling": FunctionSpec.constant(0.3, DOM), "base": base_x2}
+        specs[role] = lambda x: np.asarray(x, dtype=float)
+        with pytest.raises(ConfigError, match="FunctionSpecs"):
+            self._config(**specs)
+
+    def test_bare_callable_germ_is_rejected_by_with_germ(self, running_cfg):
+        with pytest.raises(ConfigError, match="FunctionSpecs"):
+            running_cfg.with_germ(lambda x: x)
+
+    @pytest.mark.parametrize("domain", [(0.0, 2.0), (-0.0, 1.0)], ids=["wider", "signed-zero"])
+    @pytest.mark.parametrize("role, checker", [
+        ("germ", "the germ"), ("scaling", "a level's"), ("base", "a level's"),
+        ("level", "the germ"), ("later-level", "the levels'"),
+    ])
+    def test_spec_on_another_domain_is_rejected(self, germ_x, base_x2, domain, role, checker):
+        # a level checks its own specs, a sequence that its levels share one
+        # domain, and the config that the germ and the levels lie on its own
+        a, x2 = FunctionSpec.constant(0.3, domain), FunctionSpec.polynomial([0.0, 0.0, 1.0], domain)
+        with pytest.raises(ConfigError, match=f"{checker}.* must lie on the domain"):
+            if role == "germ":
+                self._config(a, FunctionSpec.constant(0.3, DOM), base_x2)
+            elif role == "scaling":
+                self._config(germ_x, a, base_x2)
+            elif role == "base":
+                self._config(germ_x, FunctionSpec.constant(0.3, DOM), x2)
+            elif role == "level":
+                ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x,
+                              LevelSequence((Level((a, a), x2),)))
+            else:
+                self._config(germ_x, FunctionSpec.constant(0.3, DOM), base_x2,
+                             Level((a, a), x2))
+
+    @pytest.mark.parametrize("alpha, problems", [(0.9, [ConfigError]),
+                                                 (1.5, [ScalingNotContractive])])
+    def test_overflowing_uniform_bound_is_reported(self, alpha, problems):
+        # every value is finite, but R = ||f|| + ||alpha||/(1 - ||alpha||)
+        # sup_r ||f - b_r|| overflows; R is only tested where ||alpha|| < 1
+        germ = FunctionSpec.sinusoid(1.5e308, 6.0, 0.0, 0.0, DOM)
+        base = FunctionSpec.linear_endpoint(0.0, germ(1.0), DOM)
+        a = FunctionSpec.constant(alpha, DOM)
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ,
+                            LevelSequence((Level((a, a), base),)), grid_size=65)
+        assert [cls for cls, _ in cfg.validation().problems] == problems
 
 
 class TestProblemConfig:
+    def test_each_distinct_base_reduced_once(self, monkeypatch, germ_x, base_x2):
+        # both levels share one base array: its gap |f - b| and its sup are
+        # one reduction of the 65 grid points each
+        reduced = []
+        sup = core.sup_abs
+
+        def counted(arrays):
+            arrays = list(arrays)
+            reduced.extend(np.size(a) for a in arrays)
+            return sup(arrays)
+
+        monkeypatch.setattr(core, "sup_abs", counted)
+        a, b = FunctionSpec.constant(0.4, DOM), FunctionSpec.constant(0.3, DOM)
+        cfg = ProblemConfig(build_partition([0.0, 0.5, 1.0]), germ_x, LevelSequence(
+            (Level((a, a), base_x2), Level((b, b), base_x2))), grid_size=65)
+        assert cfg.base_gaps == (0.25, 0.25)
+        assert cfg.base_sup == 1.0
+        assert reduced == [65, 65]
+
     def test_grid_contains_knots(self, germ_x, base_x2):
         p = build_partition([0.0, 0.31, 0.77, 1.0])
         a = FunctionSpec.constant(0.4, DOM)
@@ -474,17 +558,15 @@ class TestProblemConfig:
 
     def test_base_distance_propagates_nan(self, germ_x, base_x2):
         # the second of two levels has a base that is NaN right of 0.5
-        def nan_base(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > 0.5, np.nan, x * x)
-
+        nan_base = nan_where(base_x2, (0.0, 0.5, 0.5 + 1e-6, 1.0), (0, 0, 2, 2))
         a = FunctionSpec.constant(0.4, DOM)
         p = build_partition([0.0, 0.5, 1.0])
         clean = ProblemConfig(p, germ_x, LevelSequence((Level((a, a), base_x2),)), grid_size=65)
         dirty = clean.with_bases((base_x2, nan_base))
         assert clean.base_distance(clean.with_bases((base_x2, germ_x))) > 0.0
-        assert np.isnan(clean.base_distance(dirty))
-        assert np.isnan(dirty.base_distance(clean))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(clean.base_distance(dirty))
+            assert np.isnan(dirty.base_distance(clean))
 
 
 class TestSupAbs:

@@ -400,23 +400,25 @@ class TestRBStepOracle:
 
 
 class TestBackwardTrajectory:
-    def test_perturbed_terms_built_once_per_level(self, running_cfg):
+    def test_perturbed_terms_built_once_per_level(self, running_cfg, monkeypatch):
         # one prefix level on both sides: every level of the trajectory
         # repeats level 1, and both intervals share theta and phi, so each is
         # evaluated once on the grid (the contractivity check) and once at
         # the Q points (the level terms), whatever the depth
-        calls = []
+        calls, names = [], {}
+        call = FunctionSpec.__call__
 
-        def counted(name, fn):
-            def wrapped(x):
-                calls.append(name)
-                return fn(np.asarray(x, dtype=float))
-            return wrapped
+        def counted(spec, x):
+            calls.append(names.get(id(spec)))
+            return call(spec, x)
 
-        theta = counted("theta", lambda x: np.cos(x))
-        phi = counted("phi", lambda x: x * (1.0 - x))
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
         counts = []
         for depth in (1, 30):
+            # new specs each time: a spec keeps its grid sup once measured
+            theta = FunctionSpec.sinusoid(1.0, 1.0, np.pi / 2, 0.0, DOM)  # cos x
+            phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)  # x (1 - x)
+            names.update({id(theta): "theta", id(phi): "phi"})
             pert = PerturbationSpec((PerturbationLevel(
                 t=(0.1, -0.2), s=(0.2, 0.1), theta=(theta, theta), phi=(phi, phi)),))
             calls.clear()

@@ -12,10 +12,14 @@ from alphafractal import (
     series_eval,
 )
 from alphafractal.engine import _level_terms, _rb_step, _stencil
-from alphafractal.errors import EndpointMismatch, OutOfDomain, PerturbationTooLarge
+from alphafractal.errors import ConfigError, EndpointMismatch, OutOfDomain, PerturbationTooLarge
 from alphafractal.ifs import locate_many
 
+from helpers import nan_where
 from reference import ref_coefficients, ref_locate
+
+# abscissas of nan_where marks (0, 0, 2, 2): NaN at the grid points right of 0.5
+RIGHT_HALF = (0.0, 0.5, 0.5 + 1e-6, 1.0)
 
 DOM = (0.0, 1.0)
 
@@ -204,18 +208,29 @@ class TestPerturbationSpec:
         with pytest.raises(EndpointMismatch):
             _pert(0.0, 0.1, phi_spec=bad)
 
-    def test_bare_callable_phi_must_vanish_at_ends(self, running_cfg):
-        # the constructor cannot tell a callable's domain; the check on the
-        # config can, before a trajectory leaves f(0) = 0 for 0.25
+    def test_bare_callable_or_foreign_domain_phi_is_rejected(self, running_cfg):
+        # a callable has no domain to check phi's ends on, and is rejected
+        # as theta too; a spec has one, and it must be the config's, so phi
+        # vanishes at the config's ends: x (2 - x) vanishes at 0 and 2, not
+        # at 1, where it would leave f(1) = 1 for 1.5
         zero = FunctionSpec.constant(0.0, DOM)
-        phi = lambda x: 0.3 + 0 * x  # noqa: E731
+        bare = lambda x: 0.3 + 0 * x  # noqa: E731
+        for theta, phi in ((zero, bare), (bare, zero)):
+            with pytest.raises(ConfigError, match="FunctionSpecs"):
+                PerturbationLevel(t=(0.1, 0.1), s=(0.5, 0.5), theta=(theta, theta),
+                                  phi=(phi, phi))
+        wide = (0.0, 2.0)
+        phi = FunctionSpec.polynomial([0.0, 2.0, -1.0], wide)
+        with pytest.raises(ConfigError, match="domain"):  # theta and phi on two domains
+            PerturbationLevel(t=(0.1, 0.1), s=(0.5, 0.5), theta=(zero, zero), phi=(phi, phi))
+        zero = FunctionSpec.constant(0.0, wide)
         pert = PerturbationSpec((PerturbationLevel(
             t=(0.1, 0.1), s=(0.5, 0.5), theta=(zero, zero), phi=(phi, phi)),))
-        with pytest.raises(EndpointMismatch, match="level 1: phi"):
+        with pytest.raises(ConfigError, match="domain"):
             pert.check_contractive(running_cfg)
-        with pytest.raises(EndpointMismatch):
+        with pytest.raises(ConfigError):
             backward_trajectory(None, 20, running_cfg, pert)
-        with pytest.raises(EndpointMismatch):
+        with pytest.raises(ConfigError):
             sensitivity_bound(running_cfg, pert)
 
     def test_parameter_range(self):
@@ -251,11 +266,12 @@ class TestPerturbationSpec:
         object.__setattr__(lv, "s", (-0.5, float("nan")))
         assert np.isnan(pert.t_sup())
         assert np.isnan(pert.s_sup())
-        nan_fn = lambda x: np.full(np.shape(x), np.nan)  # noqa: E731
-        nan_pert = PerturbationSpec((PerturbationLevel(
-            t=(0.25, 0.25), s=(0.5, 0.5), theta=(lv.theta[0], nan_fn),
-            phi=(lv.phi[0], nan_fn)),))
-        sups = nan_pert.grid_sups(running_cfg)
+        nan_fn = nan_where(FunctionSpec.constant(0.0, DOM), DOM, (2.0, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan_pert = PerturbationSpec((PerturbationLevel(
+                t=(0.25, 0.25), s=(0.5, 0.5), theta=(lv.theta[0], nan_fn),
+                phi=(lv.phi[0], nan_fn)),))
+            sups = nan_pert.grid_sups(running_cfg)
         assert np.isnan(sups.theta_sup)
         assert np.isnan(sups.phi_sup)
         assert np.isnan(sups.rates[0])
@@ -264,31 +280,27 @@ class TestPerturbationSpec:
     def test_nan_theta_is_not_contractive(self, running_cfg):
         # theta is 0.2 left of 0.5 and NaN right of it; with t = 0.5 the
         # estimate of ||alpha + t theta|| is NaN, which is not below 1
-        def theta(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > 0.5, np.nan, 0.2)
-
+        theta = nan_where(FunctionSpec.constant(0.2, DOM), RIGHT_HALF, (0, 0, 2, 2))
         zero = FunctionSpec.constant(0.0, DOM)
         pert = PerturbationSpec((PerturbationLevel(
             t=(0.5, 0.5), s=(0.0, 0.0), theta=(theta, theta), phi=(zero, zero)),))
-        with pytest.raises(PerturbationTooLarge):
-            pert.check_contractive(running_cfg)
-        with pytest.raises(PerturbationTooLarge):
-            backward_trajectory(None, 3, running_cfg, pert)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PerturbationTooLarge):
+                pert.check_contractive(running_cfg)
+            with pytest.raises(PerturbationTooLarge):
+                backward_trajectory(None, 3, running_cfg, pert)
 
     def test_nan_phi_is_rejected(self, running_cfg):
         # phi is NaN right of 0.5; alpha + t theta is fine, so only the phi
         # check stands between it and a non-finite trajectory
-        def phi(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x > 0.5, np.nan, 0.0)
-
         zero = FunctionSpec.constant(0.0, DOM)
-        pert = PerturbationSpec((PerturbationLevel(
-            t=(0.1, 0.1), s=(0.1, 0.1), theta=(zero, zero), phi=(phi, phi)),))
-        with pytest.raises(PerturbationTooLarge, match="level 1: phi"):
-            pert.check_contractive(running_cfg)
-        with pytest.raises(PerturbationTooLarge, match="phi"):
-            backward_trajectory(None, 3, running_cfg, pert)
-        with pytest.raises(PerturbationTooLarge, match="phi"):
-            sensitivity_bound(running_cfg, pert)
+        phi = nan_where(zero, RIGHT_HALF, (0, 0, 2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pert = PerturbationSpec((PerturbationLevel(
+                t=(0.1, 0.1), s=(0.1, 0.1), theta=(zero, zero), phi=(phi, phi)),))
+            with pytest.raises(PerturbationTooLarge, match="level 1: phi"):
+                pert.check_contractive(running_cfg)
+            with pytest.raises(PerturbationTooLarge, match="phi"):
+                backward_trajectory(None, 3, running_cfg, pert)
+            with pytest.raises(PerturbationTooLarge, match="phi"):
+                sensitivity_bound(running_cfg, pert)

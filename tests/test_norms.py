@@ -256,15 +256,16 @@ class TestLipHypothesis:
 
 
 def test_validation_and_hypothesis_share_ratios(monkeypatch):
-    # P = 2 prefix levels, N = 3 intervals: one norm estimate per scaling
+    # P = 2 prefix levels, N = 3 intervals, one scaling spec per level: one
+    # Lip_d estimate per distinct scaling
     calls = []
-    est = norms.estimate_norms
+    est = norms.lip_seminorm
 
     def counted(*args, **kwargs):
         calls.append(args)
         return est(*args, **kwargs)
 
-    monkeypatch.setattr(norms, "estimate_norms", counted)
+    monkeypatch.setattr(norms, "lip_seminorm", counted)
     b = FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM)
     levels = (Level((FunctionSpec.constant(0.1, DOM),) * 3, b),
               Level((FunctionSpec.constant(0.05, DOM),) * 3, b))
@@ -275,7 +276,7 @@ def test_validation_and_hypothesis_share_ratios(monkeypatch):
     rep = check_lip_hypothesis(cfg)
     assert rep.inputs["per_level_ratios"] == norms.lip_ratios(cfg)
     assert rep.passed
-    assert len(calls) == 2 * 3
+    assert len(calls) == 2
 
 
 class TestContractionCertificate:
