@@ -63,6 +63,12 @@ def _tally(reports, passed_what: str) -> int:
     return 1 if failing else 0
 
 
+def _sup(ys: np.ndarray) -> float:
+    """max |y| over finite values, with no |y| array: abs() turns the -0.0
+    of an all-zero curve into the 0.0 that |y| gives."""
+    return abs(max(float(ys.max()), -float(ys.min())))
+
+
 def cmd_build(args) -> int:
     cfg = configio.load_config(args.config, overrides=_overrides(args))
     report = cfg.validation()
@@ -75,7 +81,7 @@ def cmd_build(args) -> int:
         "germ_sup": cfg.germ_sup,
         "base_gap_sup": cfg.base_gap_sup,
         "r_bound": cfg.r_bound,
-        "interpolant_sup": float(np.max(np.abs(interp.values.ys))),
+        "interpolant_sup": _sup(interp.values.ys),
         "knot_residual_max": float(np.max(interp.knot_residuals())),
         "validation": {
             "ok": report.ok,

@@ -101,12 +101,12 @@ def _usable_cores() -> int:
 
 def run_blocks(kernel, *arrays) -> list:
     """kernel(*blocks) for each run of BLOCK_POINTS consecutive elements of
-    the equally long 1-d ``arrays`` (None stands for no array), and the
-    results in order.  The kernel fills its blocks of outputs its caller
-    allocated, so it allocates nothing larger than a block, and the blocks
-    do not depend on one another.  Kernels call numpy only, never a
-    function that a tracer may have wrapped: its span stack belongs to the
-    calling thread.
+    the equally long 1-d ``arrays``, and the results in order; an argument
+    that is no array (None, or a scalar) goes to every block as it is.  The
+    kernel fills its blocks of outputs its caller allocated, so it
+    allocates nothing larger than a block, and the blocks do not depend on
+    one another.  Kernels call numpy only, never a function that a tracer
+    may have wrapped: its span stack belongs to the calling thread.
 
     Arrays of at most BLOCK_POINTS elements go to the kernel whole, on the
     calling thread.  Longer ones are cut into blocks, which the calling
@@ -132,7 +132,8 @@ def run_blocks(kernel, *arrays) -> list:
                     k = next(todo, None)
                 if k is None:
                     return
-                results[k] = kernel(*[a if a is None else a[slices[k]] for a in arrays])
+                results[k] = kernel(*[a[slices[k]] if isinstance(a, np.ndarray) else a
+                                      for a in arrays])
         except BaseException as exc:  # raised by the calling thread, below
             errors.append(exc)
 
@@ -296,7 +297,12 @@ class FunctionSpec(_Cached):
         return self._cached("_samples", build)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+        """The spec at x.  Overflow and invalid operations are not warned
+        about: they give inf or NaN values, which validation reports."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._values(np.asarray(x, dtype=float))
+
+    def _values(self, x: np.ndarray):
         lo, hi = self.domain
         if self.family == "constant":
             out = np.full(x.shape, self.params[0])
@@ -648,14 +654,26 @@ class SampledFunction:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        self._init(self.xs, self.ys, check_grid=True)
+
+    @classmethod
+    def _on_grid(cls, grid: np.ndarray, ys: np.ndarray) -> "SampledFunction":
+        """A sampled function on a ``Partition.grid``, which is finite and
+        strictly increasing by construction: only the values are checked."""
+        out = object.__new__(cls)
+        out._init(grid, ys, check_grid=False)
+        return out
+
+    def _init(self, xs, ys, check_grid: bool) -> None:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         if xs.size < 2:
             raise ValueError("a sampled function needs at least two points")
         # a NaN fails every comparison; between finite ends, all are finite
-        if not (np.all(xs[1:] > xs[:-1]) and np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        if check_grid and not (np.all(xs[1:] > xs[:-1])
+                               and np.isfinite(xs[0]) and np.isfinite(xs[-1])):
             raise ValueError("sample grid must be finite and strictly increasing")
         if not np.all(np.isfinite(ys)):
             raise ValueError("sample values must be finite")

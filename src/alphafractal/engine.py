@@ -25,17 +25,27 @@ partition and grid size, from one search of the Q points (``_stencil``):
 
 Both reads give the same doubles wherever a Q point is a node exactly.
 
-The grid-sized kernels here (the step, the nearest-node read, the stencil,
-the gather of b_r) each fill their blocks of arrays that the caller
-allocated, and ``core.run_blocks`` runs them: whole on the calling thread
-up to ``core.BLOCK_POINTS`` points, else in blocks of that size shared with
-helper threads that each call starts and joins.  A kernel calls numpy only;
-``evaluate`` and ``locate_many``, which a tracer may wrap, are called on the
-calling thread, once per array.
+The caches keep only what the steps read.  The grid is sorted, so each
+interval's points form one run of it, and the partition keeps the N + 1
+offsets of those runs (``_grid_geometry``), not an index per point.  The Q
+points are built at most once per trajectory, run by run, where the stencil
+or a level's alphas need them, and dropped before the steps
+(``_q_provider``).  A level whose scalings are one constant spec keeps the
+constant as a scalar.  A trajectory makes its step kernel once and
+alternates between two buffers (``_step``).
+
+The grid-sized kernels here (the step, the Q points, the nearest-node read,
+the stencil, the gather of b_r) each fill their blocks of arrays that the
+caller allocated, and ``core.run_blocks`` runs them: whole on the calling
+thread up to ``core.BLOCK_POINTS`` points, else in blocks of that size
+shared with helper threads that each call starts and joins.  A kernel calls
+numpy only; ``evaluate`` and ``locate_many``, which a tracer may wrap, are
+called on the calling thread, once per array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +81,57 @@ def _require_depth(depth: int) -> None:
         raise DepthZero(f"evaluation depth must be >= 1, got {depth}")
 
 
-def _grid_geometry(cfg: ProblemConfig):
-    """Interval index and Q_i(x) for every grid point (cached per partition
-    and grid size)."""
+def _grid_geometry(cfg: ProblemConfig) -> tuple[slice, ...]:
+    """Where each interval's points lie on the sorted grid (cached per
+    partition and grid size): interval i holds the run grid[runs[i - 1]],
+    N slices cut at N + 1 offsets, from one interval search of the grid."""
 
     def build():
         idx = locate_many(cfg.grid, cfg.partition)
-        return frozen(idx), frozen(cfg.partition.inverse_many(idx, cfg.grid))
+        ends = np.searchsorted(idx, np.arange(cfg.n_intervals + 1), side="right").tolist()
+        return tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
 
-    return cfg.partition._cached(f"_rb_geometry_{cfg.grid_size}", build)
+    return cfg.partition._cached(f"_rb_runs_{cfg.grid_size}", build)
+
+
+def _inverse_run(q, z, xl, xr, lo, hi) -> None:
+    """Q_i(z) into q for points z of interval i = [xl, xr]: the two-point
+    form of ``Partition.inverse_many``, operation for operation, with the
+    knots as scalars."""
+    np.subtract(xr, z, out=q)
+    q *= lo
+    right = z - xl
+    right *= hi
+    q += right
+    q /= xr - xl
+    np.clip(q, lo, hi, out=q)
+
+
+def _q_points(cfg: ProblemConfig) -> np.ndarray:
+    """Q_i(x) at every grid point x, i its interval, computed run by run:
+    the same doubles as ``Partition.inverse_many`` on the grid.  A run's
+    first point is the only one that can be its left knot, and the grid's
+    last point the only one that can be a right knot, so the exact ends
+    of the two-point form are set there."""
+    grid, knots = cfg.grid, cfg.partition.knots
+    lo, hi = cfg.domain
+    q = np.empty(grid.shape)
+    for i, run in enumerate(_grid_geometry(cfg), start=1):
+        xl, xr = knots[i - 1], knots[i]
+        run_blocks(_inverse_run, q[run], grid[run], xl, xr, lo, hi)
+        if run.stop > run.start:
+            if grid[run.start] == xl:
+                q[run.start] = lo
+            if grid[run.stop - 1] == xr:
+                q[run.stop - 1] = hi
+    return q
+
+
+def _q_provider(cfg: ProblemConfig):
+    """A callable that gives the grid's Q points, built on its first call
+    and kept by the callable alone: a trajectory holds one while it
+    gathers its stencil and terms, and drops it before its steps."""
+    return functools.cache(lambda: _q_points(cfg))
 
 
 def _cells(grid: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -181,38 +233,59 @@ def _node_read(grid: np.ndarray, q: np.ndarray, tol: float):
     return j
 
 
-def _stencil(cfg: ProblemConfig):
+def _stencil(cfg: ProblemConfig, q=None):
     """The RB step's read of the Q points (cached per partition and grid
     size): nearest-node indices on a closed grid, else the interpolation
-    stencil, a tuple."""
+    stencil, a tuple.  ``q`` gives the Q points (``_q_provider``)."""
     return cfg.partition._cached(
         f"_rb_stencil_{cfg.grid_size}",
-        lambda: _node_read(cfg.grid, _grid_geometry(cfg)[1], _closure_tol(cfg)))
+        lambda: _node_read(cfg.grid, (q or _q_provider(cfg))(), _closure_tol(cfg)))
 
 
-def _per_interval(fns, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """fns[i-1] evaluated at the points of z whose 1-based interval index is
-    i; a function that several intervals share is evaluated once, over all
-    of their points."""
-    out = np.empty_like(z)
+def _per_interval(fns, z: np.ndarray, where) -> np.ndarray:
+    """fns[i-1] at the points of z in interval i, where ``where(positions)``
+    selects the points of the intervals at those ascending 0-based
+    positions (``_run_points`` on the grid, ``_interval_mask`` elsewhere);
+    a function that several intervals share is evaluated once, over all of
+    their points."""
     groups = group_specs(fns)
     if len(groups) == 1:
-        out[...] = evaluate(fns[0], z)
-        return out
+        return evaluate(fns[0], z)
+    out = np.empty_like(z)
     for fn, positions in groups:
-        mask = idx == positions[0] + 1
-        for k in positions[1:]:
-            mask |= idx == k + 1
-        if np.any(mask):
-            out[mask] = evaluate(fn, z[mask])
+        at = where(positions)
+        points = z[at]
+        if points.size:
+            out[at] = evaluate(fn, points)
     return out
 
 
-def _base_read(cfg: ProblemConfig, r: int):
-    """b_r as ``_rb_step`` subtracts it: on a closed grid at the nearest
+def _run_points(runs):
+    """``where`` for ``_per_interval`` on the grid: the points of the runs at
+    the given positions, one slice where the runs are adjacent."""
+    def where(positions):
+        if positions[-1] - positions[0] == len(positions) - 1:
+            return slice(runs[positions[0]].start, runs[positions[-1]].stop)
+        return np.concatenate([np.arange(runs[k].start, runs[k].stop) for k in positions])
+    return where
+
+
+def _interval_mask(idx: np.ndarray):
+    """``where`` for ``_per_interval`` on unsorted points with 1-based
+    interval indices idx: a mask of the points in those intervals."""
+    def where(positions):
+        mask = idx == positions[0] + 1
+        for k in positions[1:]:
+            mask |= idx == k + 1
+        return mask
+    return where
+
+
+def _base_read(cfg: ProblemConfig, r: int, q=None):
+    """b_r as the RB step subtracts it: on a closed grid at the nearest
     nodes of the Q points (one gather per distinct base, cached per config),
     else on the grid."""
-    base, j = cfg.base_values(r), _stencil(cfg)
+    base, j = cfg.base_values(r), _stencil(cfg, q)
     if isinstance(j, tuple):
         return base
 
@@ -225,45 +298,59 @@ def _base_read(cfg: ProblemConfig, r: int):
     return cfg._cached(f"_rb_base_read_{id(base)}", build)
 
 
-def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None):
-    """Level r's (base, scale, bump) for ``_rb_step``: ``_base_read``,
-    alpha_{i,r}(Q_i x) and None, or with a perturbation alpha + t theta and
-    s phi.  The alphas are cached per prefix level in the config's
-    ``scaling_cache``, which configs with the same scalings share; the
-    perturbed terms are built fresh, and callers keep them for the
-    trajectory."""
+def _alphas(cfg: ProblemConfig, r: int, q):
+    """alpha_{i,r}(Q_i x) on the grid; where level r's scalings are one
+    constant spec, its value as a scalar, the spec evaluated at one point."""
+    scalings = cfg.levels.level(r).scalings
+    if len(group_specs(scalings)) == 1 and scalings[0].family == "constant":
+        return float(evaluate(scalings[0], cfg.domain[0]))
+    return frozen(_per_interval(scalings, q(), _run_points(_grid_geometry(cfg))))
+
+
+def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None, q=None):
+    """Level r's (base, scale, bump) for the RB step: ``_base_read``,
+    alpha_{i,r}(Q_i x) and None, or with a perturbation alpha + t_i theta_i
+    and s_i phi_i, with t_i and s_i applied run by run.  The alphas are
+    cached per prefix level in the config's ``scaling_cache``, which
+    configs with the same scalings share; the perturbed terms are built
+    fresh, and callers keep them for the trajectory.  ``q`` gives the Q
+    points (``_q_provider``), which only a missing cache entry or a
+    perturbation reads."""
+    q = q or _q_provider(cfg)
     r_eff = min(r, cfg.levels.prefix_len)
-    idx, q = _grid_geometry(cfg)
-    alpha_q = cfg.scaling_cache._cached(f"rb_alphas_{r_eff}", lambda: frozen(
-        _per_interval(cfg.levels.level(r_eff).scalings, idx, q)))
-    base = _base_read(cfg, r)
+    alpha = cfg.scaling_cache._cached(f"rb_alphas_{r_eff}", lambda: _alphas(cfg, r_eff, q))
+    base = _base_read(cfg, r, q)
     if pert is None:
-        return base, alpha_q, None
-    lv = pert.level(r)
-    return (base,
-            alpha_q + np.asarray(lv.t)[idx - 1] * _per_interval(lv.theta, idx, q),
-            np.asarray(lv.s)[idx - 1] * _per_interval(lv.phi, idx, q))
+        return base, alpha, None
+    lv, runs = pert.level(r), _grid_geometry(cfg)
+    scale = _per_interval(lv.theta, q(), _run_points(runs))
+    bump = _per_interval(lv.phi, q(), _run_points(runs))
+    for i, run in enumerate(runs):
+        scale[run] *= lv.t[i]
+        scale[run] += alpha if isinstance(alpha, float) else alpha[run]
+        bump[run] *= lv.s[i]
+    return base, scale, bump
 
 
-def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray:
-    """One RB application to grid samples, given the config's ``_stencil``,
-    its germ values and level r's ``_level_terms``."""
-    base, scale, bump = terms
+def _step(stencil, germ: np.ndarray):
+    """The RB step on one config's ``_stencil`` and germ values, made once
+    per trajectory: ``step(values, terms, out)`` writes T_r applied to
+    ``values`` into ``out`` (a buffer other than ``values``) for level r's
+    ``_level_terms``, and returns it.  Its block kernel is made here; a
+    step only points it at the array it reads."""
     closed = not isinstance(stencil, tuple)
-    out = np.empty(values.shape)
-    if not closed:
-        dy = np.empty(values.shape)
-        run_blocks(np.subtract, values, base, dy)
+    diff = None if closed else np.empty(germ.shape)
+    read = None  # what the blocks read: the values on a closed grid, else values - b_r
 
-    def fill(block, a, f, p, *read):
+    def fill(block, f, a, p, *at):
         if closed:  # values[j] - b_r[j], as np.interp reads a node hit
-            j, b = read
+            j, b = at
             # j is in range; with ``out``, the default mode="raise" would
             # gather into a buffer and copy it
-            values.take(j, out=block, mode="clip")
+            read.take(j, out=block, mode="clip")
             block -= b
         else:
-            _interp_read(read, dy, block)
+            _interp_read(at, read, block)
         # IEEE products and sums commute: this is f + scale * diff (+ bump)
         # bit for bit.
         block *= a
@@ -271,8 +358,25 @@ def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray
         if p is not None:
             block += p
 
-    run_blocks(fill, out, scale, germ, bump, *((stencil, base) if closed else stencil))
-    return out
+    def step(values: np.ndarray, terms, out: np.ndarray) -> np.ndarray:
+        nonlocal read
+        base, scale, bump = terms
+        if closed:
+            read = values
+            run_blocks(fill, out, germ, scale, bump, stencil, base)
+        else:
+            run_blocks(np.subtract, values, base, diff)
+            read = diff
+            run_blocks(fill, out, germ, scale, bump, *stencil)
+        return out
+
+    return step
+
+
+def _rb_step(values: np.ndarray, stencil, germ: np.ndarray, terms) -> np.ndarray:
+    """One RB application to grid samples into a new array, given the
+    config's ``_stencil``, its germ values and level r's ``_level_terms``."""
+    return _step(stencil, germ)(values, terms, np.empty(values.shape))
 
 
 def _check_seed(g: SampledFunction, cfg: ProblemConfig) -> None:
@@ -291,7 +395,9 @@ def apply_rb(g: SampledFunction, r: int, cfg: ProblemConfig) -> SampledFunction:
     on the configured grid, to a seed that passes ``_check_seed``."""
     require_valid(cfg)
     _check_seed(g, cfg)
-    return g.with_values(_rb_step(g.ys, _stencil(cfg), cfg.germ_values, _level_terms(cfg, r)))
+    q = _q_provider(cfg)
+    return g.with_values(_rb_step(g.ys, _stencil(cfg, q), cfg.germ_values,
+                                  _level_terms(cfg, r, None, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +474,13 @@ class Interpolant:
         return self.values(in_domain(x, self.cfg.domain))
 
     def knot_residuals(self) -> np.ndarray:
+        """|f^alpha(x_k) - y_k| at the knots.  Every knot is a grid node,
+        where linear interpolation gives the node's value: it is read
+        there, as np.interp would read it, without np.interp's copies of a
+        read-only grid and values."""
         knots = self.cfg.partition.array()
         target = np.asarray(self.cfg.knot_ordinates, dtype=float)
-        got = evaluate(self, knots)
+        got = self.values.ys[np.searchsorted(self.values.xs, knots)]
         return np.abs(got - target)
 
 
@@ -389,12 +499,18 @@ def backward_trajectory(g: SampledFunction | None, depth: int,
         pert.check_contractive(cfg)
     # Levels past both prefixes repeat the last: one set of terms per level.
     top = max(cfg.levels.prefix_len, pert.prefix_len if pert else 1)
-    terms = [_level_terms(cfg, r, pert) for r in range(1, min(depth, top) + 1)]
-    stencil, germ = _stencil(cfg), cfg.germ_values
-    vals = germ if g is None else g.ys
-    for r in range(depth, 0, -1):
-        vals = _rb_step(vals, stencil, germ, terms[min(r, len(terms)) - 1])
-    return Interpolant(cfg=cfg, depth=depth, values=SampledFunction(cfg.grid, frozen(vals)))
+    q = _q_provider(cfg)
+    terms = [_level_terms(cfg, r, pert, q) for r in range(1, min(depth, top) + 1)]
+    step = _step(_stencil(cfg, q), cfg.germ_values)
+    del q  # the Q points, if built, go before the step buffers come
+    vals = cfg.germ_values if g is None else g.ys
+    # the steps alternate between two buffers; none writes the array it reads
+    buffers = [np.empty(vals.shape) for _ in range(min(depth, 2))]
+    for k, r in enumerate(range(depth, 0, -1)):
+        vals = step(vals, terms[min(r, len(terms)) - 1], buffers[k % 2])
+    del buffers, step  # the step holds the buffer it read last
+    return Interpolant(cfg=cfg, depth=depth,
+                       values=SampledFunction._on_grid(cfg.grid, frozen(vals)))
 
 
 def trajectory_interpolant(cfg: ProblemConfig, depth: int | None = None) -> Interpolant:
@@ -422,7 +538,7 @@ def _series_values(xs: np.ndarray, depth: int, cfg: ProblemConfig) -> np.ndarray
         idx = locate_many(z, cfg.partition)
         z = cfg.partition.inverse_many(idx, z)
         lv = cfg.levels.level(j)
-        prod = prod * _per_interval(lv.scalings, idx, z)
+        prod = prod * _per_interval(lv.scalings, z, _interval_mask(idx))
         total = total + prod * (evaluate(cfg.germ, z) - evaluate(lv.base, z))
     return total
 

@@ -212,7 +212,7 @@ class TestKernelsOnAllCores:
                              ids=["c11", "c11-nu"])
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_trajectory_equals_one_core(self, cores, grid, data, closed, perturbed):
-        runs = []
+        runs, geometry = [], []
         for n_cores in (1, 3):
             cores(n_cores)
             cfg = config_from_dict(data, overrides={"grid": grid})
@@ -220,9 +220,11 @@ class TestKernelsOnAllCores:
             stencil = engine._stencil(cfg)
             assert (not isinstance(stencil, tuple)) is closed
             pert = _perturbation() if perturbed else None
-            runs.append((cfg.grid, *engine._grid_geometry(cfg),
+            geometry.append(engine._grid_geometry(cfg))
+            runs.append((cfg.grid, engine._q_points(cfg),
                          *(stencil if isinstance(stencil, tuple) else (stencil,)),
                          backward_trajectory(None, 6, cfg, pert).values.ys))
+        assert geometry[0] == geometry[1]
         one, many = runs
         assert len(one) == len(many)
         for a, b in zip(one, many):

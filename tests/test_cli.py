@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from alphafractal import (
     norms,
 )
 from alphafractal.cli import main
+from alphafractal.core import BLOCK_POINTS
 from test_span_sites import PERFBENCH, SMALL_RUNS
 
 RUNNING_CONFIG = {
@@ -256,15 +258,79 @@ class TestBuild:
         assert main(["build", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert sizes == [257]
 
-    def test_each_scaling_evaluated_once(self, tmp_path, evaluations):
+    def test_each_scaling_evaluated_once(self, tmp_path, monkeypatch):
         # c11 repeats one scaling spec per level over all six intervals: the
-        # sup estimate evaluates it once on the grid, the RB terms once at
-        # the Q points
+        # sup estimate evaluates each once on the grid; the RB terms evaluate
+        # level 2's sinusoid once at the Q points, and take level 1's
+        # constant as a scalar, from one point
+        seen = {"alpha_sup": [], "_level_terms": []}
+        call = FunctionSpec.__call__
+
+        def counted(self, x):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            for site in seen.keys() & callers:
+                seen[site].append((self.family, np.size(x)))
+            return call(self, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
         cfg = write_config(tmp_path, c11_config())
         assert main(["build", "--config", str(cfg), "--grid", "4097", "--eps", "1e-10",
                      "--out", str(tmp_path)]) == 0
-        assert sum("alpha_sup" in callers for _, callers in evaluations) == 2
-        assert sum("_level_terms" in callers for _, callers in evaluations) == 2
+        n = configio.config_from_dict(c11_config(), overrides={"grid": 4097}).grid.size
+        assert sorted(seen["alpha_sup"]) == [("constant", n), ("sinusoid", n)]
+        assert sorted(seen["_level_terms"]) == [("constant", 1), ("sinusoid", n)]
+
+    def test_build_holds_eight_grid_arrays(self, tmp_path, monkeypatch):
+        # c11 at grid 65537, a closed grid.  Up to its curve export a build
+        # holds eight grid-sized arrays at most: the grid, the germ, the
+        # base, the nearest-node stencil, level 2's alphas at the Q points,
+        # the base read there and the trajectory's two step buffers.  Level
+        # 1's constant alpha is a scalar; the interval index and the Q
+        # points are not kept.  Beyond those, only block-sized temporaries
+        # (at most three 8-byte ones, on the calling thread alone: 65537
+        # points are three blocks), two boolean arrays of one byte per
+        # point and 64 KiB of Python objects.  The export works a piece of
+        # rows at a time, so its own working set does not grow with the grid.
+        cfg_path = write_config(tmp_path, c11_config())
+        argv = ["build", "--config", str(cfg_path), "--grid", "65537", "--eps", "1e-10",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0  # imports and one-time tables
+        peaks, export = [], configio.write_curve_csv
+
+        def peak_then_export(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return export(*args)
+
+        monkeypatch.setattr(configio, "write_curve_csv", peak_then_export)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracemalloc.stop()
+        cfg = configio.config_from_dict(c11_config(), overrides={"grid": 65537})
+        n = cfg.grid.size
+        allowance = 3 * 8 * min(n, BLOCK_POINTS) + 2 * n + 2 ** 16
+        assert peaks[0] <= 8 * 8 * n + allowance
+
+        # no cache keeps a per-point interval index or the Q points
+        engine.trajectory_interpolant(cfg)
+        idx = engine.locate_many(cfg.grid, cfg.partition)
+        q = cfg.partition.inverse_many(idx, cfg.grid)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for v in value:
+                    yield from arrays(v)
+
+        for holder in (cfg, cfg.partition, cfg.scaling_cache):
+            for arr in arrays(list(vars(holder).values())):
+                assert not (arr.shape == idx.shape and (np.array_equal(arr, idx)
+                                                        or np.array_equal(arr, q)))
 
     def test_missing_section_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"partition": {"knots": [0, 0.5, 1]}})
@@ -785,6 +851,29 @@ def test_overflowing_uniform_bound_prints_one_line(tmp_path, base, error):
     err_lines = proc.stderr.splitlines()
     assert len(err_lines) == 1
     assert json.loads(err_lines[0])["error"] == error
+
+
+OVERFLOWING_GERM_CONFIG = {
+    "partition": {"knots": [0, 0.5, 1]},
+    "germ": {"family": "sinusoid", "amplitude": 1e308, "omega": 3.0, "phase": 0.0,
+             "offset": 1e308},
+    "levels": [{"scaling": {"family": "constant", "value": 0.4},
+                "base": {"family": "linear-endpoint", "left": 0, "right": 0}}],
+    "grid": 65,
+}
+
+
+def test_overflowing_germ_prints_only_the_diagnostic(tmp_path):
+    """1e308 sin(3x) + 1e308 overflows on the grid: validation reports the
+    non-finite germ, and numpy's overflow warning never reaches stderr."""
+    cfg = write_config(tmp_path, OVERFLOWING_GERM_CONFIG)
+    proc = _cli_process("build", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    err_lines = proc.stderr.splitlines()
+    assert len(err_lines) == 1
+    err = json.loads(err_lines[0])
+    assert err["error"] == "ConfigError"
+    assert "germ takes non-finite values" in err["detail"]
 
 
 def test_degenerate_valid_config_is_reported_in_the_summary(tmp_path):

@@ -96,10 +96,15 @@ class TestRBStepInPlace:
                 theta=(FunctionSpec.sinusoid(1.0, 5.0, 0.0, 0.0, DOM),) * 3,
                 phi=(FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM),) * 3),))
         values = np.random.default_rng(5).normal(size=cfg.grid.size)
-        idx, q = engine._grid_geometry(cfg)
+        idx = locate_many(cfg.grid, cfg.partition)
+        q = cfg.partition.inverse_many(idx, cfg.grid)
+        assert engine._q_points(cfg).tobytes() == q.tobytes()
         for r in (1, 2, 3):
             alpha_q = engine._level_terms(cfg, r)[1]
-            cached = [idx, q, alpha_q, cfg.base_values(r), cfg.germ_values, cfg.grid]
+            # level 2's one constant spec is kept as a scalar
+            assert isinstance(alpha_q, float) is (r > 1)
+            cached = [a for a in (alpha_q, cfg.base_values(r), cfg.germ_values, cfg.grid)
+                      if isinstance(a, np.ndarray)]
             before = [a.copy() for a in cached]
             got = engine._rb_step(values, engine._stencil(cfg), cfg.germ_values,
                                   engine._level_terms(cfg, r, pert))
@@ -108,9 +113,11 @@ class TestRBStepInPlace:
                 want = cfg.germ_values + alpha_q * diff_q
             else:
                 lv = pert.level(r)
-                per_interval = engine._per_interval
-                scale = alpha_q + np.asarray(lv.t)[idx - 1] * per_interval(lv.theta, idx, q)
-                bump = np.asarray(lv.s)[idx - 1] * per_interval(lv.phi, idx, q)
+                # per point, through the interval masks the series uses
+                where = engine._interval_mask(idx)
+                theta, phi = (engine._per_interval(fns, q, where) for fns in (lv.theta, lv.phi))
+                scale = alpha_q + np.asarray(lv.t)[idx - 1] * theta
+                bump = np.asarray(lv.s)[idx - 1] * phi
                 want = cfg.germ_values + scale * diff_q + bump
             assert got.tobytes() == want.tobytes()
             for arr, old in zip(cached, before):
@@ -139,9 +146,36 @@ class TestPerInterval:
             return evaluate(fn, x)
 
         monkeypatch.setattr(engine, "evaluate", counted)
-        got = engine._per_interval(fns, idx, z)
-        assert got.tobytes() == want.tobytes()
-        assert calls == [spec, plus, minus]
+        ends = [0, 20, 40, 60, 80, 101]
+        runs = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
+        for where in (engine._interval_mask(idx), engine._run_points(runs)):
+            calls.clear()
+            got = engine._per_interval(fns, z, where)
+            assert got.tobytes() == want.tobytes()
+            assert calls == [spec, plus, minus]
+
+
+class TestGridRuns:
+    """The RB terms read each interval's points as one run of the sorted
+    grid, and build the Q points run by run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 9),
+           size=st.integers(3, 3000),
+           domain=st.sampled_from([DOM, (-3.0, 7.5), (-1e6, -2.0)]))
+    def test_runs_and_q_points_equal_the_per_point_forms(self, seed, n, size, domain):
+        rng = np.random.default_rng(seed)
+        p = random_partition(rng, domain, n)
+        germ = FunctionSpec.polynomial([0.0, 1.0], domain)
+        a = FunctionSpec.constant(0.4, domain)
+        cfg = ProblemConfig(p, germ, LevelSequence((Level((a,) * n, germ),)),
+                            grid_size=max(size, n + 1))
+        idx = locate_many(cfg.grid, p)
+        runs = engine._grid_geometry(cfg)
+        assert len(runs) == n
+        assert np.array_equal(np.repeat(np.arange(1, n + 1), [r.stop - r.start for r in runs]),
+                              idx)
+        assert engine._q_points(cfg).tobytes() == p.inverse_many(idx, cfg.grid).tobytes()
 
 
 class TestInterpStencil:
@@ -251,7 +285,7 @@ class TestGatherStep:
         # np.interp returns the node's own value
         cfg = config_from_dict(README_CONFIG)
         assert _closed(cfg)
-        stencil = engine._interp_stencil(cfg.grid, engine._grid_geometry(cfg)[1])
+        stencil = engine._interp_stencil(cfg.grid, engine._q_points(cfg))
         assert np.all(stencil[3])
         values = cfg.germ_values
         noise = np.random.default_rng(3).normal(size=cfg.grid.size)
