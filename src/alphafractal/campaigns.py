@@ -24,6 +24,7 @@ from .sampling import (
     POLY_DEGREE,
     matched_base_spec,
     random_alpha_vector,
+    random_coefficients,
     random_germ_spec,
     random_polynomial_spec,
     rng_from,
@@ -120,9 +121,7 @@ def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, Proble
     d0, d1 = delta.endpoint_values()
     new_bases = []
     for lv in cfgA.levels.levels:
-        bump = matched_endpoint_polynomial(
-            rng.uniform(-0.1, 0.1, size=POLY_DEGREE + 1), domain, d0, d1
-        )
+        bump = matched_endpoint_polynomial(random_coefficients(rng, domain, 0.1), domain, d0, d1)
         new_bases.append(FunctionSpec.weighted_sum((1.0, 1.0), (lv.base, bump)))
     germ = FunctionSpec.weighted_sum((1.0, 1.0), (cfgA.germ, delta))
     return cfgA, cfgA.with_germ(germ).with_bases(tuple(new_bases))

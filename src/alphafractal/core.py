@@ -440,7 +440,7 @@ class Partition(_Cached):
             raise NonMonotoneKnots("knots must be finite")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise NonMonotoneKnots(f"knots must be strictly increasing, got {knots}")
-        # The maps' two-point forms (forward, inverse_many) sum two products
+        # The maps' two-point forms (forward, inverse_into) sum two products
         # of a knot or an end, at most M = max(|x_0|, |x_N|) in size, with a
         # distance between points of [x_0, x_N], at most x_N - x_0.  Both
         # sums are thus at most 2 M (x_N - x_0) (up to rounding); where that
@@ -529,33 +529,33 @@ class Partition(_Cached):
         out = (xl * (hi - x) + xr * (x - lo)) / (hi - lo)
         return np.where(x == lo, xl, np.where(x == hi, xr, out))
 
-    def inverse_many(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Q_i(z) = l_i^{-1}(z) per point, i taken from the 1-based indices idx;
-        the knots land on the domain ends bit-exactly, and the result is
-        clipped into the domain."""
-        k = self.array()
-        k_left = np.roll(k, 1)  # k_left[i] = k[i - 1] for i >= 1
+    def inverse_into(self, q: np.ndarray, z: np.ndarray, xl, xr) -> None:
+        """Q_i(z) into q for points z of I_i = [xl, xr], the knots given
+        either as scalars (one interval) or per point: the two-point form
+            (lo (xr - z) + hi (z - xl)) / (xr - xl),
+        each product and sum as IEEE rounds it in either order.  The knots
+        land on the domain ends bit-exactly, and q is clipped into the
+        domain.  The one Q_i kernel: ``inverse_many`` and the RB step's Q
+        points (``engine._q_points``) both call it, through ``run_blocks``."""
         lo, hi = self.domain
+        np.subtract(xr, z, out=q)
+        q *= lo
+        right = z - xl
+        right *= hi
+        q += right
+        q /= np.subtract(xr, xl, out=right)  # the one temporary, reused
+        np.copyto(q, hi, where=z == xr)
+        np.copyto(q, lo, where=z == xl)
+        np.clip(q, lo, hi, out=q)
+
+    def inverse_many(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Q_i(z) = l_i^{-1}(z) per point, i taken from the 1-based indices
+        idx, whose knots ``inverse_into`` gathers block by block."""
+        k = self.array()
         z = np.asarray(z, dtype=float)
         out = np.empty(z.shape)
-
-        def fill(q, zs, i):
-            # (lo (xr - z) + hi (z - xl)) / (xr - xl), each product and sum
-            # as IEEE rounds it in either order, in two temporaries
-            xl, xr = k_left.take(i), k.take(i)
-            at_left, at_right = zs == xl, zs == xr
-            np.subtract(xr, zs, out=q)
-            q *= lo
-            xr -= xl
-            np.subtract(zs, xl, out=xl)
-            xl *= hi
-            q += xl
-            q /= xr
-            np.copyto(q, hi, where=at_right)
-            np.copyto(q, lo, where=at_left)
-            np.clip(q, lo, hi, out=q)
-
-        run_blocks(fill, out, z, idx)
+        run_blocks(lambda q, zs, i: self.inverse_into(q, zs, k.take(i - 1), k.take(i)),
+                   out, z, idx)
         return out
 
 

@@ -34,6 +34,15 @@ or a level's alphas need them, and dropped before the steps
 constant as a scalar.  A trajectory makes its step kernel once and
 alternates between two buffers (``_step``).
 
+Both evaluators share their per-interval arithmetic.  The one Q_i kernel,
+``Partition.inverse_into``, takes each run's knots as scalars for the
+trajectory and each point's knots for the series.  The one per-interval
+evaluator, ``_per_interval``, takes a selector per interval (the grid's run
+slices, or the series' masks from its one ``locate_many`` per level).
+Vectors that share a spec among some intervals but not all are evaluated
+per interval, not grouped: no workload has one, since the configs' levels
+are each one spec and the campaigns draw a distinct spec per interval.
+
 The grid-sized kernels here (the step, the Q points, the nearest-node read,
 the stencil, the gather of b_r) each fill their blocks of arrays that the
 caller allocated, and ``core.run_blocks`` runs them: whole on the calling
@@ -94,36 +103,14 @@ def _grid_geometry(cfg: ProblemConfig) -> tuple[slice, ...]:
     return cfg.partition._cached(f"_rb_runs_{cfg.grid_size}", build)
 
 
-def _inverse_run(q, z, xl, xr, lo, hi) -> None:
-    """Q_i(z) into q for points z of interval i = [xl, xr]: the two-point
-    form of ``Partition.inverse_many``, operation for operation, with the
-    knots as scalars."""
-    np.subtract(xr, z, out=q)
-    q *= lo
-    right = z - xl
-    right *= hi
-    q += right
-    q /= xr - xl
-    np.clip(q, lo, hi, out=q)
-
-
 def _q_points(cfg: ProblemConfig) -> np.ndarray:
-    """Q_i(x) at every grid point x, i its interval, computed run by run:
-    the same doubles as ``Partition.inverse_many`` on the grid.  A run's
-    first point is the only one that can be its left knot, and the grid's
-    last point the only one that can be a right knot, so the exact ends
-    of the two-point form are set there."""
-    grid, knots = cfg.grid, cfg.partition.knots
-    lo, hi = cfg.domain
+    """Q_i(x) at every grid point x, i its interval, computed run by run with
+    the interval's knots as scalars: the same doubles as
+    ``Partition.inverse_many`` on the grid."""
+    grid, knots, inverse = cfg.grid, cfg.partition.knots, cfg.partition.inverse_into
     q = np.empty(grid.shape)
     for i, run in enumerate(_grid_geometry(cfg), start=1):
-        xl, xr = knots[i - 1], knots[i]
-        run_blocks(_inverse_run, q[run], grid[run], xl, xr, lo, hi)
-        if run.stop > run.start:
-            if grid[run.start] == xl:
-                q[run.start] = lo
-            if grid[run.stop - 1] == xr:
-                q[run.stop - 1] = hi
+        run_blocks(inverse, q[run], grid[run], knots[i - 1], knots[i])
     return q
 
 
@@ -242,43 +229,20 @@ def _stencil(cfg: ProblemConfig, q=None):
         lambda: _node_read(cfg.grid, (q or _q_provider(cfg))(), _closure_tol(cfg)))
 
 
-def _per_interval(fns, z: np.ndarray, where) -> np.ndarray:
-    """fns[i-1] at the points of z in interval i, where ``where(positions)``
-    selects the points of the intervals at those ascending 0-based
-    positions (``_run_points`` on the grid, ``_interval_mask`` elsewhere);
-    a function that several intervals share is evaluated once, over all of
-    their points."""
-    groups = group_specs(fns)
-    if len(groups) == 1:
+def _per_interval(fns, z: np.ndarray, parts) -> np.ndarray:
+    """fns[i-1] at the points of z that parts[i-1] selects: a run slice of
+    the sorted grid (``_grid_geometry``) or, for the series, a mask.  A
+    vector of one spec (``group_specs``, whose signed-zero rule keeps the
+    constants 0.0 and -0.0 apart) is one call over all of z, and ``parts``
+    is not read; any other vector is one call per interval."""
+    if len(group_specs(fns)) == 1:
         return evaluate(fns[0], z)
     out = np.empty_like(z)
-    for fn, positions in groups:
-        at = where(positions)
+    for fn, at in zip(fns, parts):
         points = z[at]
         if points.size:
             out[at] = evaluate(fn, points)
     return out
-
-
-def _run_points(runs):
-    """``where`` for ``_per_interval`` on the grid: the points of the runs at
-    the given positions, one slice where the runs are adjacent."""
-    def where(positions):
-        if positions[-1] - positions[0] == len(positions) - 1:
-            return slice(runs[positions[0]].start, runs[positions[-1]].stop)
-        return np.concatenate([np.arange(runs[k].start, runs[k].stop) for k in positions])
-    return where
-
-
-def _interval_mask(idx: np.ndarray):
-    """``where`` for ``_per_interval`` on unsorted points with 1-based
-    interval indices idx: a mask of the points in those intervals."""
-    def where(positions):
-        mask = idx == positions[0] + 1
-        for k in positions[1:]:
-            mask |= idx == k + 1
-        return mask
-    return where
 
 
 def _base_read(cfg: ProblemConfig, r: int, q=None):
@@ -304,7 +268,7 @@ def _alphas(cfg: ProblemConfig, r: int, q):
     scalings = cfg.levels.level(r).scalings
     if len(group_specs(scalings)) == 1 and scalings[0].family == "constant":
         return float(evaluate(scalings[0], cfg.domain[0]))
-    return frozen(_per_interval(scalings, q(), _run_points(_grid_geometry(cfg))))
+    return frozen(_per_interval(scalings, q(), _grid_geometry(cfg)))
 
 
 def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = None, q=None):
@@ -323,8 +287,8 @@ def _level_terms(cfg: ProblemConfig, r: int, pert: PerturbationSpec | None = Non
     if pert is None:
         return base, alpha, None
     lv, runs = pert.level(r), _grid_geometry(cfg)
-    scale = _per_interval(lv.theta, q(), _run_points(runs))
-    bump = _per_interval(lv.phi, q(), _run_points(runs))
+    scale = _per_interval(lv.theta, q(), runs)
+    bump = _per_interval(lv.phi, q(), runs)
     for i, run in enumerate(runs):
         scale[run] *= lv.t[i]
         scale[run] += alpha if isinstance(alpha, float) else alpha[run]
@@ -471,7 +435,14 @@ class Interpolant:
     values: SampledFunction
 
     def __call__(self, x):
-        return self.values(in_domain(x, self.cfg.domain))
+        """np.interp on the grid, bit for bit (the values are finite), read
+        through the RB step's own stencil: np.interp would copy the
+        read-only grid and values on every call.  A float for a scalar x,
+        else an array of x's shape."""
+        xa = in_domain(x, self.cfg.domain)
+        grid, ys = self.values.xs, self.values.ys
+        out = _interp_read(_interp_stencil(grid, xa.reshape(-1)), ys).reshape(xa.shape)
+        return out if out.shape else float(out)
 
     def knot_residuals(self) -> np.ndarray:
         """|f^alpha(x_k) - y_k| at the knots.  Every knot is a grid node,
@@ -534,11 +505,13 @@ def _series_values(xs: np.ndarray, depth: int, cfg: ProblemConfig) -> np.ndarray
     z = np.array(xs, dtype=float)
     total = evaluate(cfg.germ, z)
     prod = np.ones_like(z)
+    intervals = range(1, cfg.n_intervals + 1)
     for j in range(1, depth + 1):
         idx = locate_many(z, cfg.partition)
         z = cfg.partition.inverse_many(idx, z)
         lv = cfg.levels.level(j)
-        prod = prod * _per_interval(lv.scalings, z, _interval_mask(idx))
+        # the masks are made only where the scalings differ by interval
+        prod = prod * _per_interval(lv.scalings, z, (idx == i for i in intervals))
         total = total + prod * (evaluate(cfg.germ, z) - evaluate(lv.base, z))
     return total
 

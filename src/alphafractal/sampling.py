@@ -1,6 +1,6 @@
 """Seeded random inputs for verification campaigns: polynomial germs with
-coefficients uniform in [-1, 1] (degree <= 5), endpoint-corrected bases,
-and positive bounded scaling functions.
+coefficients uniform in [-1, 1] (degree <= 5) in x / X, X = max(|x_0|, |x_N|),
+endpoint-corrected bases, and positive bounded scaling functions.
 """
 
 from __future__ import annotations
@@ -22,10 +22,20 @@ def rng_from(seed) -> np.random.Generator:
         raise ConfigError(f"seed {seed!r}: {exc}") from None
 
 
+def random_coefficients(rng, domain, scale: float = 1.0,
+                        degree: int = POLY_DEGREE) -> np.ndarray:
+    """Polynomial coefficients uniform in [-scale, scale] in the variable
+    x / X, X = max(|x_0|, |x_N|): coefficient j divided by X^j, so that each
+    term stays within scale on the domain wherever it lies (on [0, 1] the
+    draws are unchanged).  Drawn in absolute x, they reach 1e10 on
+    [0, 100], and no base could match a germ within ENDPOINT_TOL there."""
+    x_max = max(abs(domain[0]), abs(domain[1]))
+    return rng.uniform(-scale, scale, size=degree + 1) / x_max ** np.arange(degree + 1)
+
+
 def random_polynomial_spec(rng, domain, degree: int = POLY_DEGREE,
                            scale: float = 1.0) -> FunctionSpec:
-    coeffs = rng.uniform(-scale, scale, size=degree + 1)
-    return FunctionSpec.polynomial(coeffs, domain)
+    return FunctionSpec.polynomial(random_coefficients(rng, domain, scale, degree), domain)
 
 
 def random_sinusoid_spec(rng, domain) -> FunctionSpec:
@@ -45,14 +55,12 @@ def random_germ_spec(rng, domain) -> FunctionSpec:
 def matched_base_spec(rng, germ, domain, scale: float = 1.0) -> FunctionSpec:
     """Random polynomial shifted to agree with the germ at both ends of ``domain``, its own."""
     y0, y1 = germ.endpoint_values()
-    coeffs = rng.uniform(-scale, scale, size=POLY_DEGREE + 1)
-    return matched_endpoint_polynomial(coeffs, domain, y0, y1)
+    return matched_endpoint_polynomial(random_coefficients(rng, domain, scale), domain, y0, y1)
 
 
 def zero_endpoint_spec(rng, domain, scale: float = 1.0) -> FunctionSpec:
     """Random polynomial vanishing at both endpoints (phi perturbation shape)."""
-    coeffs = rng.uniform(-scale, scale, size=POLY_DEGREE + 1)
-    return matched_endpoint_polynomial(coeffs, domain, 0.0, 0.0)
+    return matched_endpoint_polynomial(random_coefficients(rng, domain, scale), domain, 0.0, 0.0)
 
 
 def random_alpha_spec(rng, domain, cap: float, variable: bool = True) -> FunctionSpec:

@@ -546,6 +546,21 @@ class TestVerify:
                    "--trials", "3", "--seed", "11", "--out", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("knots", [[0.0, 50.0, 100.0], [100.0, 150.0, 200.0],
+                                       [1000.0, 1001.0, 1002.0], [-300.0, -20.0, 7.0]])
+    def test_domain_far_from_the_unit_interval_passes(self, tmp_path, capsys, knots):
+        # the campaigns' drawn polynomials stay bounded on any domain, so
+        # their bases meet the germ within ENDPOINT_TOL
+        lo, hi = knots[0], knots[-1]
+        c = 1.0 / (hi - lo) ** 2  # b = x + c (x - lo)(x - hi) meets f = x at both ends
+        data = {**RUNNING_CONFIG, "partition": {"knots": knots}, "levels": [{
+            "scaling": CONST_04,
+            "base": {"family": "polynomial", "coeffs": [lo * hi * c, 1.0 - (lo + hi) * c, c]}}]}
+        cfg = write_config(tmp_path, data)
+        rc = main(["verify", "--config", str(cfg), "--suite", "all",
+                   "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
+        assert (rc, capsys.readouterr().err) == (0, "")
+
     def test_sensitivity_precondition_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RUNNING_CONFIG)
         rc = main(["verify", "--config", str(cfg), "--suite", "sensitivity",

@@ -113,9 +113,12 @@ class TestRBStepInPlace:
                 want = cfg.germ_values + alpha_q * diff_q
             else:
                 lv = pert.level(r)
-                # per point, through the interval masks the series uses
-                where = engine._interval_mask(idx)
-                theta, phi = (engine._per_interval(fns, q, where) for fns in (lv.theta, lv.phi))
+                # per point: each interval's theta and phi at its own Q points
+                theta, phi = np.empty_like(q), np.empty_like(q)
+                for i in range(1, len(knots)):
+                    at = idx == i
+                    theta[at] = lv.theta[i - 1](q[at])
+                    phi[at] = lv.phi[i - 1](q[at])
                 scale = alpha_q + np.asarray(lv.t)[idx - 1] * theta
                 bump = np.asarray(lv.s)[idx - 1] * phi
                 want = cfg.germ_values + scale * diff_q + bump
@@ -129,16 +132,18 @@ class TestRBStepInPlace:
 
 class TestPerInterval:
     def test_shared_spec_evaluated_once_with_its_own_zeros(self, monkeypatch):
-        # equal specs share one evaluation, but 0.0 == -0.0 must not merge
-        # two constants whose values differ in the sign of a zero
+        # a vector of one spec, equal but distinct objects included, is one
+        # call over all points; 0.0 == -0.0 must not merge two constants
+        # whose values differ in the sign of a zero; any other vector is
+        # one call per interval, on either kind of selector
         calls = []
         spec = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
         equal = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
         plus, minus = FunctionSpec.constant(0.0, DOM), FunctionSpec.constant(-0.0, DOM)
-        fns = (spec, plus, equal, minus, spec)
         z = np.linspace(0.0, 1.0, 101)
         idx = np.repeat(np.arange(1, 6), [20, 20, 20, 20, 21])
-        want = np.concatenate([fn(z[idx == i]) for i, fn in enumerate(fns, start=1)])
+        ends = [0, 20, 40, 60, 80, 101]
+        runs = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
         evaluate = engine.evaluate
 
         def counted(fn, x):
@@ -146,13 +151,18 @@ class TestPerInterval:
             return evaluate(fn, x)
 
         monkeypatch.setattr(engine, "evaluate", counted)
-        ends = [0, 20, 40, 60, 80, 101]
-        runs = tuple(slice(a, b) for a, b in zip(ends, ends[1:]))
-        for where in (engine._interval_mask(idx), engine._run_points(runs)):
-            calls.clear()
-            got = engine._per_interval(fns, z, where)
-            assert got.tobytes() == want.tobytes()
-            assert calls == [spec, plus, minus]
+        one_call = [(spec,) * 5, (spec, equal, equal, spec, equal), (minus,) * 5]
+        per_interval = [(plus, minus, plus, plus, plus), (spec, plus, equal, minus, spec),
+                        (spec, spec, plus, spec, spec)]
+        cases = [(fns, fns[:1]) for fns in one_call] + [(fns, fns) for fns in per_interval]
+        for fns, evaluated in cases:
+            want = np.concatenate([fn(z[idx == i]) for i, fn in enumerate(fns, start=1)])
+            for parts in ((idx == i for i in range(1, 6)), runs):
+                calls.clear()
+                got = engine._per_interval(fns, z, parts)
+                assert got.tobytes() == want.tobytes()
+                assert len(calls) == len(evaluated)
+                assert all(a is b for a, b in zip(calls, evaluated))
 
 
 class TestGridRuns:
@@ -665,6 +675,38 @@ class TestEvalInterpolant:
         for x in rng.uniform(0, 1, size=100):
             s = eval_interpolant(float(x), cfg, "series")
             assert abs(s - traj(float(x))) <= tol
+
+
+class TestInterpolantCall:
+    """An interpolant reads np.interp's arithmetic from the RB step's
+    stencil, without np.interp's copies of its read-only grid and values."""
+
+    def test_matches_np_interp(self):
+        cfg = config_from_dict({**_c11_nu(), "grid": 4097})
+        traj = trajectory_interpolant(cfg)
+        grid, ys = cfg.grid, traj.values.ys
+        rng = np.random.default_rng(31)
+        for xs in (rng.uniform(0.0, 1.0, 500), grid, grid[[0, -1]],
+                   rng.choice(grid, (7, 3))):
+            got = traj(xs)
+            assert got.shape == xs.shape
+            assert got.tobytes() == np.interp(xs, grid, ys).tobytes()
+        for x in (0.0, 1.0, float(grid[17]), 0.3):
+            got = traj(x)
+            assert type(got) is float and got == float(np.interp(x, grid, ys))
+
+    def test_two_points_on_a_1m_grid_copy_nothing(self, running_cfg):
+        cfg = replace(running_cfg, grid_size=1048577)
+        traj = backward_trajectory(None, 1, cfg)
+        xs = np.array([0.3, 0.7])
+        traj(xs)
+        tracemalloc.start()
+        try:
+            traj(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestStationary:
