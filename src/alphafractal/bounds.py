@@ -158,10 +158,17 @@ def corollary_bound(cfg: ProblemConfig, op: BaseOperatorSpec, j: int = 1) -> Bou
                                {"alpha_sup": a, "base_gap_sup": gap, "j": j})
 
 
+def require_trials(trials: int) -> None:
+    """A check over random draws makes at least one."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+
+
 def operator_lipschitz_check(cfg: ProblemConfig, op: BaseOperatorSpec,
                              trials: int = 100, seed=0) -> BoundReport:
     """Over random germ pairs, max ||f^alpha - g^alpha|| / ||f - g|| must stay
     under (1 + |L| ||alpha||) / (1 - ||alpha||)."""
+    require_trials(trials)
     rng = rng_from(seed)
     a = cfg.alpha_sup
     l_norm = 1.0  # sup-norm operator bound of every built-in kind
@@ -207,6 +214,7 @@ def relative_bound_check(cfg: ProblemConfig, op: BaseOperatorSpec,
     """Per random germ, ||f^alpha|| <= ||f||/(1-||alpha||) + ||alpha||/(1-||alpha||) ||Lf||,
     where ||Lf|| = sup_r ||L_r f|| (finite max over the prefix).  The report
     carries the worst-margin trial."""
+    require_trials(trials)
     rng = rng_from(seed)
     a = cfg.alpha_sup
     worst_margin = np.inf
@@ -298,11 +306,11 @@ def sensitivity_bound(cfg: ProblemConfig, pert: PerturbationSpec) -> BoundReport
     policy a depth no smaller than the unperturbed one's, since the depth a
     tail tolerance needs grows with both.  Each one's tail at that depth is
     slack on their sup difference."""
-    sups = pert.grid_sups(cfg)  # first, as it settles cfg.alpha_sup on its way
+    # first, as the perturbation's grid pass settles cfg.alpha_sup on its way
+    theta_sup, phi_sup = (sup_abs([pert.sups(cfg, name)]) for name in ("theta", "phi"))
     a = cfg.alpha_sup
     t_sup = pert.t_sup()
     s_sup = pert.s_sup()
-    theta_sup, phi_sup = sups.theta_sup, sups.phi_sup
     gap = cfg.base_gap_sup
     predicted = sensitivity_predicted(a, t_sup, s_sup, theta_sup, phi_sup, gap)
     rate = a + t_sup * theta_sup

@@ -69,7 +69,7 @@ def _random_system(rng, template: ProblemConfig, op: bounds.BaseOperatorSpec) ->
         )
         for r in range(1, op.prefix_len + 1)
     )
-    return template.with_germ(germ).with_levels(LevelSequence(levels))
+    return replace(template, germ=germ, levels=LevelSequence(levels))
 
 
 def error_suite(template: ProblemConfig, trials: int, seed) -> list[BoundReport]:
@@ -109,7 +109,7 @@ def _matched_system(rng, template: ProblemConfig) -> ProblemConfig:
         )
         for _ in range(int(rng.integers(1, 4)))
     )
-    return template.with_germ(germ).with_levels(LevelSequence(levels))
+    return replace(template, germ=germ, levels=LevelSequence(levels))
 
 
 def _stability_pair(rng, template: ProblemConfig) -> tuple[ProblemConfig, ProblemConfig]:
@@ -171,8 +171,7 @@ def run_suite(name: str, template: ProblemConfig, trials: int, seed,
               t_scale: float = 0.1, s_scale: float = 0.1) -> list[BoundReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    bounds.require_trials(trials)
     # t and s are drawn uniformly from [-scale, scale), so a scale in [0, 1)
     # is exactly what keeps every |t| and |s| below 1
     for flag, scale in (("--t-scale", t_scale), ("--s-scale", s_scale)):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import campaigns, configio, norms
-from .engine import trajectory_interpolant
+from .engine import require_valid, trajectory_interpolant
 from .errors import AlphaFractalError, ConfigError
 
 
@@ -71,8 +71,8 @@ def _sup(ys: np.ndarray) -> float:
 
 def cmd_build(args) -> int:
     cfg = configio.load_config(args.config, overrides=_overrides(args))
+    require_valid(cfg)
     report = cfg.validation()
-    report.raise_if_failed()
     interp = trajectory_interpolant(cfg)
     summary = {
         "grid_points": int(cfg.grid.size),
@@ -103,10 +103,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    scales = {key: v for key, v in (("t_scale", args.t_scale), ("s_scale", args.s_scale))
+              if v is not None}
+    if scales and args.suite not in ("sensitivity", "all"):
+        raise ConfigError(f"{' and '.join('--' + k.replace('_', '-') for k in scales)}: read "
+                          f"only by the suites sensitivity and all, not by {args.suite}")
     cfg = configio.load_config(args.config, overrides=_overrides(args))
-    cfg.validation().raise_if_failed()
-    reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed,
-                                  t_scale=args.t_scale, s_scale=args.s_scale)
+    require_valid(cfg)
+    reports = campaigns.run_suite(args.suite, cfg, args.trials, args.seed, **scales)
     table = args.out / "report.csv"
     configio.write_report_csv(table, reports)
     with _removed_on_failure(table):
@@ -117,10 +121,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, runs = configio.load_manifest(args.manifest, overrides=_overrides(args))
-    cfg.validation().raise_if_failed()
+    require_valid(cfg)
     reports = [replace(rep, name=f"{rep.name}[exp={k}]")
                for k, run in enumerate(runs) for rep in run()]
-    configio.write_report_csv(args.out / "results.csv", reports)
+    table = args.out / "results.csv"
+    configio.write_report_csv(table, reports)
+    with _removed_on_failure(table):
+        configio.write_reports_json(args.out / "results.json", reports)
     return _tally(reports, "sweep rows passed")
 
 
@@ -157,10 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(campaigns.SUITES), default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-scale", type=float, default=0.1,
-                   help="sensitivity suite: scaling-jitter magnitude")
-    p.add_argument("--s-scale", type=float, default=0.1,
-                   help="sensitivity suite: additive-term magnitude")
+    p.add_argument("--t-scale", type=float, default=None,
+                   help="sensitivity suite: scaling-jitter magnitude (default 0.1)")
+    p.add_argument("--s-scale", type=float, default=None,
+                   help="sensitivity suite: additive-term magnitude (default 0.1)")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

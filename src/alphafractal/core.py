@@ -552,9 +552,10 @@ class Partition(_Cached):
         """Q_i(z) = l_i^{-1}(z) per point, i taken from the 1-based indices
         idx, whose knots ``inverse_into`` gathers block by block."""
         k = self.array()
+        k_prev = np.roll(k, 1)  # k_prev[i] = k[i - 1]: no i - 1 block to gather by
         z = np.asarray(z, dtype=float)
         out = np.empty(z.shape)
-        run_blocks(lambda q, zs, i: self.inverse_into(q, zs, k.take(i - 1), k.take(i)),
+        run_blocks(lambda q, zs, i: self.inverse_into(q, zs, k_prev.take(i), k.take(i)),
                    out, z, idx)
         return out
 
@@ -786,7 +787,7 @@ class ProblemConfig(_Cached):
     def scaling_cache(self) -> _Cached:
         """Holder of what the scalings give on the grid: ``alpha_sup``, the
         RB step's alphas at the Q points (``engine``) and the perturbations'
-        grid sups (``ifs``).  Configs made with ``with_germ`` or
+        rates (``ifs``).  Configs made with ``with_germ`` or
         ``with_bases`` keep the scalings, partition and grid size, so they
         share this one object; every other config starts its own."""
         return self._cached("_scaling_cache", _Cached)
@@ -866,9 +867,6 @@ class ProblemConfig(_Cached):
 
     # -- derived configurations ---------------------------------------------
 
-    def with_levels(self, levels: LevelSequence) -> "ProblemConfig":
-        return replace(self, levels=levels)
-
     def with_bases(self, bases: Sequence) -> "ProblemConfig":
         """Same scalings, new base per level.  ``bases`` is aligned with the prefix
         (repeat-last applies beyond its end)."""
@@ -894,9 +892,6 @@ class ProblemConfig(_Cached):
     def _sharing_scalings(self, other: "ProblemConfig") -> "ProblemConfig":
         object.__setattr__(other, "_scaling_cache", self.scaling_cache)
         return other
-
-    def with_partition(self, partition: Partition) -> "ProblemConfig":
-        return replace(self, partition=partition)
 
 
 # ---------------------------------------------------------------------------

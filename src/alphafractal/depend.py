@@ -6,18 +6,20 @@ map obeys ||alpha - beta|| ||f - b|| / (1 - s_cap)^2 under a common cap; for
 the partition the quantitative handle is the per-map displacement bound
 2 (1 + theta k_f) ||Delta - Delta~||_2 in the weighted metric
 mu((x,y),(x',y')) = |x-x'| + theta |y-y'|, while continuity itself is
-witnessed by shrinking knot perturbations.
+witnessed by shrinking knot perturbations.  The Lipschitz constants behind
+theta are the specs' kept Lip_1 estimates, one scan per distinct spec.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .bounds import VERIFY_TOL
-from .core import DEGENERATE_TOL, Partition, ProblemConfig, evaluate, sup_abs
-from .engine import backward_trajectory, pair_depth, trajectory_interpolant
+from .core import DEGENERATE_TOL, Partition, ProblemConfig, evaluate, group_specs, sup_abs
+from .engine import backward_trajectory, pair_depth, require_valid, trajectory_interpolant
 from .errors import CapViolated, ConfigError, EndpointMismatch, KnotCountMismatch
 from .norms import lip_seminorm
 from .report import BoundReport
@@ -50,7 +52,7 @@ def base_dependence(cfg: ProblemConfig, bases_a, bases_b) -> BoundReport:
     cfgA = cfg.with_bases(tuple(bases_a))
     cfgB = cfg.with_bases(tuple(bases_b))
     for c in (cfgA, cfgB):
-        c.validation().raise_if_failed()
+        require_valid(c)
     a = cfg.alpha_sup
     predicted = a / (1.0 - a)
     denom = cfgA.base_distance(cfgB)
@@ -130,17 +132,20 @@ def admissible_theta_limit(A: float, R: float, k_f: float, k_b: float,
 
 def theta_constants(cfg: ProblemConfig) -> dict:
     """Grid-estimated Lipschitz constants (inflated by LIP_SLACK) and the
-    admissible theta limit, computed once per config."""
+    admissible theta limit, computed once per config; k_f, k_b and k_alpha
+    read each distinct spec's kept Lip_1 (``FunctionSpec.grid_estimate``)."""
+
+    p, size, levels = cfg.partition, cfg.grid_size, cfg.levels.levels
+
+    def k(specs):
+        return (1.0 + LIP_SLACK) * sup_abs([[
+            spec.grid_estimate(("lip", 1.0), p, size, lambda grid: lip_seminorm(spec, 1.0, grid))
+            for spec, _ in group_specs(specs)]])
 
     def build():
-        grid = cfg.grid
-        inflate = 1.0 + LIP_SLACK
-        k_f = inflate * lip_seminorm(cfg.germ, 1.0, grid)
-        k_b = inflate * sup_abs(lip_seminorm(lv.base, 1.0, grid) for lv in cfg.levels.levels)
-        k_alpha = inflate * sup_abs(
-            lip_seminorm(spec, 1.0, grid) for lv in cfg.levels.levels for spec in lv.scalings
-        )
-        A = max(cfg.partition.ratios)
+        k_f, k_b = k([cfg.germ]), k(lv.base for lv in levels)
+        k_alpha = k(spec for lv in levels for spec in lv.scalings)
+        A = max(p.ratios)
         R = cfg.r_bound
         limit = admissible_theta_limit(A, R, k_f, k_b, k_alpha,
                                        cfg.alpha_sup, cfg.base_sup)
@@ -175,7 +180,7 @@ def partition_dependence(cfg: ProblemConfig, other: Partition) -> BoundReport:
     """
     p = cfg.partition
     require_same_interval(p, other)
-    cfgB = cfg.with_partition(other)
+    cfgB = replace(cfg, partition=other)
     consts = theta_constants(cfg)
     theta = _theta(consts["theta_limit"])
     k_f = consts["k_f"]

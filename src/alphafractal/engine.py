@@ -445,14 +445,9 @@ class Interpolant:
         return out if out.shape else float(out)
 
     def knot_residuals(self) -> np.ndarray:
-        """|f^alpha(x_k) - y_k| at the knots.  Every knot is a grid node,
-        where linear interpolation gives the node's value: it is read
-        there, as np.interp would read it, without np.interp's copies of a
-        read-only grid and values."""
-        knots = self.cfg.partition.array()
-        target = np.asarray(self.cfg.knot_ordinates, dtype=float)
-        got = self.values.ys[np.searchsorted(self.values.xs, knots)]
-        return np.abs(got - target)
+        """|f^alpha(x_k) - y_k| at the knots, which are grid nodes: there
+        the interpolant reads the node's value."""
+        return np.abs(self(self.cfg.partition.array()) - self.cfg.knot_ordinates)
 
 
 def backward_trajectory(g: SampledFunction | None, depth: int,

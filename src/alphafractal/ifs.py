@@ -1,7 +1,9 @@
 """IFS map data: interval location, the per-interval maps
 F_{i,r}(x, y) = alpha_{i,r}(x) y + f(l_i(x)) - alpha_{i,r}(x) b_r(x),
 and the perturbation data t, s, theta, phi of the perturbed maps T_{i,r},
-which ``engine`` applies on the grid.
+which ``engine`` applies on the grid.  A perturbation keeps only its
+per-level rates ||alpha + t theta||_inf; the sups of theta and phi are
+kept on the specs, like every spec norm (``FunctionSpec.grid_sup``).
 
 Interior knots belong to the right interval.  The join conditions make both
 conventions agree on interpolant values at knots; fixing one keeps the
@@ -73,7 +75,7 @@ class PerturbationSpec:
     """Prefix of perturbation levels; repeat-last beyond, like LevelSequence.
 
     Every level lies on one domain, and each phi vanishes at both ends of it
-    (the perturbed maps must keep the interpolation data); ``grid_sups``
+    (the perturbed maps must keep the interpolation data); ``rates``
     checks once per config that the domain is the config's.
     """
 
@@ -111,10 +113,6 @@ class PerturbationSpec:
     def prefix_len(self) -> int:
         return len(self.levels)
 
-    @property
-    def n_intervals(self) -> int:
-        return len(self.levels[0].t)
-
     def level(self, r: int) -> PerturbationLevel:
         return repeat_last(self.levels, r)
 
@@ -124,25 +122,18 @@ class PerturbationSpec:
     def s_sup(self) -> float:
         return sup_abs(lv.s for lv in self.levels)
 
-    def grid_sups(self, cfg: ProblemConfig) -> GridSups:
-        """This perturbation's scalars on the config's grid, computed once per
-        config scalings and grid (``cfg.scaling_cache``), after checking that
-        it lies on the config's domain.  Only the scalars are kept, never the
-        grid values."""
-        held = self.__dict__.get("_grid_sups")
-        if held is None or held[0] is not cfg.scaling_cache:
-            require_specs(self.levels[0].phi, "the perturbation's functions", cfg.domain)
-            held = (cfg.scaling_cache, self._measure(cfg))
-            object.__setattr__(self, "_grid_sups", held)
-        return held[1]
-
-    def _measure(self, cfg: ProblemConfig) -> GridSups:
-        """One pass over the grid that evaluates each distinct alpha and
-        theta of a level once, for the rates.  It records their sups on the
-        specs (``FunctionSpec.grid_sup``), which settles ``cfg.alpha_sup``
-        when that is not yet known; phi's sups are read from there."""
+    def rates(self, cfg: ProblemConfig) -> tuple[float, ...]:
+        """Per level r up to the longer prefix, max_i ||alpha_{i,r} + t_{i,r}
+        theta_{i,r}||_inf on the config's grid, kept per config scalings and
+        grid (``cfg.scaling_cache``).  After a domain check, one pass
+        evaluates each distinct alpha and theta of a level once and keeps
+        their sups, and each phi's, on the specs (``grid_sup``)."""
+        held = self.__dict__.get("_rates")
+        if held is not None and held[0] is cfg.scaling_cache:
+            return held[1]
+        require_specs(self.levels[0].phi, "the perturbation's functions", cfg.domain)
         p, size, grid = cfg.partition, cfg.grid_size, cfg.grid
-        thetas, rates = [], []
+        rates = []
         for r in range(1, max(self.prefix_len, cfg.levels.prefix_len) + 1):
             lv = self.level(r)
             level = []
@@ -151,38 +142,35 @@ class PerturbationSpec:
                 alpha.grid_sup(p, size, a)
                 for theta, jj in group_specs([lv.theta[i] for i in ii]):
                     th = evaluate(theta, grid)
-                    thetas.append(theta.grid_sup(p, size, th))
+                    theta.grid_sup(p, size, th)
                     level += [sup_abs([a + lv.t[ii[j]] * th]) for j in jj]
             rates.append(sup_abs([level]))
-        phis = [sup_abs([[phi.grid_sup(p, size) for phi, _ in group_specs(lv.phi)]])
-                for lv in self.levels]
-        return GridSups(theta_sup=sup_abs([thetas]), phi_sup=sup_abs([phis]),
-                        rates=tuple(rates),
-                        phi_finite=tuple(bool(np.isfinite(v)) for v in phis))
+        for lv in self.levels:
+            for phi, _ in group_specs(lv.phi):
+                phi.grid_sup(p, size)
+        rates = tuple(rates)
+        object.__setattr__(self, "_rates", (cfg.scaling_cache, rates))
+        return rates
+
+    def sups(self, cfg: ProblemConfig, name: str) -> tuple[float, ...]:
+        """Per perturbation level, max_i sup |theta_{i,r}| (``name`` "theta")
+        or sup |phi_{i,r}| ("phi") on the config's grid: the sups that the
+        rates' pass keeps on the specs, so no spec is evaluated again."""
+        self.rates(cfg)
+        p, size = cfg.partition, cfg.grid_size
+        return tuple(sup_abs([[fn.grid_sup(p, size) for fn, _ in group_specs(getattr(lv, name))]])
+                     for lv in self.levels)
 
     def check_contractive(self, cfg: ProblemConfig) -> None:
         """Require max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf < 1 and finite phi per level."""
-        sups = self.grid_sups(cfg)
-        for r, worst in enumerate(sups.rates, start=1):
+        phi = self.sups(cfg, "phi")
+        for r, worst in enumerate(self.rates(cfg), start=1):
             if not worst < 1.0:
                 raise PerturbationTooLarge(
                     f"level {r}: ||alpha + t*theta||_inf estimate {worst:.6g} is not below 1"
                 )
-            if not repeat_last(sups.phi_finite, r):
+            if not np.isfinite(repeat_last(phi, r)):
                 raise PerturbationTooLarge(f"level {r}: phi takes non-finite values on the grid")
-
-
-@dataclass(frozen=True)
-class GridSups:
-    """A perturbation's grid estimates on one config: sup |theta| and
-    sup |phi| over its levels, and per level r (up to the longer prefix)
-    max_i ||alpha_{i,r} + t_{i,r} theta_{i,r}||_inf; per perturbation level,
-    whether every phi is finite."""
-
-    theta_sup: float
-    phi_sup: float
-    rates: tuple[float, ...]
-    phi_finite: tuple[bool, ...]
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,13 @@ class TestOperatorChecks:
         vals = backward_trajectory(None, 5, cfg).values.ys
         assert np.array_equal(vals, np.zeros_like(vals))
 
+    @pytest.mark.parametrize("check", [operator_lipschitz_check, relative_bound_check])
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_is_invalid_input(self, running_cfg, check, trials):
+        # rejected up front, before a draw: not a TypeError or "all pairs degenerate"
+        with pytest.raises(ConfigError, match="trials must be at least 1"):
+            check(running_cfg, BaseOperatorSpec(("endpoint-line",)), trials=trials, seed=1)
+
     def test_operator_levels_indexed_from_one(self, running_cfg):
         op = BaseOperatorSpec(("endpoint-line", "blend"), lambdas=(0.0, 0.5))
         assert op.kind(5) == "blend"

@@ -25,6 +25,7 @@ from alphafractal import (
     PerturbationSpec,
     ProblemConfig,
     bounds,
+    campaigns,
     configio,
     depend,
     engine,
@@ -93,9 +94,9 @@ def c11_lip_config():
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Every FunctionSpec evaluation as (repeat, callers): whether the same
-    spec was evaluated on the same points before, and the names of the
-    functions on the stack."""
+    """Every FunctionSpec evaluation as (repeat, callers, spec, points):
+    whether the same spec was evaluated on the same points before, the
+    names of the functions on the stack, the spec and the point count."""
     seen, log = set(), []
     call = FunctionSpec.__call__
 
@@ -106,7 +107,7 @@ def evaluations(monkeypatch):
         while frame is not None:
             callers.add(frame.f_code.co_name)
             frame = frame.f_back
-        log.append((key in seen, callers))
+        log.append((key in seen, callers, self, xa.size))
         seen.add(key)
         return call(self, x)
 
@@ -497,18 +498,32 @@ class TestVerify:
                    "--trials", "3", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
 
-    def test_grid_values_evaluated_once(self, tmp_path, evaluations):
+    def test_grid_values_evaluated_once(self, tmp_path, evaluations, monkeypatch):
         # the sup estimates (shared by configs that keep the scalings), the
-        # perturbation's grid sups behind the contractivity check, and the
-        # RB terms never evaluate a spec again on points it has seen
+        # perturbation's grid pass behind its rates, which the contractivity
+        # check and the sup reader read, and the RB terms never evaluate a
+        # spec again on points it has seen
+        drawn, draw = set(), campaigns.random_perturbation
+
+        def recorded(*args, **kwargs):
+            pert = draw(*args, **kwargs)
+            drawn.update(fn for lv in pert.levels for fn in lv.theta + lv.phi)
+            return pert
+
+        monkeypatch.setattr(campaigns, "random_perturbation", recorded)
         cfg = write_config(tmp_path, c11_config())
         assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "2",
                      "--seed", "1", "--grid", "1025", "--out", str(tmp_path)]) == 0
-        watched = {"alpha_sup", "grid_sups", "check_contractive", "_level_terms"}
-        assert {site for _, callers in evaluations for site in callers & watched} == {
-            "alpha_sup", "grid_sups", "_level_terms"}
-        assert [callers & watched for repeat, callers in evaluations
+        watched = {"alpha_sup", "rates", "sups", "check_contractive", "_level_terms"}
+        sites = [callers & watched for _, callers, _, _ in evaluations]
+        assert set().union(*sites) == {"alpha_sup", "rates", "sups", "_level_terms"}
+        # the sup reader evaluates nothing itself: only through the rates' pass
+        assert all("rates" in s for s in sites if "sups" in s)
+        assert [callers & watched for repeat, callers, _, _ in evaluations
                 if repeat and callers & watched] == []
+        # no perturbation spec is evaluated on many points by an unwatched caller
+        assert drawn and [callers for _, callers, spec, n in evaluations
+                          if spec in drawn and n > 1 and not callers & watched] == []
 
     def test_lip_norms_estimated_once_per_spec(self, tmp_path, monkeypatch):
         # c11-lip's six intervals per level share one scaling spec, and every
@@ -578,6 +593,32 @@ class TestVerify:
                          "--trials", "4", "--seed", "3", "--out", str(out)]) == 0
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("suite", ["error", "operator", "stability"])
+    @pytest.mark.parametrize("flags", [["--t-scale", "0.9"], ["--s-scale", "0.5"],
+                                       ["--t-scale", "0.1", "--s-scale", "0.1"]])
+    def test_scale_flags_rejected_where_no_perturbation_is_drawn(self, tmp_path, capsys,
+                                                                 suite, flags):
+        # only the sensitivity suite (alone or in all) reads --t-scale and
+        # --s-scale; any other suite rejects them rather than ignore them
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--suite", suite, "--trials", "2",
+                     "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "ConfigError"
+        assert all(name in diagnostic["detail"] for name in flags[::2] + ["sensitivity", suite])
+        assert os.listdir(out) == []
+
+    def test_scale_flags_default_to_a_tenth(self, tmp_path):
+        cfg = write_config(tmp_path, RUNNING_CONFIG)
+        for name, flags in (("absent", []), ("given", ["--t-scale", "0.1", "--s-scale", "0.1"])):
+            assert main(["verify", "--config", str(cfg), "--suite", "sensitivity", "--trials", "3",
+                         "--seed", "2", "--out", str(tmp_path / name)] + flags) == 0
+        assert ((tmp_path / "absent" / "report.json").read_bytes()
+                == (tmp_path / "given" / "report.json").read_bytes())
+
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, RUNNING_CONFIG)
         out = tmp_path / "out"
@@ -639,6 +680,43 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path / "out")]) == 2
         assert_one_diagnostic(capsys, "ScalingNotContractive")
         assert trajectories == []
+
+    def test_results_json_rows_carry_their_inputs(self, tmp_path):
+        man = write_config(tmp_path, README_MANIFEST, "manifest.json")
+        assert main(["sweep", "--manifest", str(man), "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "results.csv")
+        detail = json.loads((tmp_path / "results.json").read_text())
+        assert [(r["bound"], float(r["predicted"]), float(r["observed"]), float(r["margin"]),
+                 r["pass"] == "true") for r in rows] == [
+            (d["bound"], d["predicted"], d["observed"], d["margin"], d["pass"]) for d in detail]
+        assert [set(d["inputs"]) for d in detail] == [
+            {"alpha_sup", "base_distance", "depth"},
+            {"alpha_distance", "s_cap", "base_gap_sup", "depth"}] + [
+            {"knot_l2", "theta", "k_f", "interpolant_sup_diff", "depth"}] * 3
+
+    def test_partition_rows_witness_continuity(self, tmp_path, monkeypatch):
+        # the benchmark's sweep-dependence manifest: along its four halvings
+        # the interpolants' sup difference, kept in results.json, strictly
+        # decreases (f^alpha moves continuously with the partition)
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        for seed in range(1, 11):
+            wl = workloads.WORKLOADS["sweep-dependence"](seed, tmp_path / str(seed))
+            wl.prepare()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--manifest", str(wl.manifest), "--out", str(wl.out)]) == 0
+            diffs = [d["inputs"]["interpolant_sup_diff"]
+                     for d in json.loads((wl.out / "results.json").read_text())
+                     if d["bound"].startswith("partition-")]
+            assert len(diffs) == 4 and all(b < a for a, b in zip(diffs, diffs[1:])), (seed, diffs)
+
+    def test_unwritable_results_json_leaves_no_results_csv(self, tmp_path, capsys):
+        man = write_config(tmp_path, README_MANIFEST, "manifest.json")
+        out = tmp_path / "out"
+        (out / "results.json").mkdir(parents=True)
+        assert main(["sweep", "--manifest", str(man), "--out", str(out)]) == 2
+        assert_one_diagnostic(capsys, "OutputError")
+        assert os.listdir(out) == ["results.json"]
 
     def test_config_path_is_read_beside_the_manifest(self, tmp_path):
         inline = write_config(tmp_path, README_MANIFEST, "inline.json")

@@ -140,8 +140,9 @@ def test_halving_shift_is_the_division(knots, moved):
 
 
 def test_theta_constants_computed_once(make_cfg, monkeypatch):
-    # P = 2 prefix levels, N = 3 intervals: the germ, each base and each
-    # scaling is scanned once, however many halvings reuse the constants
+    # P = 2 prefix levels, N = 3 intervals, each level's scalings one spec:
+    # each distinct spec (the germ, two bases, two scalings) is scanned once,
+    # however many intervals share it and halvings reuse the constants
     calls = []
     lip = depend.lip_seminorm
 
@@ -159,7 +160,7 @@ def test_theta_constants_computed_once(make_cfg, monkeypatch):
     reports = partition_continuity(cfg, build_partition([0.0, 0.32, 0.58, 1.0]),
                                    halvings=4)
     assert len(reports) == 4
-    assert len(calls) == 1 + 2 + 2 * 3
+    assert len(calls) == 5
 
 
 def test_partition_continuity_runs_each_trajectory_once(running_cfg, trajectories):

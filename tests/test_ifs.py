@@ -248,17 +248,16 @@ class TestPerturbationSpec:
         pert = _pert(0.25, -0.5, theta_val=0.8, phi_spec=phi)
         assert pert.t_sup() == 0.25
         assert pert.s_sup() == 0.5
-        sups = pert.grid_sups(running_cfg)
-        assert sups.theta_sup == pytest.approx(0.8)
-        assert sups.phi_sup == pytest.approx(0.25, abs=1e-6)
-        assert sups.rates == (pytest.approx(0.4 + 0.25 * 0.8),)
-        assert sups.phi_finite == (True,)
+        rates = pert.rates(running_cfg)
+        assert rates == (pytest.approx(0.4 + 0.25 * 0.8),)
+        assert pert.sups(running_cfg, "theta") == (pytest.approx(0.8),)
+        assert pert.sups(running_cfg, "phi") == (pytest.approx(0.25, abs=1e-6),)
         # kept per config scalings and grid: a config that shares them reads
         # the same scalars, one with other scalings gets its own
-        assert pert.grid_sups(running_cfg.with_germ(phi)) is sups
+        assert pert.rates(running_cfg.with_germ(phi)) is rates
         half = FunctionSpec.constant(0.5, DOM)
         other = running_cfg.with_scalings([(half, half)])
-        assert pert.grid_sups(other).rates == (pytest.approx(0.5 + 0.25 * 0.8),)
+        assert pert.rates(other) == (pytest.approx(0.5 + 0.25 * 0.8),)
         # a NaN in the second interval only must not be dropped by the sup;
         # the constructor rejects a NaN t or s, so plant them past it
         lv = pert.levels[0]
@@ -271,11 +270,30 @@ class TestPerturbationSpec:
             nan_pert = PerturbationSpec((PerturbationLevel(
                 t=(0.25, 0.25), s=(0.5, 0.5), theta=(lv.theta[0], nan_fn),
                 phi=(lv.phi[0], nan_fn)),))
-            sups = nan_pert.grid_sups(running_cfg)
-        assert np.isnan(sups.theta_sup)
-        assert np.isnan(sups.phi_sup)
-        assert np.isnan(sups.rates[0])
-        assert sups.phi_finite == (False,)
+            rates = nan_pert.rates(running_cfg)
+        assert np.isnan(nan_pert.sups(running_cfg, "theta")[0])
+        assert np.isnan(nan_pert.sups(running_cfg, "phi")[0])
+        assert np.isnan(rates[0])
+
+    def test_sups_read_what_the_rates_kept(self, running_cfg, monkeypatch):
+        # once the rates are known, reading theta's and phi's sups (and the
+        # contractivity check) evaluates no spec: the rates' pass kept them
+        theta = FunctionSpec.sinusoid(0.3, 5.0, 0.1, 0.2, DOM)
+        phi = FunctionSpec.polynomial([0.0, 1.0, -1.0], DOM)
+        pert = PerturbationSpec((PerturbationLevel(
+            t=(0.25, 0.5), s=(0.5, -0.5), theta=(theta, theta), phi=(phi, phi)),))
+        rates = pert.rates(running_cfg)
+        calls = []
+        call = FunctionSpec.__call__
+        monkeypatch.setattr(FunctionSpec, "__call__",
+                            lambda spec, x: calls.append(spec) or call(spec, x))
+        theta_sup, phi_sup = pert.sups(running_cfg, "theta"), pert.sups(running_cfg, "phi")
+        pert.check_contractive(running_cfg)
+        assert pert.rates(running_cfg) is rates
+        assert calls == []
+        grid = running_cfg.grid
+        assert theta_sup == (np.max(np.abs(call(theta, grid))),)
+        assert phi_sup == (np.max(np.abs(call(phi, grid))),)
 
     def test_nan_theta_is_not_contractive(self, running_cfg):
         # theta is 0.2 left of 0.5 and NaN right of it; with t = 0.5 the
