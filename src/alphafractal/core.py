@@ -13,9 +13,11 @@ prefix.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +60,22 @@ def evaluate(fn, x) -> np.ndarray:
 
 
 def sup_abs(arrays) -> float:
-    """Largest |value| over a family of arrays: NaN when any value is NaN,
-    0.0 for an empty family (``ndarray.max``: np.max's dispatch costs more)."""
-    return float(np.array([np.abs(a).max(initial=0.0) for a in arrays]).max(initial=0.0))
+    """Largest |value| over a family of arrays, floats (np.float64
+    included) or lists and tuples of either: NaN when any value is NaN, 0.0
+    for an empty family.  Floats are reduced as floats, arrays with
+    ``ndarray.max`` (np.max's dispatch costs more); a max of magnitudes
+    rounds nothing, so both give the same double."""
+    out = 0.0
+    for a in arrays:
+        if isinstance(a, float):
+            m = abs(a)
+        elif isinstance(a, (list, tuple)):
+            m = sup_abs(a)
+        else:
+            m = np.abs(a).max(initial=0.0)
+        if m > out or m != m:  # a NaN, once taken, is never replaced by a number
+            out = m
+    return float(out)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -166,6 +181,22 @@ def in_domain(x, domain) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FAMILIES = ("constant", "linear-endpoint", "polynomial", "sinusoid", "sampled", "sum")
+_PARAM_COUNTS = {"constant": 1, "linear-endpoint": 2, "sinusoid": 4}
+# Families whose value at a float is computed in Python floats (``_at``).
+# np.sin's results may differ from the C library's sin, and sampled and sum
+# specs read arrays, so the other families go through numpy at a point too.
+_FLOAT_FAMILIES = frozenset(("constant", "linear-endpoint", "polynomial"))
+
+
+def _horner(coeffs: Sequence[float], x: float) -> float:
+    """sum_j coeffs[j] x^j at a float x by Horner's rule in Python floats, in
+    the order of np.polynomial.polynomial.polyval and of a polynomial spec
+    on an array: x*0 + c[-1], then v*x + c[j].  Python and numpy round each
+    product and sum alike, and neither fuses them, so the double is theirs."""
+    v = x * 0.0 + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        v = v * x + c
+    return v
 
 
 @dataclass(frozen=True)
@@ -188,8 +219,9 @@ class FunctionSpec(_Cached):
                             config files cannot name it)
 
     Instances are immutable and evaluate deterministically; the same spec at
-    the same point always yields the identical double.  ``domain_key``, the
-    domain's repr, is how domains compare, so signed zeros count.
+    the same point always yields the identical double, at a float as in an
+    array.  ``domain_key``, the domain's repr, is how domains compare, so
+    signed zeros count.  The hash is the dataclass's, computed once.
     """
 
     family: str
@@ -202,11 +234,11 @@ class FunctionSpec(_Cached):
         if self.family not in _FAMILIES:
             raise ConfigError(f"unknown function family {self.family!r}")
         try:
-            params = tuple(float(p) for p in self.params)
+            params = tuple(map(float, self.params))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.family} spec parameters must be numbers ({exc})") from None
         object.__setattr__(self, "params", params)
-        if not all(np.isfinite(self.params)):
+        if not all(map(math.isfinite, params)):
             raise ConfigError(f"{self.family} spec parameters must be finite")
         terms = tuple(self.terms)
         if self.family == "sum":
@@ -226,11 +258,10 @@ class FunctionSpec(_Cached):
         object.__setattr__(self, "domain_key", repr((lo, hi)))  # signed zeros count
         if any(t.domain_key != self.domain_key for t in terms):
             raise ConfigError("sum spec terms must share its domain")
-        n_expected = {"constant": 1, "linear-endpoint": 2, "sinusoid": 4}
-        if self.family in n_expected and len(self.params) != n_expected[self.family]:
+        n_expected = _PARAM_COUNTS.get(self.family)
+        if n_expected is not None and len(params) != n_expected:
             raise ConfigError(
-                f"{self.family} spec takes {n_expected[self.family]} parameters, "
-                f"got {len(self.params)}"
+                f"{self.family} spec takes {n_expected} parameters, got {len(params)}"
             )
         if self.family == "polynomial" and not self.params:
             raise ConfigError("polynomial spec needs at least one coefficient")
@@ -238,8 +269,8 @@ class FunctionSpec(_Cached):
             if len(self.params) < 2:
                 raise ConfigError("sampled spec needs at least 2 sample values")
             if self.abscissas is not None:
-                xs = tuple(float(x) for x in self.abscissas)
-                if not all(np.isfinite(xs)):
+                xs = tuple(map(float, self.abscissas))
+                if not all(map(math.isfinite, xs)):
                     raise ConfigError("sampled spec abscissas must be finite")
                 if len(xs) != len(self.params):
                     raise ConfigError("sampled spec abscissas/values length mismatch")
@@ -250,6 +281,19 @@ class FunctionSpec(_Cached):
                 object.__setattr__(self, "abscissas", xs)
         elif self.abscissas is not None:
             raise ConfigError("abscissas only apply to the sampled family")
+
+    def __hash__(self):
+        # the dataclass's field hash, kept: specs key every memo and group,
+        # and a sum's hash would cover all its terms each time
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.family, self.params, self.domain, self.abscissas, self.terms))
+            self.__dict__["_hash"] = h
+        return h
+
+    def __getstate__(self):
+        # string hashes differ between interpreter runs: a copy hashes anew
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     # -- constructors -------------------------------------------------------
 
@@ -297,10 +341,26 @@ class FunctionSpec(_Cached):
         return self._cached("_samples", build)
 
     def __call__(self, x):
-        """The spec at x.  Overflow and invalid operations are not warned
-        about: they give inf or NaN values, which validation reports."""
+        """The spec at x: a float for a scalar x, else an array of x's shape.
+        Overflow and invalid operations are not warned about: they give inf
+        or NaN values, which validation reports."""
+        if isinstance(x, float) and self.family in _FLOAT_FAMILIES:
+            return self._at(float(x))
         with np.errstate(over="ignore", invalid="ignore"):
             return self._values(np.asarray(x, dtype=float))
+
+    def _at(self, x: float) -> float:
+        """A constant, linear-endpoint or polynomial spec at a float x, in
+        Python floats: ``_values``' IEEE operations in its order, so the same
+        double without an array's overhead (Python floats overflow to inf
+        and give NaN for inf - inf or inf * 0, as numpy does)."""
+        p = self.params
+        if self.family == "constant":
+            return p[0]
+        if self.family == "linear-endpoint":
+            lo, hi = self.domain
+            return p[0] + (p[1] - p[0]) * (x - lo) / (hi - lo)
+        return _horner(p, x)
 
     def _values(self, x: np.ndarray):
         lo, hi = self.domain
@@ -360,7 +420,10 @@ class FunctionSpec(_Cached):
 
     def grid_sup(self, partition: "Partition", size: int, values=None) -> float:
         """sup |spec| on that grid (``grid_estimate``); ``values`` are the
-        spec there, when the caller already holds them."""
+        spec there, when the caller already holds them.  A constant's is |c|,
+        exactly, with no grid built."""
+        if self.family == "constant":
+            return abs(self.params[0])
         return self.grid_estimate("sup", partition, size, lambda grid: sup_abs(
             [evaluate(self, grid) if values is None else values]))
 
@@ -393,12 +456,14 @@ def matched_endpoint_polynomial(coeffs: Sequence[float], domain,
                                 y_left: float, y_right: float) -> FunctionSpec:
     """Shift a polynomial by a linear term so it hits the prescribed endpoint values."""
     lo, hi = float(domain[0]), float(domain[1])
-    c = list(float(v) for v in coeffs)
+    if not lo < hi:
+        raise ConfigError("function domain must satisfy lo < hi")
+    c = [float(v) for v in coeffs]
     while len(c) < 2:
         c.append(0.0)
-    p = np.polynomial.polynomial.polyval([lo, hi], np.asarray(c))
-    mu = ((y_right - p[1]) - (y_left - p[0])) / (hi - lo)
-    lam = (y_left - p[0]) - mu * lo
+    p0, p1 = _horner(c, lo), _horner(c, hi)
+    mu = ((y_right - p1) - (y_left - p0)) / (hi - lo)
+    lam = (y_left - p0) - mu * lo
     c[0] += lam
     c[1] += mu
     return FunctionSpec.polynomial(c, (lo, hi))
@@ -631,6 +696,54 @@ class LevelSequence:
 # ---------------------------------------------------------------------------
 
 
+def _cells(grid: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.interp's cell of each q into ``out``: the j with grid[j] <= q, the
+    last node at the right end."""
+    np.subtract(np.searchsorted(grid, q, side="right"), 1, out=out)
+    return out
+
+
+def _interp_stencil(grid: np.ndarray, q: np.ndarray, j: np.ndarray | None = None):
+    """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
+    (``_cells``, searched for unless given), the offset q - grid[j], the
+    width of cell j (of the last cell where j is the right end), and the
+    exact node hits (off == 0, the right end among them).  j stays writable:
+    np.take copies a read-only index array on every call."""
+    n = q.size
+    if j is None:
+        j = np.empty(n, dtype=np.intp)
+        run_blocks(lambda js, qs: _cells(grid, qs, js), j, q)
+    off, dxj, hit = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+    def fill(js, qs, offset, width, hits):
+        grid[1:].take(js, out=width, mode="clip")
+        width -= grid[:-1].take(js, mode="clip")
+        grid.take(js, out=offset, mode="clip")
+        np.subtract(qs, offset, out=offset)
+        np.equal(offset, 0.0, out=hits)
+
+    run_blocks(fill, j, q, off, dxj, hit)
+    return j, frozen(off), frozen(dxj), frozen(hit)
+
+
+def _interp_read(stencil, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.interp(q, grid, dy) bit for bit, for finite slopes, at the points
+    q of a stencil (or of a block of one), into ``out`` (a new array if
+    None): s * off + dy[j] with the slope s = (dy[j+1] - dy[j]) /
+    (grid[j+1] - grid[j]), and dy[j] itself at node hits.  The slopes are
+    taken at j only; at the right end j is the last node, a hit, whose
+    clipped slope is never read.  The one temporary is the size of q."""
+    j, off, dxj, hit = stencil
+    at = dy.take(j, mode="clip")
+    out = dy[1:].take(j, out=out, mode="clip")
+    out -= at
+    out /= dxj
+    out *= off
+    out += at
+    np.copyto(out, at, where=hit)
+    return out
+
+
 def _shared(a: np.ndarray) -> np.ndarray:
     """``a`` itself when nothing can write to it (read-only down to the array
     that owns its memory), else a read-only copy."""
@@ -682,8 +795,16 @@ class SampledFunction:
         object.__setattr__(self, "ys", _shared(ys))
 
     def __call__(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
-        out = np.asarray(out, dtype=float)
+        """np.interp(x, xs, ys) bit for bit, read through ``_interp_stencil``
+        (np.interp would copy xs and ys on every call): the end values
+        outside the grid, NaN at a NaN x.  A float for a scalar x, else an
+        array of x's shape."""
+        xa = np.asarray(x, dtype=float)
+        q = np.clip(xa.reshape(-1), self.xs[0], self.xs[-1])  # NaN stays NaN
+        # a slope that overflows gives inf, and inf * 0 at a node hit NaN,
+        # which the hit's own value replaces: np.interp warns of neither
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _interp_read(_interp_stencil(self.xs, q), self.ys).reshape(xa.shape)
         return out if out.shape else float(out)
 
     def with_values(self, ys: np.ndarray) -> "SampledFunction":
@@ -769,9 +890,11 @@ class ProblemConfig(_Cached):
     def domain(self) -> tuple[float, float]:
         return self.partition.domain
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
-        """Evaluation grid: uniform grid_size points with every knot inserted."""
+        """Evaluation grid: uniform grid_size points with every knot inserted
+        (the partition's array, kept on the config as well: it is read at
+        every step of a campaign)."""
         return self.partition.grid(self.grid_size)
 
     @property
@@ -936,7 +1059,7 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     f_vals = cfg.germ_values
     f0, fN = float(f_vals[0]), float(f_vals[-1])
     problems: list[tuple[type[AlphaFractalError], str]] = []
-    finite = bool(np.all(np.isfinite(f_vals)))
+    finite = bool(np.isfinite(f_vals).all())
     if not finite:
         problems.append((ConfigError, "germ takes non-finite values on the grid"))
 
@@ -951,12 +1074,12 @@ def validate_level_sequence(cfg: ProblemConfig) -> ValidationReport:
     degenerate = []
     for r in range(1, cfg.levels.prefix_len + 1):
         b_vals = cfg.base_values(r)
-        if not np.all(np.isfinite(b_vals)):
+        if not np.isfinite(b_vals).all():
             finite = False
             problems.append((ConfigError, f"base b_{r} takes non-finite values on the grid"))
         res = (abs(float(b_vals[0]) - f0), abs(float(b_vals[-1]) - fN))
         residuals.append(res)
-        if not np.max(res) <= ENDPOINT_TOL:
+        if not (res[0] <= ENDPOINT_TOL and res[1] <= ENDPOINT_TOL):  # NaN fails
             problems.append((
                 EndpointMismatch,
                 f"base b_{r} endpoint residuals {res[0]:.3g}, {res[1]:.3g} exceed {ENDPOINT_TOL}",

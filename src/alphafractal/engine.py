@@ -28,11 +28,13 @@ Both reads give the same doubles wherever a Q point is a node exactly.
 The caches keep only what the steps read.  The grid is sorted, so each
 interval's points form one run of it, and the partition keeps the N + 1
 offsets of those runs (``_grid_geometry``), not an index per point.  The Q
-points are built at most once per trajectory, run by run, where the stencil
-or a level's alphas need them, and dropped before the steps
+points are built run by run where the stencil or a level's alphas need
+them; a grid of one block keeps them on the partition, and a larger one
+builds them at most once per trajectory and drops them before the steps
 (``_q_provider``).  A level whose scalings are one constant spec keeps the
-constant as a scalar.  A trajectory makes its step kernel once and
-alternates between two buffers (``_step``).
+constant as a scalar, and a constant among other specs fills its run.  A
+trajectory makes its step kernel once and alternates between two buffers
+(``_step``).
 
 Both evaluators share their per-interval arithmetic.  The one Q_i kernel,
 ``Partition.inverse_into``, takes each run's knots as scalars for the
@@ -60,10 +62,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BLOCK_POINTS,
     DEPTH_CAP,
     ENDPOINT_TOL,
     ProblemConfig,
     SampledFunction,
+    _cells,
+    _interp_read,
+    _interp_stencil,
     evaluate,
     frozen,
     group_specs,
@@ -115,58 +121,16 @@ def _q_points(cfg: ProblemConfig) -> np.ndarray:
 
 
 def _q_provider(cfg: ProblemConfig):
-    """A callable that gives the grid's Q points, built on its first call
-    and kept by the callable alone: a trajectory holds one while it
-    gathers its stencil and terms, and drops it before its steps."""
+    """A callable that gives the grid's Q points, built on its first call.
+    On a grid of one block (``core.BLOCK_POINTS`` points at most, where the
+    campaigns run) the partition keeps them beside its stencil, since every
+    config on it reads them again; on a larger grid the callable alone keeps
+    them: a trajectory holds one while it gathers its stencil and terms, and
+    drops it before its steps."""
+    if cfg.grid.size <= BLOCK_POINTS:
+        return lambda: cfg.partition._cached(f"_rb_q_{cfg.grid_size}",
+                                             lambda: frozen(_q_points(cfg)))
     return functools.cache(lambda: _q_points(cfg))
-
-
-def _cells(grid: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.interp's cell of each q into ``out``: the j with grid[j] <= q, the
-    last node at the right end."""
-    np.subtract(np.searchsorted(grid, q, side="right"), 1, out=out)
-    return out
-
-
-def _interp_stencil(grid: np.ndarray, q: np.ndarray, j: np.ndarray | None = None):
-    """np.interp's stencil at points q inside [grid[0], grid[-1]]: the cell j
-    (``_cells``, searched for unless given), the offset q - grid[j], the
-    width of cell j (of the last cell where j is the right end), and the
-    exact node hits (off == 0, the right end among them).  j stays writable:
-    np.take copies a read-only index array on every call."""
-    n = q.size
-    if j is None:
-        j = np.empty(n, dtype=np.intp)
-        run_blocks(lambda js, qs: _cells(grid, qs, js), j, q)
-    off, dxj, hit = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-
-    def fill(js, qs, offset, width, hits):
-        grid[1:].take(js, out=width, mode="clip")
-        width -= grid[:-1].take(js, mode="clip")
-        grid.take(js, out=offset, mode="clip")
-        np.subtract(qs, offset, out=offset)
-        np.equal(offset, 0.0, out=hits)
-
-    run_blocks(fill, j, q, off, dxj, hit)
-    return j, frozen(off), frozen(dxj), frozen(hit)
-
-
-def _interp_read(stencil, dy: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """np.interp(q, grid, dy) bit for bit, for finite slopes, at the points
-    q of a stencil (or of a block of one), into ``out`` (a new array if
-    None): s * off + dy[j] with the slope s = (dy[j+1] - dy[j]) /
-    (grid[j+1] - grid[j]), and dy[j] itself at node hits.  The slopes are
-    taken at j only; at the right end j is the last node, a hit, whose
-    clipped slope is never read.  The one temporary is the size of q."""
-    j, off, dxj, hit = stencil
-    at = dy.take(j, mode="clip")
-    out = dy[1:].take(j, out=out, mode="clip")
-    out -= at
-    out /= dxj
-    out *= off
-    out += at
-    np.copyto(out, at, where=hit)
-    return out
 
 
 def _closure_tol(cfg: ProblemConfig) -> float:
@@ -234,11 +198,16 @@ def _per_interval(fns, z: np.ndarray, parts) -> np.ndarray:
     the sorted grid (``_grid_geometry``) or, for the series, a mask.  A
     vector of one spec (``group_specs``, whose signed-zero rule keeps the
     constants 0.0 and -0.0 apart) is one call over all of z, and ``parts``
-    is not read; any other vector is one call per interval."""
+    is not read; any other vector is one call per interval.  A constant is
+    never called: its value fills its points, signed zero and all."""
     if len(group_specs(fns)) == 1:
-        return evaluate(fns[0], z)
+        fn = fns[0]
+        return np.full(z.shape, fn.params[0]) if fn.family == "constant" else evaluate(fn, z)
     out = np.empty_like(z)
     for fn, at in zip(fns, parts):
+        if fn.family == "constant":
+            out[at] = fn.params[0]
+            continue
         points = z[at]
         if points.size:
             out[at] = evaluate(fn, points)
@@ -436,13 +405,9 @@ class Interpolant:
 
     def __call__(self, x):
         """np.interp on the grid, bit for bit (the values are finite), read
-        through the RB step's own stencil: np.interp would copy the
-        read-only grid and values on every call.  A float for a scalar x,
-        else an array of x's shape."""
-        xa = in_domain(x, self.cfg.domain)
-        grid, ys = self.values.xs, self.values.ys
-        out = _interp_read(_interp_stencil(grid, xa.reshape(-1)), ys).reshape(xa.shape)
-        return out if out.shape else float(out)
+        by ``SampledFunction``, through the RB step's own stencil.  A float
+        for a scalar x, else an array of x's shape."""
+        return self.values(in_domain(x, self.cfg.domain))
 
     def knot_residuals(self) -> np.ndarray:
         """|f^alpha(x_k) - y_k| at the knots, which are grid nodes: there

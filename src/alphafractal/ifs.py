@@ -47,6 +47,12 @@ def locate_many(x: np.ndarray, p: Partition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _on_grid(fn: FunctionSpec, grid: np.ndarray):
+    """fn on the grid, or a constant's value as a float: numpy broadcasts it
+    to the same doubles in every sum and product below."""
+    return fn.params[0] if fn.family == "constant" else evaluate(fn, grid)
+
+
 @dataclass(frozen=True)
 class PerturbationLevel:
     """Per-interval perturbation data for one level: scalars t_i, s_i and
@@ -138,10 +144,10 @@ class PerturbationSpec:
             lv = self.level(r)
             level = []
             for alpha, ii in group_specs(cfg.levels.level(r).scalings):
-                a = evaluate(alpha, grid)
+                a = _on_grid(alpha, grid)
                 alpha.grid_sup(p, size, a)
                 for theta, jj in group_specs([lv.theta[i] for i in ii]):
-                    th = evaluate(theta, grid)
+                    th = _on_grid(theta, grid)
                     theta.grid_sup(p, size, th)
                     level += [sup_abs([a + lv.t[ii[j]] * th]) for j in jj]
             rates.append(sup_abs([level]))

@@ -160,3 +160,17 @@ def ref_grid(partition, size):
         if abs(lin[k] - x) <= nu:
             lin[k] = x
     return np.union1d(lin, np.asarray(partition.knots, dtype=float))
+
+
+def ref_matched_endpoint_coeffs(coeffs, domain, y_left, y_right):
+    """The coefficients of a polynomial shifted by a linear term to take the
+    values y_left, y_right at the domain's ends, its end values read with
+    np.polynomial.polynomial.polyval."""
+    lo, hi = float(domain[0]), float(domain[1])
+    c = [float(v) for v in coeffs] + [0.0] * max(0, 2 - len(coeffs))
+    p = np.polynomial.polynomial.polyval([lo, hi], np.asarray(c))
+    mu = ((y_right - p[1]) - (y_left - p[0])) / (hi - lo)
+    lam = (y_left - p[0]) - mu * lo
+    c[0] += lam
+    c[1] += mu
+    return [float(v) for v in c]

@@ -261,10 +261,11 @@ class TestBuild:
 
     def test_each_scaling_evaluated_once(self, tmp_path, monkeypatch):
         # c11 repeats one scaling spec per level over all six intervals: the
-        # sup estimate evaluates each once on the grid; the RB terms evaluate
-        # level 2's sinusoid once at the Q points, and take level 1's
-        # constant as a scalar, from one point
-        seen = {"alpha_sup": [], "_level_terms": []}
+        # sup estimate evaluates level 2's sinusoid once on the grid and
+        # takes level 1's constant's |c| without evaluating it; the RB terms
+        # evaluate the sinusoid once at the Q points, and take the constant
+        # as a scalar, from one point.  No constant is evaluated on the grid.
+        seen = {"alpha_sup": [], "_level_terms": [], "main": []}
         call = FunctionSpec.__call__
 
         def counted(self, x):
@@ -281,8 +282,9 @@ class TestBuild:
         assert main(["build", "--config", str(cfg), "--grid", "4097", "--eps", "1e-10",
                      "--out", str(tmp_path)]) == 0
         n = configio.config_from_dict(c11_config(), overrides={"grid": 4097}).grid.size
-        assert sorted(seen["alpha_sup"]) == [("constant", n), ("sinusoid", n)]
+        assert sorted(seen["alpha_sup"]) == [("sinusoid", n)]
         assert sorted(seen["_level_terms"]) == [("constant", 1), ("sinusoid", n)]
+        assert not [size for family, size in seen["main"] if family == "constant" and size > 1]
 
     def test_build_holds_eight_grid_arrays(self, tmp_path, monkeypatch):
         # c11 at grid 65537, a closed grid.  Up to its curve export a build
@@ -459,6 +461,26 @@ class TestVerify:
         assert all(r["pass"] == "true" for r in rows)
         detail = json.loads((tmp_path / "report.json").read_text())
         assert len(detail) == len(rows)
+
+    def test_constants_stay_off_the_grid(self, tmp_path, monkeypatch):
+        # a constant's grid sup is |c|, the RB terms fill its points with c
+        # and the perturbation rates add it as a scalar: no constant spec is
+        # evaluated on more points than the knots
+        sizes = []
+        call = FunctionSpec.__call__
+
+        def counted(self, x):
+            if self.family == "constant":
+                sizes.append(np.size(x))
+            return call(self, x)
+
+        monkeypatch.setattr(FunctionSpec, "__call__", counted)
+        cfg = write_config(tmp_path, c11_config())
+        assert main(["verify", "--config", str(cfg), "--suite", "all", "--trials", "5",
+                     "--grid", "4097", "--eps", "1e-10", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        knots = len(c11_config()["partition"]["knots"])
+        assert [n for n in sizes if n > knots] == []
 
     def test_depth_flag_holds_for_every_suite(self, tmp_path):
         cfg = write_config(tmp_path, README_CONFIG)

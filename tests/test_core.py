@@ -1,3 +1,6 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,14 @@ from alphafractal import (
     validate_level_sequence,
 )
 from alphafractal import core
-from alphafractal.core import DEFAULT_EPS, DEPTH_CAP, SampledFunction, group_specs, sup_abs
+from alphafractal.core import (
+    DEFAULT_EPS,
+    DEPTH_CAP,
+    SampledFunction,
+    group_specs,
+    matched_endpoint_polynomial,
+    sup_abs,
+)
 from alphafractal.ifs import locate_many
 from alphafractal.errors import (
     BadExponent,
@@ -29,7 +39,7 @@ from alphafractal.errors import (
 from alphafractal.norms import lip_ratios
 
 from helpers import nan_where
-from reference import ref_blend, ref_shifted
+from reference import ref_blend, ref_matched_endpoint_coeffs, ref_shifted
 
 DOM = (0.0, 1.0)
 
@@ -269,6 +279,129 @@ def _same_bytes(got, want, points):
             assert type(out) is float
             assert np.float64(out).tobytes() == np.asarray(
                 want(np.asarray(scalar, dtype=float)), dtype=float).tobytes()
+
+
+# the whole double range: values far outside a domain overflow to inf
+_WIDE = st.one_of(_PARAM, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_double(got, want) -> bool:
+    """Equal bytes, or both NaN: IEEE leaves a NaN's sign and payload to the
+    hardware and the operands' order, which Python and numpy may differ in."""
+    got, want = np.float64(got), np.float64(want)
+    return got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want))
+
+
+class TestPointEvaluation:
+    """A constant, linear-endpoint or polynomial spec at a float (np.float64
+    included) is computed in Python floats, and gives the double of the
+    array path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(domain=_domain(), data=st.data())
+    def test_point_equals_the_array_path(self, domain, data):
+        family = data.draw(st.sampled_from(["constant", "linear-endpoint", "polynomial"]))
+        count = {"constant": 1, "linear-endpoint": 2}.get(family)
+        params = data.draw(st.lists(_WIDE, min_size=count or 1, max_size=count or 8))
+        spec = FunctionSpec(family, params, domain)
+        lo, hi = domain
+        points = data.draw(st.lists(_WIDE, max_size=10))
+        points += [lo, hi, 0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+        for v in points:
+            want = spec(np.array([v]))[0]
+            for x in (v, np.float64(v)):
+                got = spec(x)
+                assert type(got) is float
+                assert _same_double(got, want)
+
+    def test_overflow_and_nan_reach_the_point_path(self):
+        poly = FunctionSpec.polynomial([1.0, 1e300, 1e300], DOM)
+        assert poly(1e200) == np.inf and poly(-1e10) == np.inf
+        assert np.isnan(poly(np.inf))  # inf * 0 in Horner's first step
+        chord = FunctionSpec.linear_endpoint(-1e308, 1e308, DOM)
+        assert np.isnan(chord(0.0))  # (yr - yl) overflows, times x - lo = 0
+        assert chord(np.float64(0.5)) == chord(np.array([0.5]))[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(domain=_domain(), seed=st.integers(0, 2 ** 32 - 1),
+           degree=st.integers(0, 7))
+    def test_matched_endpoint_polynomial_keeps_polyval_coefficients(self, domain, seed,
+                                                                     degree):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.uniform(-1.0, 1.0, degree + 1)
+        y_left, y_right = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        got = matched_endpoint_polynomial(coeffs, domain, y_left, y_right)
+        want = ref_matched_endpoint_coeffs(coeffs, domain, y_left, y_right)
+        assert np.array(got.params).tobytes() == np.array(want).tobytes()
+
+
+class TestSpecHash:
+    def test_hash_is_the_field_hash_kept(self):
+        term = FunctionSpec.polynomial([0.0, 1.0], DOM)
+        spec = FunctionSpec.weighted_sum((0.5, 0.5), (term, FunctionSpec.constant(-0.0, DOM)))
+        want = hash((spec.family, spec.params, spec.domain, spec.abscissas, spec.terms))
+        assert hash(spec) == want and hash(spec) == want
+        assert hash(FunctionSpec.constant(0.0, DOM)) == hash(FunctionSpec.constant(-0.0, DOM))
+
+    def test_a_copy_hashes_anew(self):
+        spec = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
+        hash(spec)
+        copy = pickle.loads(pickle.dumps(spec))
+        assert "_hash" not in vars(copy)
+        assert copy == spec and hash(copy) == hash(spec)
+
+
+_POLY = FunctionSpec.polynomial([0.0, 1.0], DOM)
+
+
+class TestSpecErrors:
+    """Every ConfigError of FunctionSpec's checks, with its message."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: FunctionSpec("cubic", (1.0,), DOM), "unknown function family 'cubic'"),
+        (lambda: FunctionSpec("constant", ("a",), DOM),
+         "constant spec parameters must be numbers (could not convert string to float: 'a')"),
+        (lambda: FunctionSpec("polynomial", 1.0, DOM),
+         "polynomial spec parameters must be numbers ('float' object is not iterable)"),
+        (lambda: FunctionSpec.constant(float("nan"), DOM), "constant spec parameters must be finite"),
+        (lambda: FunctionSpec.sinusoid(1.0, float("inf"), 0.0, 0.0, DOM),
+         "sinusoid spec parameters must be finite"),
+        (lambda: FunctionSpec("constant", (1.0, 2.0), DOM), "constant spec takes 1 parameters, got 2"),
+        (lambda: FunctionSpec("linear-endpoint", (1.0,), DOM),
+         "linear-endpoint spec takes 2 parameters, got 1"),
+        (lambda: FunctionSpec("sinusoid", (1.0, 2.0, 3.0), DOM),
+         "sinusoid spec takes 4 parameters, got 3"),
+        (lambda: FunctionSpec.polynomial([], DOM), "polynomial spec needs at least one coefficient"),
+        (lambda: FunctionSpec("sum", (), DOM), "sum spec needs at least one term"),
+        (lambda: FunctionSpec.weighted_sum((1.0,), (_POLY, _POLY)), "sum spec has 1 weights for 2 terms"),
+        (lambda: FunctionSpec.weighted_sum((1.0, 1.0), (_POLY, lambda x: x)),
+         "sum spec terms must be FunctionSpecs"),
+        (lambda: FunctionSpec.weighted_sum((1.0, 1.0), (_POLY, FunctionSpec.constant(1.0, (0.0, 2.0)))),
+         "sum spec terms must share its domain"),
+        (lambda: FunctionSpec("constant", (1.0,), DOM, terms=(_POLY,)),
+         "terms only apply to the sum family"),
+        (lambda: FunctionSpec.constant(1.0, (1.0, 1.0)), "function domain must satisfy lo < hi"),
+        (lambda: FunctionSpec.constant(1.0, (2.0, 1.0)), "function domain must satisfy lo < hi"),
+        (lambda: FunctionSpec.sampled([1.0], DOM), "sampled spec needs at least 2 sample values"),
+        (lambda: FunctionSpec.sampled([0.0, 1.0], DOM, abscissas=[0.0, float("inf")]),
+         "sampled spec abscissas must be finite"),
+        (lambda: FunctionSpec.sampled([0.0, 1.0], DOM, abscissas=[0.0, 0.5, 1.0]),
+         "sampled spec abscissas/values length mismatch"),
+        (lambda: FunctionSpec.sampled([0.0, 1.0, 2.0], DOM, abscissas=[0.0, 0.0, 1.0]),
+         "sampled spec abscissas must be strictly increasing"),
+        (lambda: FunctionSpec.sampled([0.0, 1.0], DOM, abscissas=[0.0, 0.5]),
+         "sampled spec abscissas must span the domain"),
+        (lambda: FunctionSpec("constant", (1.0,), DOM, abscissas=(0.0, 1.0)),
+         "abscissas only apply to the sampled family"),
+    ], ids=["family", "non-numeric", "not-iterable", "nan", "inf", "constant-count",
+            "linear-count", "sinusoid-count", "empty-polynomial", "sum-no-terms",
+            "sum-count", "sum-non-spec", "sum-domain", "terms-not-sum", "lo-equals-hi",
+            "lo-above-hi", "sampled-one-value", "abscissas-finite", "abscissas-length",
+            "abscissas-increasing", "abscissas-span", "abscissas-not-sampled"])
+    def test_message(self, make, message):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestWeightedSum:
@@ -623,3 +756,40 @@ class TestSampledFunction:
         traj = trajectory_interpolant(running_cfg)
         assert traj.values.xs is running_cfg.grid
         assert not traj.values.ys.flags.writeable
+
+    def test_two_point_call_on_a_big_grid_copies_nothing(self):
+        xs = np.linspace(0.0, 1.0, 2 ** 20)
+        f = SampledFunction(xs, np.sin(xs))
+        x = np.array([0.25, 0.75])
+        f(x)
+        tracemalloc.start()
+        try:
+            f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+           domain=st.sampled_from([DOM, (-3.0, 7.5), (-1e6, -2.0)]))
+    def test_same_bytes_as_np_interp(self, seed, n, domain):
+        # at the nodes, between them, at both ends, outside the grid
+        # (np.interp's end values), at +-inf and at NaN
+        rng = np.random.default_rng(seed)
+        lo, hi = domain
+        xs = np.unique(np.concatenate([[lo, hi], rng.uniform(lo, hi, n - 2)]))
+        ys = rng.normal(size=xs.size) * rng.choice([1e-3, 1.0, 1e6])
+        ys[rng.random(xs.size) < 0.2] = rng.choice([0.0, -0.0])
+        f = SampledFunction(xs, ys)
+        width = hi - lo
+        x = np.concatenate([xs, rng.uniform(lo, hi, 50), [lo - width, hi + width, -np.inf,
+                                                          np.inf, np.nan, -0.0, 0.0]])
+        rng.shuffle(x)
+        want = np.interp(x, xs, ys)
+        assert f(x).tobytes() == want.tobytes()
+        assert f(x.reshape(-1, 1)).shape == (x.size, 1)
+        for v in x[:5]:
+            got = f(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.interp(v, xs, ys).tobytes()

@@ -21,7 +21,7 @@ from alphafractal import (
     trajectory_interpolant,
 )
 from alphafractal.configio import config_from_dict
-from alphafractal.core import SampledFunction, sup_abs
+from alphafractal.core import BLOCK_POINTS, SampledFunction, sup_abs
 from alphafractal import engine
 from alphafractal.errors import (
     ConfigError,
@@ -133,9 +133,10 @@ class TestRBStepInPlace:
 class TestPerInterval:
     def test_shared_spec_evaluated_once_with_its_own_zeros(self, monkeypatch):
         # a vector of one spec, equal but distinct objects included, is one
-        # call over all points; 0.0 == -0.0 must not merge two constants
-        # whose values differ in the sign of a zero; any other vector is
-        # one call per interval, on either kind of selector
+        # call over all points; any other vector is one call per interval,
+        # on either kind of selector.  A constant is never called: its value
+        # fills its points, and 0.0 == -0.0 must not merge two constants
+        # whose values differ in the sign of a zero
         calls = []
         spec = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
         equal = FunctionSpec.sinusoid(0.1, 3.0, 0.2, 0.3, DOM)
@@ -156,6 +157,7 @@ class TestPerInterval:
                         (spec, spec, plus, spec, spec)]
         cases = [(fns, fns[:1]) for fns in one_call] + [(fns, fns) for fns in per_interval]
         for fns, evaluated in cases:
+            evaluated = [fn for fn in evaluated if fn.family != "constant"]
             want = np.concatenate([fn(z[idx == i]) for i, fn in enumerate(fns, start=1)])
             for parts in ((idx == i for i in range(1, 6)), runs):
                 calls.clear()
@@ -163,6 +165,10 @@ class TestPerInterval:
                 assert got.tobytes() == want.tobytes()
                 assert len(calls) == len(evaluated)
                 assert all(a is b for a, b in zip(calls, evaluated))
+                for i, fn in enumerate(fns, start=1):
+                    if fn.family == "constant":
+                        negative = fn is minus
+                        assert np.all(np.signbit(got[idx == i]) == negative)
 
 
 class TestGridRuns:
@@ -186,6 +192,25 @@ class TestGridRuns:
         assert np.array_equal(np.repeat(np.arange(1, n + 1), [r.stop - r.start for r in runs]),
                               idx)
         assert engine._q_points(cfg).tobytes() == p.inverse_many(idx, cfg.grid).tobytes()
+
+
+class TestQPointsKept:
+    @pytest.mark.parametrize("size, builds", [(4097, 1), (BLOCK_POINTS + 1, 2)])
+    def test_on_one_block_grids_only(self, monkeypatch, size, builds):
+        # two configs on one partition whose sinusoid scalings differ: the
+        # second reads the Q points again for its alphas.  On a grid of one
+        # block the partition keeps them; above, each trajectory builds its own
+        built = []
+        q_points = engine._q_points
+        monkeypatch.setattr(engine, "_q_points", lambda cfg: built.append(1) or q_points(cfg))
+        p = build_partition([0.0, 0.3, 1.0])
+        germ = FunctionSpec.polynomial([0.0, 1.0], DOM)
+        base = FunctionSpec.polynomial([0.0, 0.0, 1.0], DOM)
+        for offset in (0.3, 0.2):
+            a = FunctionSpec.sinusoid(0.1, 3.0, 0.0, offset, DOM)
+            cfg = ProblemConfig(p, germ, LevelSequence((Level((a, a), base),)), grid_size=size)
+            backward_trajectory(None, 3, cfg)
+        assert len(built) == builds
 
 
 class TestInterpStencil:
